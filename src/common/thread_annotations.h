@@ -125,6 +125,7 @@ namespace lock_rank {
 
 inline constexpr int kNone = 0;               ///< Unranked: no checking.
 inline constexpr int kProxy = 10;             ///< proxy::Proxy::mutex_
+inline constexpr int kOpeMemo = 15;           ///< ope::OpeScheme memo mutex
 inline constexpr int kClientConnection = 20;  ///< net::RemoteConnection::mutex_
 inline constexpr int kServerAcceptQueue = 30; ///< net::TcpServer::queue_mutex_
 inline constexpr int kDispatcher = 40;        ///< net::WireDispatcher::mutex_

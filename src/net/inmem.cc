@@ -14,6 +14,10 @@ class InProcessChannel::ClientTransport final : public Transport {
   Result<size_t> Read(char* buf, size_t max) override {
     if (closed_) return Status::Unavailable("transport closed");
     if (reply_pos_ >= reply_.size()) {
+      // Every reply byte so far has been read: drop them, so a long-lived
+      // connection holds only the replies still in flight.
+      reply_.clear();
+      reply_pos_ = 0;
       MOPE_RETURN_NOT_OK(Pump());
     }
     if (reply_pos_ >= reply_.size()) {

@@ -50,6 +50,7 @@ Status RemoteConnection::EnsureConnectedLocked() {
   if (transport_ != nullptr) return Status::OK();
   MOPE_ASSIGN_OR_RETURN(transport_, options_.transport_factory());
   connects_->Increment();
+  connect_count_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -79,6 +80,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
   for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       retries_->Increment();
+      retry_count_.fetch_add(1, std::memory_order_relaxed);
       obs::BumpTraceCounter("net.retries");
       const int backoff = std::min(
           options_.backoff_max_ms,
@@ -197,9 +199,13 @@ RemoteConnection::FetchServerStats() {
   return DecodeStatsReply(reply.payload);
 }
 
-uint64_t RemoteConnection::retries() const { return retries_->Value(); }
+uint64_t RemoteConnection::retries() const {
+  return retry_count_.load(std::memory_order_relaxed);
+}
 
-uint64_t RemoteConnection::connects() const { return connects_->Value(); }
+uint64_t RemoteConnection::connects() const {
+  return connect_count_.load(std::memory_order_relaxed);
+}
 
 void RegisterTcpScheme(const RemoteOptions& defaults) {
   proxy::RegisterConnectionScheme(

@@ -79,10 +79,10 @@ class RemoteConnection final : public proxy::ServerConnection {
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchServerStats()
       override;
 
-  /// Transport-level retry attempts performed so far (the proxy's own
-  /// retries_performed() counts on top of these).
+  /// Transport-level retry attempts this connection performed so far (the
+  /// proxy's own retries_performed() counts on top of these).
   uint64_t retries() const;
-  /// Successful (re)connects, minus the none-yet state: 0 until first use.
+  /// This connection's successful (re)connects: 0 until first use.
   uint64_t connects() const;
 
  private:
@@ -104,6 +104,10 @@ class RemoteConnection final : public proxy::ServerConnection {
   // coupling this split exists to prevent.
   obs::Counter* retries_;
   obs::Counter* connects_;
+  // The same two counts for this connection alone: the registry counters
+  // sum over every connection that shares the registry.
+  std::atomic<uint64_t> retry_count_{0};
+  std::atomic<uint64_t> connect_count_{0};
   obs::Counter* roundtrips_;
   obs::Counter* bytes_sent_;
   obs::Counter* bytes_received_;

@@ -48,7 +48,8 @@ struct CipherRange {
   bool operator==(const CipherRange&) const = default;
 };
 
-/// The MOPE scheme (deterministic, stateless, thread-safe after creation).
+/// The MOPE scheme (deterministic and thread-safe; move-only, as it owns the
+/// underlying OPE scheme's split-tree memo).
 class MopeScheme {
  public:
   /// Validates parameters and builds the scheme. Requires offset < domain.

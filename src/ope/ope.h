@@ -14,11 +14,15 @@
 /// call reconstructs the same function), and the recursion descends into the
 /// half containing the target plaintext.
 ///
-/// Deterministic, stateless, and key-only — no interaction and no stored
-/// function table, so it scales to large domains at O(log N) HGD draws per
-/// operation.
+/// Deterministic and key-only: no interaction, and the key alone fixes the
+/// function. A scheme instance memoizes the split nodes its walks have
+/// sampled (at most 2^16 of them), so once a key's tree is cached
+/// Encrypt and Decrypt walk memory instead of paying a PRF call, a coin
+/// stream and an HGD draw per level. Past the cap, walks continue uncached
+/// at O(log N) HGD draws per operation, so large domains still work.
 
 #include <cstdint>
+#include <memory>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -46,15 +50,22 @@ struct OpeKey {
   static OpeKey Generate(mope::BitSource* entropy);
 };
 
-/// The OPE scheme. Immutable after construction; safe to share across
-/// threads for concurrent Encrypt/Decrypt.
+/// The OPE scheme. The sampled function is fixed by the key; the only
+/// mutable state is the split-tree memo, which locks itself, so one scheme
+/// may be shared across threads for concurrent Encrypt, Decrypt and
+/// DecryptFloorCeil. Move-only: it owns its memo.
 class OpeScheme {
  public:
   /// Validates parameters (0 < M <= N) and builds the scheme. `registry`
-  /// receives the ope.* counter family (encrypt/decrypt calls, HGD draws,
-  /// recursion depth); null selects the process-global obs::Registry().
+  /// receives the ope.* counter family (encrypt/decrypt calls, HGD draws
+  /// on memo misses, recursion depth); null selects the process-global
+  /// obs::Registry().
   static Result<OpeScheme> Create(const OpeParams& params, const OpeKey& key,
                                   obs::MetricsRegistry* registry = nullptr);
+
+  OpeScheme(OpeScheme&&) noexcept;
+  OpeScheme& operator=(OpeScheme&&) noexcept;
+  ~OpeScheme();
 
   const OpeParams& params() const { return params_; }
 
@@ -72,8 +83,28 @@ class OpeScheme {
   Result<uint64_t> DecryptFloorCeil(uint64_t c) const;
 
  private:
+  /// The sampled split tree, as far as walks have visited it (ope.cc).
+  struct Memo;
+
+  /// Which target a walk descends towards.
+  enum class Descend { kByPlaintext, kByCiphertext };
+
+  /// Where a walk stopped: a leaf (m_count == 1), or an empty branch
+  /// (m_count == 0) that a ciphertext outside the image fell into.
+  struct WalkEnd {
+    uint64_t dlo;      ///< First plaintext of the node.
+    uint64_t m_count;  ///< Plaintexts in the node: 1 or 0.
+    uint64_t cipher;   ///< The leaf's ciphertext; 0 for an empty branch.
+    uint64_t depth;    ///< Splits passed on the way down.
+  };
+
   OpeScheme(const OpeParams& params, const OpeKey& key,
             obs::MetricsRegistry* registry);
+
+  /// Descends from the root towards plaintext or ciphertext `target`. Nodes
+  /// come from the memo; a miss samples the node and memoizes it while the
+  /// memo is under its cap and holds the node's parent.
+  Result<WalkEnd> Walk(uint64_t target, Descend by) const;
 
   /// Number of plaintexts (out of `m_count` in this node) that the sampled
   /// OPF maps into the left `draws` ciphertext slots of this node. Errors
@@ -87,6 +118,9 @@ class OpeScheme {
 
   OpeParams params_;
   crypto::Prf prf_;
+  /// Owned by pointer so the scheme stays movable; a new scheme (including
+  /// the one RotateKey builds) starts with an empty memo.
+  std::unique_ptr<Memo> memo_;
 
   // ope.* metric handles (the registry owns the metrics; incrementing an
   // atomic counter through a const method keeps Encrypt/Decrypt shareable

@@ -154,6 +154,31 @@ TEST_F(TpchEndToEndTest, ServerStatsShowFakeTraffic) {
   EXPECT_GE(resp->rows_received, resp->rows.size());
 }
 
+TEST_F(TpchEndToEndTest, RepeatedQ6QueryDrawsNoHgdSamples) {
+  // The warm-up query's fakes walk the whole date tree into the proxy's OPE
+  // memo, so a repeat of the query, fakes included, encrypts and decrypts
+  // without a single HGD draw.
+  Rng rng(6);
+  const Q6Params q6 = SampleQ6(&rng);
+  const auto warmup = system_.Query("lineitem", "l_shipdate", q6.shipdate);
+  ASSERT_TRUE(warmup.ok()) << warmup.status();
+
+  obs::MetricsRegistry* metrics = system_.metrics();
+  auto counter = [metrics](const char* name) {
+    return metrics->GetCounter(name)->Value();
+  };
+  const uint64_t draws = counter("ope.hgd_draws");
+  const uint64_t encrypts = counter("ope.encrypt_calls");
+  const uint64_t decrypts = counter("ope.decrypt_calls");
+  const auto repeat = system_.Query("lineitem", "l_shipdate", q6.shipdate);
+  ASSERT_TRUE(repeat.ok()) << repeat.status();
+  EXPECT_EQ(repeat->rows.size(), warmup->rows.size());
+  EXPECT_GT(repeat->fake_queries_sent, 0u);
+  EXPECT_GT(counter("ope.encrypt_calls"), encrypts);
+  EXPECT_GT(counter("ope.decrypt_calls"), decrypts);
+  EXPECT_EQ(counter("ope.hgd_draws"), draws);
+}
+
 TEST(DatasetEndToEndTest, SkewedWorkloadThroughPeriodicProxy) {
   // Adult-style workload end to end under QueryP.
   const auto adult = MakeDataset(DatasetKind::kAdult);

@@ -1,6 +1,7 @@
 #include "net/inmem.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <deque>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "net/remote_connection.h"
 #include "net/wire.h"
+#include "obs/registry.h"
 #include "proxy/system.h"
 
 namespace mope::net {
@@ -183,6 +185,74 @@ TEST(FaultTest, ConnectionSurvivesAcrossRequests) {
   ASSERT_TRUE(conn.GetSchema("data").ok());
   ASSERT_TRUE(conn.CountRangeBatch("data", "key", kRanges).ok());
   EXPECT_EQ(conn.connects(), 1u);  // one stream, three requests
+}
+
+TEST(FaultTest, CountsArePerConnection) {
+  // Two connections sharing one registry: the registry sums them, each
+  // accessor reports its own connection only.
+  engine::DbServer server = MakeServer();
+  obs::MetricsRegistry registry;
+  FlakyNet flaky(&server, {{FaultKind::kTimeoutRead, 0}});
+  FlakyNet clean(&server, {});
+  RemoteOptions flaky_options = flaky.Options(3);
+  RemoteOptions clean_options = clean.Options(3);
+  flaky_options.registry = &registry;
+  clean_options.registry = &registry;
+  RemoteConnection a(std::move(flaky_options));
+  RemoteConnection b(std::move(clean_options));
+  ASSERT_TRUE(a.ExecuteRangeBatch("data", "key", kRanges).ok());
+  ASSERT_TRUE(b.ExecuteRangeBatch("data", "key", kRanges).ok());
+  EXPECT_EQ(a.retries(), 1u);
+  EXPECT_EQ(a.connects(), 2u);
+  EXPECT_EQ(b.retries(), 0u);
+  EXPECT_EQ(b.connects(), 1u);
+  EXPECT_EQ(registry.GetCounter("net.client.retries")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("net.client.connects")->Value(), 3u);
+}
+
+TEST(InProcessChannelTest, LongLivedTransportKeepsOnlyUnreadReplies) {
+  // One transport carries 100 round trips of a ~1 MB reply. Replies already
+  // read must be freed, so heap in use stays within a few reply sizes
+  // instead of growing by one reply per trip.
+  constexpr int64_t kRows = 10000;
+  engine::DbServer server;
+  auto table = server.catalog()->CreateTable(
+      "blobs", Schema({Column{"key", ValueType::kInt},
+                       Column{"blob", ValueType::kString}}));
+  ASSERT_TRUE(table.ok());
+  for (int64_t k = 0; k < kRows; ++k) {
+    ASSERT_TRUE((*table)->Insert({k, std::string(100, 'x')}).ok());
+  }
+  ASSERT_TRUE((*table)->CreateIndex("key").ok());
+  obs::MetricsRegistry registry;
+  FlakyNet net(&server, {});
+  RemoteOptions options = net.Options(0);
+  options.registry = &registry;
+  RemoteConnection conn(std::move(options));
+  const std::vector<ModularInterval> all = {
+      ModularInterval(0, kRows, kRows)};
+  obs::Counter* received = registry.GetCounter("net.client.bytes_received");
+
+  ASSERT_TRUE(conn.ExecuteRangeBatch("blobs", "key", all).ok());
+  const uint64_t reply_bytes = received->Value();
+  ASSERT_GT(reply_bytes, 1000000u);
+  // Heap in use: arena chunks plus the mmap()ed ones large buffers get.
+  auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const size_t heap_after_first = heap_in_use();
+  for (int trip = 1; trip < 100; ++trip) {
+    auto rows = conn.ExecuteRangeBatch("blobs", "key", all);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
+  }
+  EXPECT_EQ(received->Value(), 100 * reply_bytes);
+  EXPECT_EQ(conn.connects(), 1u);
+  const size_t heap_after_last = heap_in_use();
+  EXPECT_LT(heap_after_last, heap_after_first + 4 * reply_bytes)
+      << "heap grew from " << heap_after_first << " to " << heap_after_last
+      << " bytes over 99 replies of " << reply_bytes << " bytes";
 }
 
 // --- The whole proxy stack over a flaky wire ------------------------------
