@@ -7,12 +7,10 @@
 ///     interval varies. sync_every=1 fsyncs per insert (the durability
 ///     ceiling), larger groups amortize it, 0 defers every fsync to one
 ///     final Sync — the gap between the rows IS the fsync cost.
-///  2. "scan": full-range scan latency over an on-disk B+-tree as the
-///     buffer pool shrinks from fits-everything to 8 frames, cold and
-///     warm. The warm pass shows the pool's hit rate doing its job; the
-///     cold pass shows what a page miss costs.
-///  3. "recovery": WAL replay time for a crash-state directory — the
+///  2. "recovery": WAL replay time for a crash-state directory — the
 ///     price of restarting without a checkpoint.
+///  3. "checkpoint": one Checkpoint of the recovered table — it writes the
+///     whole catalog image, so its cost grows with the row count.
 
 #include <cstdio>
 #include <string>
@@ -24,9 +22,6 @@
 #include "engine/durability.h"
 #include "engine/table.h"
 #include "obs/registry.h"
-#include "storage/btree_file.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 #include "storage/env.h"
 
 namespace mope {
@@ -43,7 +38,7 @@ std::string ScratchDir() {
 
 void WipeDir(const std::string& dir) {
   storage::Env* env = storage::Env::Posix();
-  for (const char* f : {"pages.db", "wal.log", "storage.meta", "tree.db"}) {
+  for (const char* f : {"wal.log", "storage.meta"}) {
     const std::string path = dir + "/" + f;
     if (env->FileExists(path)) {
       MOPE_CHECK(env->RemoveFile(path).ok(), "cannot wipe scratch file");
@@ -107,92 +102,9 @@ void RunWalFsyncSweep(const std::string& dir, bench::JsonReport* report) {
   }
 }
 
-/// Experiment 2: range-scan latency vs buffer pool size, cold and warm.
-void RunScanSweep(const std::string& dir, bench::JsonReport* report) {
-  constexpr uint64_t kEntries = 60000;
-  WipeDir(dir);
-  const std::string tree_path = dir + "/tree.db";
-
-  // Build the tree once and flush it to disk; every pool size then reopens
-  // the same file.
-  storage::PageId root = storage::kInvalidPageId;
-  {
-    obs::MetricsRegistry metrics;
-    auto disk = storage::DiskManager::Open(storage::Env::Posix(), tree_path,
-                                           &metrics);
-    MOPE_CHECK(disk.ok(), "open tree file");
-    storage::BufferPool pool(
-        disk->get(), 4096, [](uint64_t) { return Status::OK(); }, &metrics);
-    auto tree = storage::BTreeFile::Open(&pool, storage::kInvalidPageId);
-    MOPE_CHECK(tree.ok(), "open tree");
-    for (uint64_t i = 0; i < kEntries; ++i) {
-      MOPE_CHECK((*tree)->Insert(i * 2654435761u % (1u << 24), i).ok(),
-                 "tree insert");
-    }
-    root = (*tree)->root();
-    MOPE_CHECK(pool.FlushAll().ok(), "flush tree");
-    MOPE_CHECK((*disk)->Sync().ok(), "sync tree");
-  }
-
-  std::printf("\nFull-range scan latency vs buffer pool size (%llu entries, "
-              "~%llu leaf pages):\n\n",
-              static_cast<unsigned long long>(kEntries),
-              static_cast<unsigned long long>(kEntries / 254));
-  bench::TablePrinter table(
-      {"frames", "cold scan", "warm scan", "warm hit %"});
-
-  for (const size_t frames : {size_t{8}, size_t{64}, size_t{256},
-                              size_t{4096}}) {
-    obs::MetricsRegistry metrics;
-    auto disk = storage::DiskManager::Open(storage::Env::Posix(), tree_path,
-                                           &metrics);
-    MOPE_CHECK(disk.ok(), "reopen tree file");
-    storage::BufferPool pool(
-        disk->get(), frames, [](uint64_t) { return Status::OK(); }, &metrics);
-    auto tree = storage::BTreeFile::Open(&pool, root);
-    MOPE_CHECK(tree.ok(), "reopen tree");
-
-    const auto scan_all = [&]() -> double {
-      bench::Stopwatch watch;
-      uint64_t seen = 0;
-      auto n = (*tree)->ScanRange(0, ~uint64_t{0},
-                                  [&seen](uint64_t, uint64_t) { ++seen; });
-      MOPE_CHECK(n.ok() && seen == kEntries, "scan mismatch");
-      return watch.ElapsedMs();
-    };
-
-    const double cold_ms = scan_all();
-    const uint64_t hits_before = metrics.GetCounter("storage.pool.hits")->Value();
-    const uint64_t misses_before =
-        metrics.GetCounter("storage.pool.misses")->Value();
-    const double warm_ms = scan_all();
-    const uint64_t hits =
-        metrics.GetCounter("storage.pool.hits")->Value() - hits_before;
-    const uint64_t misses =
-        metrics.GetCounter("storage.pool.misses")->Value() - misses_before;
-    const double hit_pct =
-        100.0 * static_cast<double>(hits) /
-        static_cast<double>(hits + misses == 0 ? 1 : hits + misses);
-
-    table.Row({std::to_string(frames), bench::FmtMs(cold_ms),
-               bench::FmtMs(warm_ms), bench::Fmt(hit_pct, 1)});
-    report->BeginRow()
-        .Field("case", "scan_cold")
-        .Field("frames", static_cast<uint64_t>(frames))
-        .Field("entries", kEntries)
-        .Field("ms", cold_ms);
-    // Hit rate stays out of the JSON: bench_compare treats "value" as
-    // higher-is-worse, and a hit percentage regresses by shrinking.
-    report->BeginRow()
-        .Field("case", "scan_warm")
-        .Field("frames", static_cast<uint64_t>(frames))
-        .Field("entries", kEntries)
-        .Field("ms", warm_ms);
-  }
-}
-
-/// Experiment 3: WAL replay cost — reopen a crash-state directory.
-void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
+/// Experiments 2 and 3: WAL replay cost — reopen a crash-state directory —
+/// then the cost of checkpointing what was recovered.
+void RunRecoveryAndCheckpointCost(const std::string& dir, bench::JsonReport* report) {
   constexpr uint64_t kRows = 4000;
   WipeDir(dir);
   {
@@ -226,7 +138,8 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
   MOPE_CHECK(table.ok() && (*table)->row_count() == kRows,
              "recovery must restore every row");
 
-  std::printf("\nCrash recovery: replayed %llu rows (WAL + index rebuild) "
+  std::printf("\nCrash recovery: replayed %llu rows (WAL + index rebuild "
+              "+ checkpoint) "
               "in %s.\n",
               static_cast<unsigned long long>(kRows),
               bench::FmtMs(ms).c_str());
@@ -234,6 +147,17 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
       .Field("case", "recovery")
       .Field("rows", kRows)
       .Field("ms", ms);
+
+  bench::Stopwatch checkpoint_watch;
+  MOPE_CHECK((*durable)->Checkpoint().ok(), "checkpoint");
+  const double checkpoint_ms = checkpoint_watch.ElapsedMs();
+  std::printf("Checkpoint: wrote the image of %llu rows in %s.\n",
+              static_cast<unsigned long long>(kRows),
+              bench::FmtMs(checkpoint_ms).c_str());
+  report->BeginRow()
+      .Field("case", "checkpoint")
+      .Field("rows", kRows)
+      .Field("ms", checkpoint_ms);
 }
 
 }  // namespace
@@ -241,13 +165,12 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
 
 int main() {
   mope::bench::PrintHeader("Storage engine",
-                           "WAL fsync cost, buffer pool scan latency, "
-                           "crash recovery replay");
+                           "WAL fsync cost, crash recovery replay, "
+                           "checkpoint cost");
   mope::bench::JsonReport report("storage");
   const std::string dir = mope::ScratchDir();
   mope::RunWalFsyncSweep(dir, &report);
-  mope::RunScanSweep(dir, &report);
-  mope::RunRecoveryCost(dir, &report);
+  mope::RunRecoveryAndCheckpointCost(dir, &report);
   mope::WipeDir(dir);
   report.Write();
   return 0;

@@ -130,12 +130,7 @@ inline constexpr int kClientConnection = 20;  ///< net::RemoteConnection::mutex_
 inline constexpr int kServerAcceptQueue = 30; ///< net::TcpServer::queue_mutex_
 inline constexpr int kDispatcher = 40;        ///< net::WireDispatcher::mutex_
 inline constexpr int kLeakageAuditor = 50;    ///< obs::LeakageAuditor::mutex_
-// The storage cluster nests pool -> {wal, disk} (eviction write-back flushes
-// the WAL first — WAL-ahead — then does page I/O), so the pool ranks lowest.
-inline constexpr int kStoragePool = 52;       ///< storage::BufferPool::mutex_
-inline constexpr int kStorageEpoch = 53;      ///< storage::StorageEngine::epoch_mutex_
 inline constexpr int kStorageWal = 54;        ///< storage::Wal::mutex_
-inline constexpr int kStorageDisk = 56;       ///< storage::DiskManager::mutex_
 inline constexpr int kConnectionRegistry = 60;///< proxy scheme registry
 inline constexpr int kTrace = 70;             ///< obs::Trace::mutex_
 inline constexpr int kFlightRecorder = 71;    ///< obs::FlightRecorder::mutex_

@@ -1,6 +1,7 @@
 #include "engine/codec.h"
 
 #include <cstring>
+#include <set>
 
 namespace mope::engine {
 
@@ -39,6 +40,14 @@ void PutValue(std::string* out, const Value& v) {
       out->push_back(2);
       PutString(out, std::get<std::string>(v));
       break;
+  }
+}
+
+void PutSchema(std::string* out, const Schema& schema) {
+  PutU64(out, schema.num_columns());
+  for (const Column& col : schema.columns()) {
+    PutString(out, col.name);
+    out->push_back(static_cast<char>(col.type));
   }
 }
 
@@ -106,6 +115,33 @@ Result<Value> ByteReader::ReadValue() {
                                 context_);
   }
   return out;
+}
+
+Result<Schema> ByteReader::ReadSchema() {
+  MOPE_ASSIGN_OR_RETURN(uint64_t num_columns, U64());
+  if (num_columns == 0 || num_columns > kMaxColumns) {
+    return Status::Corruption(std::string("implausible column count in ") +
+                              context_);
+  }
+  std::vector<Column> columns;
+  std::set<std::string> names;
+  for (uint64_t c = 0; c < num_columns; ++c) {
+    Column col;
+    MOPE_ASSIGN_OR_RETURN(col.name, String());
+    MOPE_ASSIGN_OR_RETURN(uint8_t type, Byte());
+    if (type > static_cast<uint8_t>(ValueType::kString)) {
+      return Status::Corruption(std::string("unknown column type in ") +
+                                context_);
+    }
+    // Schema's constructor aborts on a repeated name; bytes must not.
+    if (!names.insert(col.name).second) {
+      return Status::Corruption(std::string("duplicate column name in ") +
+                                context_);
+    }
+    col.type = static_cast<ValueType>(type);
+    columns.push_back(std::move(col));
+  }
+  return Schema(std::move(columns));
 }
 
 }  // namespace mope::engine

@@ -4,13 +4,14 @@
 /// \file codec.h
 /// Little-endian binary encoding of the engine's value types.
 ///
-/// One codec, two consumers: the catalog snapshot format (engine/snapshot.h)
-/// and the client/server wire protocol (net/wire.h) serialize `Value`s,
-/// `Row`s and `Schema`s through these helpers, so a row laid down in a
-/// snapshot and a row shipped over the wire are byte-identical. Writers are
-/// infallible appends; the reader returns Corruption for every malformed
-/// input (truncation, bad tags, out-of-bounds lengths) — it never aborts,
-/// because both consumers decode bytes from untrusted media.
+/// One codec, three consumers: the catalog snapshot format
+/// (engine/snapshot.h), the storage engine's WAL records
+/// (engine/durability.h) and the client/server wire protocol (net/wire.h)
+/// serialize `Value`s, `Row`s and `Schema`s through these helpers, so a row
+/// laid down in a snapshot, in the log and on the wire is byte-identical.
+/// Writers are infallible appends; the reader returns Corruption for every
+/// malformed input (truncation, bad tags, out-of-bounds lengths) — it never
+/// aborts, because every consumer decodes bytes from untrusted media.
 
 #include <cstdint>
 #include <string>
@@ -33,6 +34,12 @@ void PutString(std::string* out, const std::string& s);
 /// doubles, length-prefixed bytes for strings.
 void PutValue(std::string* out, const Value& v);
 
+/// The most columns ReadSchema accepts.
+inline constexpr uint64_t kMaxColumns = 4096;
+
+/// u64 column count, then per column: name, 1-byte type tag (== ValueType).
+void PutSchema(std::string* out, const Schema& schema);
+
 // --- Reader ---------------------------------------------------------------
 
 /// Sequential decoder over a byte buffer. Every accessor bounds-checks and
@@ -48,6 +55,9 @@ class ByteReader {
   Result<uint64_t> U64();
   Result<std::string> String();
   Result<Value> ReadValue();
+  /// A PutSchema encoding with 1 to kMaxColumns columns of known types and
+  /// distinct names.
+  Result<Schema> ReadSchema();
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }

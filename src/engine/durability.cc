@@ -1,8 +1,10 @@
 #include "engine/durability.h"
 
 #include <utility>
+#include <vector>
 
 #include "engine/codec.h"
+#include "engine/snapshot.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -10,205 +12,103 @@ namespace mope::engine {
 
 namespace {
 
-using storage::kInvalidPageId;
-using storage::PageId;
-using storage::RecordId;
-using storage::WalRecord;
-using storage::WalRecordType;
+// --- WAL record codec -----------------------------------------------------
+// Every payload is a 1-byte op tag and the table name, then the op's fields.
+constexpr uint8_t kOpCreateTable = 1;  // [schema]
+constexpr uint8_t kOpDropTable = 2;    // (none)
+constexpr uint8_t kOpCreateIndex = 3;  // [u64 column]
+constexpr uint8_t kOpInsert = 4;       // [u64 n][n values]
+constexpr uint8_t kOpUpdateValue = 5;  // [u64 row id][u64 column][value]
 
-// --- DDL record / catalog blob codecs -------------------------------------
-// kCatalog WAL payloads: 1-byte op tag, then op-specific fields.
-constexpr uint8_t kOpCreateTable = 1;  // [name][schema][u64 heap_head]
-constexpr uint8_t kOpDropTable = 2;    // [name]
-constexpr uint8_t kOpCreateIndex = 3;  // [name][u64 column]
-
-void PutSchema(std::string* out, const Schema& schema) {
-  PutU64(out, schema.num_columns());
-  for (const Column& col : schema.columns()) {
-    PutString(out, col.name);
-    out->push_back(static_cast<char>(col.type));
-  }
-}
-
-Result<Schema> ReadSchema(ByteReader& reader) {
-  MOPE_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-  std::vector<Column> columns;
-  columns.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Column col;
-    MOPE_ASSIGN_OR_RETURN(col.name, reader.String());
-    MOPE_ASSIGN_OR_RETURN(uint8_t type, reader.Byte());
-    if (type > static_cast<uint8_t>(ValueType::kString)) {
-      return Status::Corruption("durable catalog: bad column type tag");
-    }
-    col.type = static_cast<ValueType>(type);
-    columns.push_back(std::move(col));
-  }
-  return Schema(std::move(columns));
-}
-
-std::string EncodeRow(const Row& row) {
+std::string RecordHeader(uint8_t op, const std::string& table) {
   std::string out;
-  PutU64(&out, row.size());
-  for (const Value& v : row) PutValue(&out, v);
+  out.push_back(static_cast<char>(op));
+  PutString(&out, table);
   return out;
 }
 
-Result<Row> DecodeRow(std::string_view bytes) {
-  ByteReader reader(bytes, "heap record");
-  MOPE_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-  Row row;
-  row.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    MOPE_ASSIGN_OR_RETURN(Value v, reader.ReadValue());
-    row.push_back(std::move(v));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("heap record has trailing bytes");
-  }
-  return row;
-}
-
-/// Durable description of one table, as recovered from the catalog blob
-/// plus replayed DDL records.
-struct TableMeta {
-  Schema schema;
-  PageId heap_head = kInvalidPageId;
-  // column index -> paged B+-tree root (kInvalidPageId: not checkpointed).
-  std::map<size_t, PageId> index_roots;
-};
-
-using TableMetaMap = std::map<std::string, TableMeta>;
-
-Result<TableMetaMap> DecodeCatalogBlob(const std::string& blob) {
-  TableMetaMap metas;
-  if (blob.empty()) return metas;
-  ByteReader reader(blob, "durable catalog");
-  MOPE_ASSIGN_OR_RETURN(uint64_t n_tables, reader.U64());
-  for (uint64_t t = 0; t < n_tables; ++t) {
-    MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
-    TableMeta meta;
-    MOPE_ASSIGN_OR_RETURN(meta.schema, ReadSchema(reader));
-    MOPE_ASSIGN_OR_RETURN(meta.heap_head, reader.U64());
-    MOPE_ASSIGN_OR_RETURN(uint64_t n_indexes, reader.U64());
-    for (uint64_t i = 0; i < n_indexes; ++i) {
-      MOPE_ASSIGN_OR_RETURN(uint64_t col, reader.U64());
-      MOPE_ASSIGN_OR_RETURN(uint64_t root, reader.U64());
-      meta.index_roots[col] = root;
-    }
-    metas[std::move(name)] = std::move(meta);
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("durable catalog has trailing bytes");
-  }
-  return metas;
-}
-
-Status ApplyCatalogRecord(const WalRecord& rec, TableMetaMap* metas) {
-  ByteReader reader(rec.payload, "catalog WAL record");
+/// Applies one logged mutation through the public API, so the same
+/// validation that guarded the original call checks the replayed one.
+Status ApplyRecord(std::string_view payload, Catalog* catalog) {
+  ByteReader reader(payload, "WAL record");
   MOPE_ASSIGN_OR_RETURN(uint8_t op, reader.Byte());
-  switch (op) {
-    case kOpCreateTable: {
-      MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
-      TableMeta meta;
-      MOPE_ASSIGN_OR_RETURN(meta.schema, ReadSchema(reader));
-      MOPE_ASSIGN_OR_RETURN(meta.heap_head, reader.U64());
-      (*metas)[std::move(name)] = std::move(meta);
-      return Status::OK();
-    }
-    case kOpDropTable: {
-      MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
-      metas->erase(name);
-      return Status::OK();
-    }
-    case kOpCreateIndex: {
-      MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
-      MOPE_ASSIGN_OR_RETURN(uint64_t col, reader.U64());
-      const auto it = metas->find(name);
-      if (it == metas->end()) {
-        return Status::Corruption("create-index record for unknown table '" +
-                                  name + "'");
+  MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
+  if (op == kOpCreateTable) {
+    MOPE_ASSIGN_OR_RETURN(Schema schema, reader.ReadSchema());
+    MOPE_RETURN_NOT_OK(catalog->CreateTable(name, std::move(schema)).status());
+  } else if (op == kOpDropTable) {
+    MOPE_RETURN_NOT_OK(catalog->DropTable(name));
+  } else {
+    MOPE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
+    switch (op) {
+      case kOpCreateIndex: {
+        MOPE_ASSIGN_OR_RETURN(uint64_t column, reader.U64());
+        if (column >= table->schema().num_columns()) {
+          return Status::Corruption("index on unknown column");
+        }
+        MOPE_RETURN_NOT_OK(
+            table->CreateIndex(table->schema().column(column).name));
+        break;
       }
-      it->second.index_roots[col] = kInvalidPageId;  // rebuilt from rows
-      return Status::OK();
+      case kOpInsert: {
+        MOPE_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
+        Row row;
+        row.reserve(table->schema().num_columns());
+        for (uint64_t i = 0; i < n; ++i) {
+          MOPE_ASSIGN_OR_RETURN(Value v, reader.ReadValue());
+          row.push_back(std::move(v));
+        }
+        MOPE_RETURN_NOT_OK(table->Insert(std::move(row)).status());
+        break;
+      }
+      case kOpUpdateValue: {
+        MOPE_ASSIGN_OR_RETURN(uint64_t id, reader.U64());
+        MOPE_ASSIGN_OR_RETURN(uint64_t column, reader.U64());
+        MOPE_ASSIGN_OR_RETURN(Value value, reader.ReadValue());
+        MOPE_RETURN_NOT_OK(table->UpdateValue(id, column, std::move(value)));
+        break;
+      }
+      default:
+        return Status::Corruption("unknown op " + std::to_string(op));
     }
-    default:
-      return Status::Corruption("unknown catalog WAL op " +
-                                std::to_string(op));
   }
-}
-
-uint64_t IndexKey(const Value& v) {
-  return static_cast<uint64_t>(std::get<int64_t>(v));
+  if (!reader.AtEnd()) return Status::Corruption("trailing bytes");
+  return Status::OK();
 }
 
 }  // namespace
 
-// --- Per-table durable state ----------------------------------------------
+// --- Per-table hooks -------------------------------------------------------
 
-struct DurableCatalog::TableState : TableDurabilityHooks {
-  TableState(DurableCatalog* owner, std::string name)
-      : owner(owner), name(std::move(name)) {}
+class DurableCatalog::TableLog : public TableDurabilityHooks {
+ public:
+  TableLog(DurableCatalog* owner, std::string name)
+      : owner_(owner), name_(std::move(name)) {}
 
-  Result<Table*> table() {
-    return owner->catalog_->GetTable(name);
-  }
-
-  Status OnInsert(RowId id, const Row& row) override {
-    if (id != row_rids.size()) {
-      return Status::Internal("durable row ids out of step with table");
-    }
-    MOPE_ASSIGN_OR_RETURN(RecordId rid, heap->Append(EncodeRow(row)));
-    row_rids.push_back(rid);
-    for (auto& [col, btree] : indexes) {
-      MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(row[col]), id));
-    }
-    return Status::OK();
+  Status OnInsert(RowId /*id*/, const Row& row) override {
+    std::string record = RecordHeader(kOpInsert, name_);
+    PutU64(&record, row.size());
+    for (const Value& v : row) PutValue(&record, v);
+    return owner_->Log(record);
   }
 
   Status OnUpdateValue(RowId id, size_t column, const Value& value) override {
-    if (id >= row_rids.size()) {
-      return Status::Internal("durable update for unknown row");
-    }
-    MOPE_ASSIGN_OR_RETURN(Table * t, table());
-    Row row = t->row(id);  // pre-update contents
-    const auto it = indexes.find(column);
-    if (it != indexes.end()) {
-      MOPE_ASSIGN_OR_RETURN(bool erased,
-                            it->second->Erase(IndexKey(row[column]), id));
-      if (!erased) {
-        return Status::Internal("paged index entry missing during update");
-      }
-      MOPE_RETURN_NOT_OK(it->second->Insert(IndexKey(value), id));
-    }
-    row[column] = value;
-    return heap->Update(row_rids[id], EncodeRow(row));
+    std::string record = RecordHeader(kOpUpdateValue, name_);
+    PutU64(&record, id);
+    PutU64(&record, column);
+    PutValue(&record, value);
+    return owner_->Log(record);
   }
 
   Status OnCreateIndex(size_t column) override {
-    MOPE_ASSIGN_OR_RETURN(Table * t, table());
-    std::string payload;
-    payload.push_back(static_cast<char>(kOpCreateIndex));
-    PutString(&payload, name);
-    PutU64(&payload, column);
-    MOPE_RETURN_NOT_OK(
-        owner->engine_->logger()->Log(WalRecordType::kCatalog, payload)
-            .status());
-    MOPE_ASSIGN_OR_RETURN(
-        std::unique_ptr<storage::BTreeFile> btree,
-        storage::BTreeFile::Open(owner->engine_->pool(), kInvalidPageId));
-    for (RowId id = 0; id < t->row_count(); ++id) {
-      MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(t->row(id)[column]), id));
-    }
-    indexes[column] = std::move(btree);
-    return Status::OK();
+    std::string record = RecordHeader(kOpCreateIndex, name_);
+    PutU64(&record, column);
+    return owner_->Log(record);
   }
 
-  DurableCatalog* const owner;
-  const std::string name;
-  std::unique_ptr<storage::TableHeap> heap;
-  std::map<size_t, std::unique_ptr<storage::BTreeFile>> indexes;
-  std::vector<RecordId> row_rids;  // RowId -> heap record
+ private:
+  DurableCatalog* const owner_;
+  const std::string name_;
 };
 
 // --- DurableCatalog --------------------------------------------------------
@@ -219,7 +119,7 @@ DurableCatalog::DurableCatalog(Catalog* catalog,
 
 DurableCatalog::~DurableCatalog() {
   catalog_->set_durability_hooks(nullptr);
-  for (const auto& [name, state] : tables_) {
+  for (const auto& [name, hooks] : tables_) {
     auto table = catalog_->GetTable(name);
     if (table.ok()) table.value()->set_durability_hooks(nullptr);
   }
@@ -232,7 +132,6 @@ Result<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
         "DurableCatalog::Open requires an empty catalog");
   }
   storage::StorageOptions storage_options;
-  storage_options.pool_frames = options.pool_frames;
   storage_options.wal_sync_every = options.wal_sync_every;
   storage_options.env = options.env;
   storage_options.metrics = options.metrics;
@@ -241,138 +140,82 @@ Result<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
                         storage::StorageEngine::Open(dir, storage_options));
   std::unique_ptr<DurableCatalog> durable(
       new DurableCatalog(catalog, std::move(engine)));
-  MOPE_RETURN_NOT_OK(durable->Recover(options));
+  MOPE_RETURN_NOT_OK(durable->Recover());
   return durable;
 }
 
-Status DurableCatalog::Recover(const Options& options) {
-  (void)options;
+Status DurableCatalog::Recover() {
   const obs::ScopedSpan span("engine.recovery");
-  recovered_from_crash_ = engine_->crash_recovered();
-
-  MOPE_ASSIGN_OR_RETURN(TableMetaMap metas,
-                        DecodeCatalogBlob(engine_->catalog_blob()));
-  for (const WalRecord& rec : engine_->TakeCatalogRecords()) {
-    MOPE_RETURN_NOT_OK(ApplyCatalogRecord(rec, &metas));
-  }
-
-  for (auto& [name, meta] : metas) {
-    MOPE_ASSIGN_OR_RETURN(Table * table,
-                          catalog_->CreateTable(name, meta.schema));
-    auto state = std::make_unique<TableState>(this, name);
-    MOPE_ASSIGN_OR_RETURN(
-        state->heap,
-        storage::TableHeap::Open(engine_->pool(), engine_->logger(),
-                                 meta.heap_head));
-    MOPE_RETURN_NOT_OK(state->heap->Scan(
-        [&](RecordId rid, std::string_view bytes) -> Status {
-          MOPE_ASSIGN_OR_RETURN(Row row, DecodeRow(bytes));
-          MOPE_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(row)));
-          if (id != state->row_rids.size()) {
-            return Status::Internal("heap scan out of step with row ids");
-          }
-          state->row_rids.push_back(rid);
-          return Status::OK();
-        }));
-    for (const auto& [col, root] : meta.index_roots) {
-      if (col >= meta.schema.num_columns()) {
-        return Status::Corruption("durable index on unknown column");
-      }
-      // In-memory index: rebuilt from the rows, as always.
-      MOPE_RETURN_NOT_OK(
-          table->CreateIndex(meta.schema.column(col).name));
-      // Paged index: reopened from its root after a clean shutdown; rebuilt
-      // from the rows after a crash (its pages are not WAL-protected).
-      std::unique_ptr<storage::BTreeFile> btree;
-      if (!recovered_from_crash_ && root != kInvalidPageId) {
-        MOPE_ASSIGN_OR_RETURN(btree,
-                              storage::BTreeFile::Open(engine_->pool(), root));
-      } else {
-        MOPE_ASSIGN_OR_RETURN(
-            btree, storage::BTreeFile::Open(engine_->pool(), kInvalidPageId));
-        for (RowId id = 0; id < table->row_count(); ++id) {
-          MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(table->row(id)[col]), id));
-        }
-      }
-      state->indexes[col] = std::move(btree);
+  {
+    const std::string image = engine_->TakeImage();
+    if (!image.empty()) {
+      MOPE_ASSIGN_OR_RETURN(Catalog restored, DeserializeCatalog(image));
+      *catalog_ = std::move(restored);
     }
-    tables_[name] = std::move(state);
+  }
+  {
+    const std::vector<storage::WalRecord> records = engine_->TakeRecords();
+    for (const storage::WalRecord& record : records) {
+      const Status applied = ApplyRecord(record.payload, catalog_);
+      if (!applied.ok()) {
+        return Status::Corruption("WAL record at LSN " +
+                                  std::to_string(record.lsn) + ": " +
+                                  applied.message());
+      }
+    }
   }
 
   // From here on, every mutation is write-ahead logged.
   catalog_->set_durability_hooks(this);
-  for (const auto& [name, state] : tables_) {
+  for (const std::string& name : catalog_->TableNames()) {
     MOPE_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(name));
-    table->set_durability_hooks(state.get());
+    auto& hooks = tables_[name] = std::make_unique<TableLog>(this, name);
+    table->set_durability_hooks(hooks.get());
   }
 
-  // A crash recovery rebuilt the paged indexes in fresh pages; checkpoint
-  // now so the new roots are durable and the replayed WAL is retired.
-  if (recovered_from_crash_) {
+  // Retire the replayed log, and with it any torn tail: a record appended
+  // behind a torn frame would never be read back.
+  if (engine_->crash_recovered()) {
     MOPE_RETURN_NOT_OK(Checkpoint());
   }
   obs::LogEvent(obs::Logger::Default(),
-                recovered_from_crash_ ? obs::LogLevel::kInfo
-                                      : obs::LogLevel::kDebug,
+                engine_->crash_recovered() ? obs::LogLevel::kInfo
+                                           : obs::LogLevel::kDebug,
                 "engine", "recovered")
       .Arg("tables", tables_.size())
-      .Arg("crash_recovery", recovered_from_crash_)
+      .Arg("crash_recovery", engine_->crash_recovered())
       .Arg("wal_records", engine_->recovered_records());
   return Status::OK();
 }
 
+Status DurableCatalog::Log(const std::string& record) {
+  return engine_->Log(record).status();
+}
+
 Result<TableDurabilityHooks*> DurableCatalog::OnCreateTable(
     const std::string& name, const Schema& schema) {
-  auto state = std::make_unique<TableState>(this, name);
-  MOPE_ASSIGN_OR_RETURN(
-      state->heap,
-      storage::TableHeap::Open(engine_->pool(), engine_->logger(),
-                               kInvalidPageId));
-  std::string payload;
-  payload.push_back(static_cast<char>(kOpCreateTable));
-  PutString(&payload, name);
-  PutSchema(&payload, schema);
-  PutU64(&payload, state->heap->head());
-  MOPE_RETURN_NOT_OK(
-      engine_->logger()->Log(WalRecordType::kCatalog, payload).status());
-  TableDurabilityHooks* hooks = state.get();
-  tables_[name] = std::move(state);
-  return hooks;
+  // The checkpoint image could not be read back otherwise.
+  if (schema.num_columns() == 0 || schema.num_columns() > kMaxColumns) {
+    return Status::InvalidArgument("a durable table needs 1 to " +
+                                   std::to_string(kMaxColumns) + " columns");
+  }
+  std::string record = RecordHeader(kOpCreateTable, name);
+  PutSchema(&record, schema);
+  MOPE_RETURN_NOT_OK(Log(record));
+  auto& hooks = tables_[name] = std::make_unique<TableLog>(this, name);
+  return hooks.get();
 }
 
 Status DurableCatalog::OnDropTable(const std::string& name) {
-  std::string payload;
-  payload.push_back(static_cast<char>(kOpDropTable));
-  PutString(&payload, name);
-  MOPE_RETURN_NOT_OK(
-      engine_->logger()->Log(WalRecordType::kCatalog, payload).status());
-  // The table's heap and index pages are leaked until the next compaction
-  // story lands (documented in DESIGN.md §9) — correctness first.
+  MOPE_RETURN_NOT_OK(Log(RecordHeader(kOpDropTable, name)));
   tables_.erase(name);
   return Status::OK();
 }
 
-Result<std::string> DurableCatalog::EncodeCatalogBlob() const {
-  std::string blob;
-  PutU64(&blob, tables_.size());
-  for (const auto& [name, state] : tables_) {
-    MOPE_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(name));
-    PutString(&blob, name);
-    PutSchema(&blob, table->schema());
-    PutU64(&blob, state->heap->head());
-    PutU64(&blob, state->indexes.size());
-    for (const auto& [col, btree] : state->indexes) {
-      PutU64(&blob, col);
-      PutU64(&blob, btree->root());
-    }
-  }
-  return blob;
-}
-
 Status DurableCatalog::Checkpoint() {
   const obs::ScopedSpan span("engine.checkpoint");
-  MOPE_ASSIGN_OR_RETURN(std::string blob, EncodeCatalogBlob());
-  return engine_->Checkpoint(blob);
+  MOPE_ASSIGN_OR_RETURN(std::string image, SerializeCatalog(*catalog_));
+  return engine_->Checkpoint(image);
 }
 
 Status DurableCatalog::Sync() { return engine_->Sync(); }

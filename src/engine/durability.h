@@ -2,51 +2,59 @@
 #define MOPE_ENGINE_DURABILITY_H_
 
 /// \file durability.h
-/// DurableCatalog: re-homes the in-memory Catalog/Table engine onto the
+/// DurableCatalog: makes the in-memory Catalog/Table engine durable on the
 /// storage subsystem (src/storage/) without changing any caller.
 ///
-/// Architecture — dual representation, WAL-first:
+/// Architecture — one representation, a logical WAL and snapshot
+/// checkpoints:
 ///
-///   - The in-memory Catalog stays the serving path: every query keeps
-///     reading the same Table rows and BPlusTree indexes it always did.
+///   - The in-memory Catalog is the only copy of the data: every query
+///     reads the same Table rows and BPlusTree indexes it always did.
 ///   - Durability rides the hook interfaces (TableDurabilityHooks /
-///     CatalogDurabilityHooks): each mutation is logged to the WAL and
-///     applied to the paged structures *before* the in-memory apply.
-///     Rows live in slotted heap pages (storage::TableHeap); every index
-///     is mirrored as a paged B+-tree (storage::BTreeFile) maintained
-///     through the buffer pool; DDL is logged as kCatalog records.
-///   - Recovery inverts the flow: page-level WAL redo (done by
-///     storage::StorageEngine::Open) makes the heap pages right, then this
-///     layer replays DDL records, scans each heap to rebuild rows and
-///     in-memory indexes, rebuilds the paged indexes (their pages are not
-///     WAL-logged — see btree_file.h) and checkpoints. A crash costs one
-///     index rebuild, never a re-encryption: everything on disk is MOPE
-///     ciphertext, so the proxy and its keys are not involved at all.
+///     CatalogDurabilityHooks): each mutation is appended to the WAL as one
+///     logical record *before* the in-memory apply — create table, drop
+///     table, create index, insert row, update value — with values in the
+///     engine/codec.h encoding. Nothing else is written until the next
+///     checkpoint.
+///   - A checkpoint hands the engine/snapshot.h image of the whole catalog
+///     to storage::StorageEngine::Checkpoint, which writes it atomically
+///     and truncates the WAL. Its cost is O(rows).
+///   - Recovery inverts the flow: DeserializeCatalog the image (rows
+///     first, then each index built once), then replay the WAL tail through
+///     the public Catalog/Table API before the hooks are installed, so
+///     Table's own validation checks every record. A record that fails is
+///     Corruption naming its LSN. Whenever the log held anything past the
+///     checkpoint, recovery ends with a checkpoint. A crash costs one
+///     replay and one index build, never a re-encryption: everything on
+///     disk is MOPE ciphertext, so the proxy and its keys are not involved.
+///
+/// This file is the only code that knows what a WAL record means; storage
+/// moves records and the image as opaque bytes.
 ///
 /// Trust boundary: this file lives in src/engine/ — server side. It moves
 /// Values that are already ciphertext (or non-sensitive plaintext columns)
-/// between memory and pages. Linter rule R8 keeps key material out of here,
-/// and R10 keeps all file I/O below the storage::Env seam.
+/// between memory and the log. Linter rule R8 keeps key material out of
+/// here, and R10 keeps all file I/O below the storage::Env seam.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/table.h"
 #include "obs/clock.h"
 #include "obs/registry.h"
-#include "storage/btree_file.h"
 #include "storage/storage_engine.h"
-#include "storage/table_heap.h"
 
 namespace mope::engine {
 
 class DurableCatalog : public CatalogDurabilityHooks {
  public:
   struct Options {
+    /// Accepted and ignored: there is no buffer pool any more. It stays
+    /// only because perfbench/durable_load.cc sets it; drop it at the next
+    /// change to perfbench/ (ROADMAP, benchmark debt).
     size_t pool_frames = 256;
     uint64_t wal_sync_every = 32;
     storage::Env* env = nullptr;            // default: Env::Posix()
@@ -64,10 +72,10 @@ class DurableCatalog : public CatalogDurabilityHooks {
 
   ~DurableCatalog() override;
 
-  /// Checkpoints: flushes everything, persists the catalog blob (schemas,
-  /// heap heads, index roots) and truncates the WAL. Call from the thread
-  /// that owns writes (the protocol needs quiescence, which the engine's
-  /// existing write serialization provides).
+  /// Checkpoints: writes the snapshot image of the whole catalog and
+  /// truncates the WAL. Call from the thread that owns writes (the protocol
+  /// needs quiescence, which the engine's existing write serialization
+  /// provides).
   Status Checkpoint();
 
   /// Group-commit barrier: everything logged so far becomes durable.
@@ -75,8 +83,9 @@ class DurableCatalog : public CatalogDurabilityHooks {
 
   storage::StorageEngine* storage() { return engine_.get(); }
 
-  /// True when the last Open replayed WAL records (crash recovery).
-  bool recovered_from_crash() const { return recovered_from_crash_; }
+  /// True when the last Open found anything in the WAL past the last
+  /// checkpoint (crash recovery).
+  bool recovered_from_crash() const { return engine_->crash_recovered(); }
 
   // CatalogDurabilityHooks:
   Result<TableDurabilityHooks*> OnCreateTable(const std::string& name,
@@ -84,17 +93,17 @@ class DurableCatalog : public CatalogDurabilityHooks {
   Status OnDropTable(const std::string& name) override;
 
  private:
-  struct TableState;
+  class TableLog;
 
   DurableCatalog(Catalog* catalog, std::unique_ptr<storage::StorageEngine> e);
 
-  Status Recover(const Options& options);
-  Result<std::string> EncodeCatalogBlob() const;
+  Status Recover();
+  Status Log(const std::string& record);
 
   Catalog* const catalog_;
   std::unique_ptr<storage::StorageEngine> engine_;
-  std::map<std::string, std::unique_ptr<TableState>> tables_;
-  bool recovered_from_crash_ = false;
+  /// Per-table hooks, keyed by table name.
+  std::map<std::string, std::unique_ptr<TableLog>> tables_;
 };
 
 }  // namespace mope::engine

@@ -18,15 +18,10 @@ Status Operator::OpenProfiled() {
   // re-executing a cached plan reports this run, not the sum of all runs.
   stats_ = OpStats{};
   const uint64_t t0 = profile_->clock->NowNanos();
-  const uint64_t misses0 =
-      profile_->pool_misses != nullptr ? profile_->pool_misses->Value() : 0;
   const uint64_t wal0 =
       profile_->wal_bytes != nullptr ? profile_->wal_bytes->Value() : 0;
   const Status s = OpenImpl();
   stats_.open_ns += profile_->clock->NowNanos() - t0;
-  if (profile_->pool_misses != nullptr) {
-    stats_.pool_misses += profile_->pool_misses->Value() - misses0;
-  }
   if (profile_->wal_bytes != nullptr) {
     stats_.wal_bytes += profile_->wal_bytes->Value() - wal0;
   }
@@ -35,17 +30,12 @@ Status Operator::OpenProfiled() {
 
 Result<bool> Operator::NextProfiled(Row* out) {
   const uint64_t t0 = profile_->clock->NowNanos();
-  const uint64_t misses0 =
-      profile_->pool_misses != nullptr ? profile_->pool_misses->Value() : 0;
   const uint64_t wal0 =
       profile_->wal_bytes != nullptr ? profile_->wal_bytes->Value() : 0;
   Result<bool> r = NextImpl(out);
   stats_.next_ns += profile_->clock->NowNanos() - t0;
   ++stats_.next_calls;
   if (r.ok() && r.value()) ++stats_.rows_out;
-  if (profile_->pool_misses != nullptr) {
-    stats_.pool_misses += profile_->pool_misses->Value() - misses0;
-  }
   if (profile_->wal_bytes != nullptr) {
     stats_.wal_bytes += profile_->wal_bytes->Value() - wal0;
   }

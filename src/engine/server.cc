@@ -24,8 +24,8 @@ const std::vector<std::string>& ServerProfileProbe::CounterNames() {
   static const std::vector<std::string> kNames = {
       "engine.batches_received", "engine.segments_scanned",
       "engine.entries_visited",  "engine.index_nodes_visited",
-      "engine.rows_returned",    "storage.pool.misses",
-      "storage.wal.bytes",       "storage.wal.records",
+      "engine.rows_returned",    "storage.wal.bytes",
+      "storage.wal.records",
   };
   return kNames;
 }

@@ -56,12 +56,13 @@ class DbServer {
   const Catalog& catalog() const { return *catalog_; }
 
   /// Attaches a disk-backed storage engine rooted at `data_dir`. On an
-  /// existing directory this runs WAL redo + catalog recovery, repopulating
-  /// this server's (must-be-empty) catalog; on a fresh one it just creates
-  /// the files. Afterwards every catalog mutation is WAL-logged and applied
-  /// to heap/index pages before it lands in memory; the pages hold the same
-  /// MOPE ciphertexts the in-memory tables do, so the disk is inside the
-  /// same trust boundary as the server's RAM. The storage `storage.*`
+  /// existing directory this loads the last checkpoint image and replays
+  /// the WAL on top, repopulating this server's (must-be-empty) catalog; on
+  /// a fresh one it just creates the files. Afterwards every catalog
+  /// mutation is WAL-logged before it lands in memory; the log and the
+  /// image hold the same MOPE ciphertexts the in-memory tables do, so the
+  /// disk is inside the same trust boundary as the server's RAM. The
+  /// storage `storage.*`
   /// counters land in this server's metrics registry (unless the options
   /// name another one). Call before serving starts; not thread-safe against
   /// concurrent queries.
@@ -74,7 +75,7 @@ class DbServer {
   /// The durable catalog, or nullptr when OpenStorage was never called.
   DurableCatalog* durable_catalog() { return durable_.get(); }
 
-  /// Flushes all pages + catalog blob and truncates the WAL. Requires
+  /// Writes the catalog image and truncates the WAL. Requires
   /// writer quiescence (the daemon's dispatcher serializes writes).
   /// InvalidArgument when storage is not attached.
   Status CheckpointStorage();

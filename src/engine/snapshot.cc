@@ -21,11 +21,7 @@ Result<std::string> SerializeCatalog(const Catalog& catalog) {
     PutString(&out, name);
 
     const Schema& schema = table->schema();
-    PutU64(&out, schema.num_columns());
-    for (const Column& col : schema.columns()) {
-      PutString(&out, col.name);
-      out.push_back(static_cast<char>(col.type));
-    }
+    PutSchema(&out, schema);
 
     std::string indexed;
     uint64_t index_count = 0;
@@ -59,21 +55,8 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
   for (uint64_t t = 0; t < num_tables; ++t) {
     MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
 
-    MOPE_ASSIGN_OR_RETURN(uint64_t num_columns, reader.U64());
-    if (num_columns == 0 || num_columns > 4096) {
-      return Status::Corruption("implausible column count in snapshot");
-    }
-    std::vector<Column> columns;
-    for (uint64_t c = 0; c < num_columns; ++c) {
-      Column col;
-      MOPE_ASSIGN_OR_RETURN(col.name, reader.String());
-      MOPE_ASSIGN_OR_RETURN(uint8_t type, reader.Byte());
-      if (type > static_cast<uint8_t>(ValueType::kString)) {
-        return Status::Corruption("unknown column type in snapshot");
-      }
-      col.type = static_cast<ValueType>(type);
-      columns.push_back(std::move(col));
-    }
+    MOPE_ASSIGN_OR_RETURN(Schema schema, reader.ReadSchema());
+    const size_t num_columns = schema.num_columns();
 
     MOPE_ASSIGN_OR_RETURN(uint64_t index_count, reader.U64());
     std::vector<std::string> indexed;
@@ -83,12 +66,12 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
     }
 
     MOPE_ASSIGN_OR_RETURN(Table * table,
-                          catalog.CreateTable(name, Schema(columns)));
+                          catalog.CreateTable(name, std::move(schema)));
     MOPE_ASSIGN_OR_RETURN(uint64_t num_rows, reader.U64());
     for (uint64_t r = 0; r < num_rows; ++r) {
       Row row;
       row.reserve(num_columns);
-      for (uint64_t c = 0; c < num_columns; ++c) {
+      for (size_t c = 0; c < num_columns; ++c) {
         MOPE_ASSIGN_OR_RETURN(Value v, reader.ReadValue());
         row.push_back(std::move(v));
       }

@@ -64,7 +64,7 @@ Result<RowId> Table::Insert(Row row) {
   }
   const RowId id = rows_.size();
   if (hooks_ != nullptr) {
-    // Write-ahead: the row reaches the log and the heap page before memory.
+    // Write-ahead: the row reaches the log before memory.
     MOPE_RETURN_NOT_OK(hooks_->OnInsert(id, row));
   }
   for (auto& [col, index] : indexes_) {

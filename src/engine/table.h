@@ -66,7 +66,7 @@ class Schema {
 /// Durability hooks: a Table with hooks installed reports every mutation
 /// *before* applying it in memory, after all validation has passed. The
 /// implementation (engine::DurableCatalog) writes the mutation ahead into
-/// the storage engine's WAL/heap; a hook failure aborts the mutation with
+/// the storage engine's WAL; a hook failure aborts the mutation with
 /// nothing applied on either side. A Table without hooks (the default) is
 /// the original purely in-memory engine.
 class TableDurabilityHooks {
@@ -130,7 +130,7 @@ class CatalogDurabilityHooks {
   virtual ~CatalogDurabilityHooks() = default;
 
   /// Called before the table becomes visible. Returns the per-table hooks
-  /// to install on it (the implementation allocates the table's heap here).
+  /// to install on it (the implementation logs the new table here).
   virtual Result<TableDurabilityHooks*> OnCreateTable(const std::string& name,
                                                       const Schema& schema) = 0;
   virtual Status OnDropTable(const std::string& name) = 0;

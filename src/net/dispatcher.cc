@@ -139,7 +139,7 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
   }
 
   // Slow-query mode: give the request a server-side trace so instrumented
-  // layers underneath (storage WAL, buffer pool, checkpoint) attach spans.
+  // layers underneath (storage WAL, checkpoint) attach spans.
   // Adopting the wire trace id (when the client sent one) is what lets the
   // operator join this trace against the client's own span tree.
   obs::Trace trace("server.dispatch", clock_, frame.trace_id);

@@ -59,7 +59,8 @@ struct DispatcherOptions {
   /// (periodic durability without waiting for shutdown; the dispatch mutex
   /// provides the writer quiescence CheckpointStorage requires). 0 never
   /// checkpoints from the dispatcher. A slow-query trace of a request that
-  /// triggered one shows exactly where the WAL/buffer-pool time went.
+  /// triggered one shows exactly where the WAL/checkpoint time went. Each
+  /// checkpoint rewrites the whole catalog image: O(rows).
   uint64_t checkpoint_every = 0;
   /// Sampled query log: every Nth data-bearing request (range or count
   /// batch) is profiled — as if the client had asked — and emitted as a

@@ -279,7 +279,6 @@ void AlertEngine::AddDefaultRules() {
       "chi2_critical: leakage.uniformity.chi2_milli > "
       "leakage.uniformity.chi2_critical_milli",
       "dispatch_p99_slow: server.dispatch_ns.p99 > 100000000 for 3",
-      "pool_miss_rate_high: rate(storage.pool.misses) > 10000",
       "wal_fsync_stall: storage.wal.fsync_ns.p99 > 1000000000",
   };
   for (const char* spec : kDefaults) {

@@ -95,7 +95,7 @@ class AlertEngine {
   Status AddRuleSpec(std::string_view spec) MOPE_EXCLUDES(mutex_);
 
   /// The default production rule set: gap-attack convergence, chi-square
-  /// criticality, dispatch p99, buffer-pool miss rate, WAL fsync stalls.
+  /// criticality, dispatch p99, WAL fsync stalls.
   void AddDefaultRules() MOPE_EXCLUDES(mutex_);
 
   /// Evaluates every rule against one fresh snapshot (the sampler calls

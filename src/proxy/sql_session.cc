@@ -213,7 +213,7 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
     ctx.clock =
         trace_clock_ != nullptr ? trace_clock_ : obs::SystemClock();
     // The local exec runs over the in-memory scratch catalog, so there are
-    // no storage counters to attribute here; the server-side pool/WAL costs
+    // no storage counters to attribute here; the server-side WAL costs
     // arrive via the wire profile (srv.storage.*) instead.
     plan.root->EnableProfiling(&ctx);
     {

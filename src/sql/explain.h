@@ -8,8 +8,8 @@
 /// two spaces per level, PostgreSQL-style). Plain EXPLAIN shows the
 /// planner's estimated cardinalities; ANALYZE appends each operator's
 /// actuals from its OpStats block (rows, Next() calls, inclusive
-/// nanoseconds, index entries / B+-tree nodes visited, buffer-pool misses
-/// and WAL bytes attributed to it). The lines are packaged as a one-column
+/// nanoseconds, index entries / B+-tree nodes visited and WAL bytes
+/// attributed to it). The lines are packaged as a one-column
 /// "QUERY PLAN" result set so EXPLAIN output flows through every existing
 /// result pipeline (shell tables, -c one-shots, tests) unchanged.
 

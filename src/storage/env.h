@@ -34,7 +34,7 @@
 
 namespace mope::storage {
 
-/// Random-access file handle (the page file). Offsets are absolute; writes
+/// Random-access file handle. Offsets are absolute; writes
 /// past the current size extend the file.
 class RandomAccessFile {
  public:

@@ -2,43 +2,38 @@
 #define MOPE_STORAGE_STORAGE_ENGINE_H_
 
 /// \file storage_engine.h
-/// The storage subsystem's front door: owns the data directory (page file,
-/// WAL, meta), runs page-level redo at open, and implements the checkpoint
-/// protocol.
+/// The storage subsystem's front door: owns the data directory (WAL, meta),
+/// hands the last checkpoint image and the records logged after it to the
+/// engine at open, and implements the checkpoint protocol. Records and the
+/// image are opaque bytes here; engine/durability.cc is the only code that
+/// knows what they mean.
 ///
 /// Data directory layout:
-///   pages.db       page file (DiskManager)
-///   wal.log        write-ahead log (Wal)
-///   storage.meta   checkpoint metadata, replaced atomically:
-///                  magic "MOPEMET1", u64 checkpoint_lsn, u64 next_lsn,
-///                  u64 page_count, u64 blob_len, blob, u32 CRC-32 of all
-///                  preceding bytes. The blob is the engine's serialized
-///                  durable catalog (table schemas, heap head page ids,
-///                  index root page ids) — opaque at this layer.
+///   wal.log        write-ahead log (Wal): one record per engine mutation
+///                  since the last checkpoint
+///   storage.meta   the checkpoint, replaced atomically:
+///                  magic "MOPEMET2", u64 checkpoint_lsn, u64 next_lsn,
+///                  u64 image_len, image, u32 CRC-32 of all preceding
+///                  bytes. The image is the engine's whole durable state.
 ///
-/// Open = recovery. Read the meta (if any), replay every WAL record with
-/// LSN > checkpoint_lsn against the page file (images verbatim, heap
-/// records through the same heap_page primitives the forward path uses,
-/// each guarded by the page's LSN), sync, and hand the recovered kCatalog
-/// records to the engine. If anything was replayed the run is flagged
-/// crash_recovered(): the engine must rebuild its indexes from the heap
-/// (index pages are not logged — see btree_file.h) and checkpoint to
-/// re-establish the clean state.
+/// Open = recovery. Read the meta (if any) and every WAL record with
+/// LSN > checkpoint_lsn. If the log held anything at all — whole records
+/// or only a torn tail — the run is crash_recovered(): the owner replays
+/// the records onto the image and must Checkpoint before logging anything
+/// new, because records appended behind a torn tail would never be read
+/// back (replay stops at the first bad frame).
 ///
 /// Checkpoint protocol (the order is the correctness argument):
-///   1. WAL Sync        — every logged record is durable.
-///   2. Pool FlushAll   — every dirty page reaches the page file.
-///   3. Disk Sync       — ... durably.
-///   4. Meta write      — atomic rename flips the checkpoint LSN and the
-///                        catalog blob in one step.
-///   5. WAL Restart     — truncate + fsync; the old records are dead
-///                        (and if the truncate is lost to a crash, the
-///                        checkpoint LSN filter ignores them anyway).
-///   6. New FPW epoch   — next modification of each page logs a new image.
+///   1. WAL Sync     — every logged record is durable.
+///   2. Meta write   — atomic rename flips the checkpoint LSN and the image
+///                     in one step.
+///   3. WAL Restart  — truncate + fsync; the old records are dead (and if
+///                     the truncate is lost to a crash, the checkpoint LSN
+///                     filter ignores them anyway).
 ///
-/// A crash between any two steps recovers correctly: before 4 the old meta
-/// replays the old epoch's records over the old pages; after 4 the new
-/// meta sees an empty (or stale-and-filtered) log.
+/// A crash between any two steps recovers correctly: before 2 the old image
+/// plus the whole log; after 2 the new image plus an empty (or
+/// stale-and-filtered) log.
 
 #include <cstdint>
 #include <memory>
@@ -49,18 +44,12 @@
 #include "common/status.h"
 #include "obs/clock.h"
 #include "obs/registry.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 #include "storage/env.h"
 #include "storage/wal.h"
-#include "storage/wal_logger.h"
 
 namespace mope::storage {
 
 struct StorageOptions {
-  /// Buffer pool frames (minimum 8: a B+-tree descent holds up to two pins
-  /// and checkpointing must always find a victim).
-  size_t pool_frames = 256;
   /// WAL group-commit policy: fsync every N records (1 = every record,
   /// 0 = only explicit Sync/Checkpoint).
   uint64_t wal_sync_every = 32;
@@ -68,8 +57,8 @@ struct StorageOptions {
   Env* env = nullptr;
   /// Defaults to the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Times the fsync / miss-stall latency histograms. Defaults to
-  /// SystemClock(); tests inject a ManualClock for deterministic buckets.
+  /// Times the fsync latency histogram. Defaults to SystemClock(); tests
+  /// inject a ManualClock for deterministic buckets.
   obs::Clock* clock = nullptr;
 };
 
@@ -79,54 +68,45 @@ class StorageEngine {
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& dir, const StorageOptions& options);
 
-  BufferPool* pool() { return pool_.get(); }
-  Wal* wal() { return wal_.get(); }
-  WalLogger* logger() { return &logger_; }
-  DiskManager* disk() { return disk_.get(); }
-  Env* env() { return env_; }
+  /// The image from the last checkpoint (empty for a fresh dir). Moved out:
+  /// later calls return an empty string.
+  std::string TakeImage() { return std::move(image_); }
 
-  /// The catalog blob from the last checkpoint (empty for a fresh dir).
-  const std::string& catalog_blob() const { return catalog_blob_; }
+  /// The records logged after that checkpoint, in LSN order. Moved out.
+  std::vector<WalRecord> TakeRecords() { return std::move(records_); }
 
-  /// kCatalog records recovered from the WAL, in LSN order, for the engine
-  /// to replay on top of catalog_blob(). Emptied by the call.
-  std::vector<WalRecord> TakeCatalogRecords() {
-    return std::move(catalog_records_);
-  }
-
-  /// True when Open replayed any WAL record: the on-disk index pages are
-  /// not to be trusted and the engine must rebuild indexes from the heap.
+  /// True when the log held anything past the last checkpoint at Open: the
+  /// owner must Checkpoint before its next Log.
   bool crash_recovered() const { return crash_recovered_; }
 
-  /// Number of WAL records redone at Open (for logs/metrics).
+  /// Number of WAL records recovered at Open (for logs/metrics).
   uint64_t recovered_records() const { return recovered_records_; }
 
-  /// Runs the checkpoint protocol, persisting `catalog_blob` as the new
-  /// durable catalog state.
-  Status Checkpoint(std::string_view catalog_blob);
+  /// Appends one record; returns its LSN. It is durable after the next
+  /// Sync, or sooner under the wal_sync_every policy.
+  Result<uint64_t> Log(std::string_view record) {
+    return wal_->Append(WalRecordType::kCatalog, record);
+  }
 
   /// Group-commit flush point: makes everything logged so far durable
   /// without the full checkpoint.
   Status Sync() { return wal_->Sync(); }
 
- private:
-  StorageEngine(Env* env, std::string dir,
-                std::unique_ptr<DiskManager> disk, std::unique_ptr<Wal> wal,
-                const StorageOptions& options);
+  /// Runs the checkpoint protocol, persisting `image` as the new durable
+  /// state. Callers quiesce writers across the call: a record logged
+  /// between the Sync and the Restart would be lost.
+  Status Checkpoint(std::string_view image);
 
-  static Status RedoRecords(DiskManager* disk,
-                            const std::vector<WalRecord>& records,
-                            std::vector<WalRecord>* catalog_records);
+ private:
+  StorageEngine(Env* env, std::string dir, std::unique_ptr<Wal> wal,
+                obs::MetricsRegistry* metrics);
 
   Env* const env_;
   const std::string dir_;
-  std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<Wal> wal_;
-  WalLogger logger_;
-  std::unique_ptr<BufferPool> pool_;
 
-  std::string catalog_blob_;
-  std::vector<WalRecord> catalog_records_;
+  std::string image_;
+  std::vector<WalRecord> records_;
   bool crash_recovered_ = false;
   uint64_t recovered_records_ = 0;
 

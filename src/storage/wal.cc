@@ -4,7 +4,7 @@
 
 #include "common/crc32.h"
 #include "obs/trace.h"
-#include "storage/page.h"
+#include "storage/coding.h"
 
 namespace mope::storage {
 
@@ -25,7 +25,6 @@ Wal::Wal(Env* env, std::string path, std::unique_ptr<AppendFile> file,
       path_(std::move(path)),
       file_(std::move(file)),
       next_lsn_(next_lsn),
-      last_synced_lsn_(next_lsn == 0 ? 0 : next_lsn - 1),
       sync_every_(sync_every),
       clock_(clock != nullptr ? clock : obs::SystemClock()),
       records_(OrGlobal(metrics)->GetCounter("storage.wal.records")),
@@ -81,19 +80,12 @@ Status Wal::SyncLocked() {
     fsync_ns_->Observe(clock_->NowNanos() - start_ns);
   }
   syncs_->Increment();
-  last_synced_lsn_ = next_lsn_ - 1;
   unsynced_records_ = 0;
   return Status::OK();
 }
 
 Status Wal::Sync() {
   MutexLock lock(&mutex_);
-  return SyncLocked();
-}
-
-Status Wal::SyncTo(uint64_t lsn) {
-  MutexLock lock(&mutex_);
-  if (lsn <= last_synced_lsn_) return Status::OK();
   return SyncLocked();
 }
 
@@ -113,13 +105,18 @@ Status Wal::Restart() {
     MOPE_RETURN_NOT_OK(file_->Sync());
     fsync_ns_->Observe(clock_->NowNanos() - start_ns);
   }
-  last_synced_lsn_ = next_lsn_ - 1;
   return Status::OK();
 }
 
 uint64_t Wal::next_lsn() {
   MutexLock lock(&mutex_);
   return next_lsn_;
+}
+
+Result<uint64_t> Wal::size() {
+  MutexLock lock(&mutex_);
+  MOPE_ASSIGN_OR_RETURN(uint64_t written, file_->Size());
+  return written + pending_.size();
 }
 
 Result<std::vector<WalRecord>> Wal::ReadAll(Env* env, const std::string& path,

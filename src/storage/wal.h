@@ -20,16 +20,11 @@
 /// ReadAll stops at the first truncated or checksum-bad record, which is
 /// what a torn tail looks like.
 ///
-/// Record types: the page-level records (full page image, heap append, heap
-/// slot update) are owned by this layer — recovery redoes them without
-/// knowing what a table is. kCatalog records are opaque here; the engine
-/// encodes its DDL in them (engine/durability.h).
-///
-/// Idempotence contract: every record's LSN is stamped into the page it
-/// touches; redo applies a record only when the page's LSN is older. A
-/// checkpoint writes the durable meta *before* truncating the log, so a
-/// crash between the two replays stale records — which the LSN guard (and
-/// the meta's checkpoint LSN passed to ReadAll) turns into no-ops.
+/// Records are opaque here: the engine encodes one logical mutation per
+/// record (engine/durability.h) and replays them itself. A checkpoint writes
+/// the durable meta *before* truncating the log, so a crash between the two
+/// leaves stale records behind; the meta's checkpoint LSN passed to ReadAll
+/// filters them out.
 
 #include <cstdint>
 #include <memory>
@@ -46,20 +41,8 @@
 namespace mope::storage {
 
 enum class WalRecordType : uint8_t {
-  /// Opaque to storage; the engine's catalog/DDL records.
+  /// The engine's logical records (DDL and row mutations); opaque here.
   kCatalog = 1,
-  /// [u64 page_id][u16 slot][u16 len][len bytes] — slot appended to a heap
-  /// page.
-  kHeapAppend = 2,
-  /// Same layout — slot rewritten in place (same or smaller size).
-  kHeapUpdate = 3,
-  /// [u64 page_id][kPageSize bytes] — full page image, logged on the first
-  /// modification of a page in each checkpoint epoch so a torn page can be
-  /// rebuilt from its image plus the records after it.
-  kPageImage = 4,
-  /// [u64 page_id][u64 next_page_id] — heap chain link: `page_id`'s `next`
-  /// header field now points at a freshly allocated tail page.
-  kHeapLink = 5,
 };
 
 struct WalRecord {
@@ -89,15 +72,14 @@ class Wal {
   /// committed when this returns OK. The group-commit point.
   Status Sync() MOPE_EXCLUDES(mutex_);
 
-  /// WAL-ahead hook for the buffer pool: make every record with LSN <=
-  /// `lsn` durable before a page stamped with that LSN hits the disk.
-  Status SyncTo(uint64_t lsn) MOPE_EXCLUDES(mutex_);
-
   /// Truncates the log after a checkpoint and fsyncs the truncation. LSNs
   /// continue from where they were (never reused).
   Status Restart() MOPE_EXCLUDES(mutex_);
 
   uint64_t next_lsn() MOPE_EXCLUDES(mutex_);
+
+  /// Bytes in the log file plus any not yet written to it.
+  Result<uint64_t> size() MOPE_EXCLUDES(mutex_);
 
   /// Replays the log at `path`: returns every well-formed record with
   /// LSN > `after_lsn`, stopping (not failing) at the first torn record.
@@ -118,7 +100,6 @@ class Wal {
   std::unique_ptr<AppendFile> file_ MOPE_GUARDED_BY(mutex_);
   std::string pending_ MOPE_GUARDED_BY(mutex_);
   uint64_t next_lsn_ MOPE_GUARDED_BY(mutex_);
-  uint64_t last_synced_lsn_ MOPE_GUARDED_BY(mutex_);
   uint64_t unsynced_records_ MOPE_GUARDED_BY(mutex_) = 0;
   const uint64_t sync_every_;
 

@@ -141,15 +141,15 @@ TEST(OpStatsTest, StorageCounterDeltasAttachWhenProvided) {
   SeqScanOp scan(t.get());
   obs::ManualClock clock(0, 1);
   obs::MetricsRegistry registry;
-  obs::Counter* misses = registry.GetCounter("storage.pool.misses");
-  misses->Increment(7);  // pre-existing activity must not be attributed
+  obs::Counter* wal_bytes = registry.GetCounter("storage.wal.bytes");
+  wal_bytes->Increment(7);  // pre-existing activity must not be attributed
   ProfileContext ctx;
   ctx.clock = &clock;
-  ctx.pool_misses = misses;
+  ctx.wal_bytes = wal_bytes;
   scan.EnableProfiling(&ctx);
   ASSERT_TRUE(Collect(&scan).ok());
-  // The in-memory table causes no misses: the delta is zero, not seven.
-  EXPECT_EQ(scan.stats().pool_misses, 0u);
+  // A read logs nothing: the delta is zero, not seven.
+  EXPECT_EQ(scan.stats().wal_bytes, 0u);
 }
 
 TEST(FoldOpStatsTest, ProfiledTreeFoldsIntoPerTypeHistograms) {

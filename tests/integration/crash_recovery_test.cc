@@ -5,14 +5,15 @@
 /// dies via _exit at a randomized-but-deterministic operation index — no
 /// destructors, no flush, exactly what SIGKILL leaves behind. The parent
 /// recovers the directory and asserts the recovered catalog is exactly the
-/// workload prefix the child completed, and that every index —
-/// the in-memory BPlusTree and the rebuilt paged one — passes its
-/// invariant checks.
+/// workload prefix the child completed, and that the rebuilt in-memory
+/// BPlusTree passes its invariant checks.
 ///
-/// Sub-operation crash states (torn pages, half-written WAL records) are
-/// covered deterministically by the InMemEnv crash-at-every-point tests in
-/// tests/storage/storage_engine_test.cc; this harness adds the real fork /
-/// real file system / real fsync dimension.
+/// Sub-operation crash states (half-written WAL records, a crash on either
+/// side of the checkpoint rename) are covered deterministically by the
+/// InMemEnv crash-at-every-point and WAL-cut tests in
+/// tests/storage/storage_engine_test.cc and tests/engine/durability_test.cc;
+/// this harness adds the real fork / real file system / real fsync
+/// dimension.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>

@@ -110,7 +110,7 @@ TEST(SlowQueryTest, ThresholdedRequestLogsBreakdownAndExportsTrace) {
   EXPECT_EQ(server.metrics()->GetCounter("server.slow_queries")->Value(), 1);
 
   // The Chrome export landed atomically in the Env, with the same trace id
-  // and the WAL/buffer-pool spans visible.
+  // and the WAL/checkpoint spans visible.
   auto exported = env.ReadFile("/slow_query_trace.json");
   ASSERT_TRUE(exported.ok()) << exported.status().ToString();
   EXPECT_NE(exported->find("\"trace_id\":\"31337\""), std::string::npos);
@@ -119,7 +119,7 @@ TEST(SlowQueryTest, ThresholdedRequestLogsBreakdownAndExportsTrace) {
             std::string::npos);
   EXPECT_NE(exported->find("\"name\":\"storage.wal.sync\""),
             std::string::npos);
-  EXPECT_NE(exported->find("\"name\":\"storage.pool.writeback\""),
+  EXPECT_NE(exported->find("\"name\":\"storage.checkpoint\""),
             std::string::npos);
 }
 

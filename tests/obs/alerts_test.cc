@@ -203,7 +203,7 @@ TEST(AlertEngineTest, DefaultRuleSetInstalls) {
   MetricsRegistry registry;
   AlertEngine engine(&registry);
   engine.AddDefaultRules();
-  EXPECT_EQ(engine.rule_count(), 5u);
+  EXPECT_EQ(engine.rule_count(), 4u);
   // Every default rule gets its 0/1 gauge up front.
   EXPECT_EQ(registry.GetGauge("alerts.rule.gap_margin_converging")->Value(),
             0);

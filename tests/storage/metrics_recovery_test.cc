@@ -1,8 +1,8 @@
 /// Storage metrics across a crash/recovery cycle. One MetricsRegistry is
 /// shared across every engine generation — exactly how the daemon's registry
 /// survives an in-process reopen — so the `storage.*` counters must be
-/// monotone over crashes, and the fsync/miss-stall histograms must account
-/// work done by recovery itself.
+/// monotone over crashes, and the fsync histogram must account work done by
+/// recovery itself.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "obs/registry.h"
 #include "storage/env.h"
 #include "storage/storage_engine.h"
-#include "storage/table_heap.h"
 
 namespace mope::storage {
 namespace {
@@ -23,7 +22,6 @@ StorageOptions TestOptions(Env* env, obs::MetricsRegistry* metrics,
   options.env = env;
   options.metrics = metrics;
   options.clock = clock;
-  options.pool_frames = 8;
   options.wal_sync_every = 1;
   return options;
 }
@@ -37,11 +35,8 @@ TEST(MetricsRecoveryTest, CountersAreMonotoneAcrossCrashAndRecovery) {
   {
     auto engine = StorageEngine::Open("/db", options);
     ASSERT_TRUE(engine.ok()) << engine.status();
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE((*heap)->Append("row " + std::to_string(i)).ok());
+      ASSERT_TRUE((*engine)->Log("row " + std::to_string(i)).ok());
     }
   }
   const int64_t records_before =
@@ -72,11 +67,10 @@ TEST(MetricsRecoveryTest, CountersAreMonotoneAcrossCrashAndRecovery) {
               records_before);
     EXPECT_GE(metrics.GetCounter("storage.wal.syncs")->Value(), syncs_before);
 
-    // New work keeps the same counters climbing.
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    ASSERT_TRUE((*heap)->Append("post-recovery row").ok());
+    // New work keeps the same counters climbing (the owner checkpoints
+    // first, as it must after a recovery).
+    ASSERT_TRUE((*engine)->Checkpoint("image").ok());
+    ASSERT_TRUE((*engine)->Log("post-recovery row").ok());
     EXPECT_GT(metrics.GetCounter("storage.wal.records")->Value(),
               records_before);
     EXPECT_GT(metrics.GetHistogram("storage.wal.fsync_ns")->Count(),
@@ -94,10 +88,7 @@ TEST(MetricsRecoveryTest, SecondCrashIncrementsRecoveriesAgain) {
     {
       auto engine = StorageEngine::Open("/db", options);
       ASSERT_TRUE(engine.ok()) << engine.status();
-      auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                  kInvalidPageId);
-      ASSERT_TRUE(heap.ok());
-      ASSERT_TRUE((*heap)->Append("gen " + std::to_string(generation)).ok());
+      ASSERT_TRUE((*engine)->Log("gen " + std::to_string(generation)).ok());
     }
     env.SimulateCrash();
   }
@@ -117,10 +108,7 @@ TEST(MetricsRecoveryTest, CheckpointCounterSurvivesCrash) {
   {
     auto engine = StorageEngine::Open("/db", options);
     ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    ASSERT_TRUE((*heap)->Append("durable").ok());
+    ASSERT_TRUE((*engine)->Log("durable").ok());
     ASSERT_TRUE((*engine)->Checkpoint("").ok());
     EXPECT_EQ(metrics.GetCounter("storage.engine.checkpoints")->Value(), 1);
   }
@@ -132,44 +120,6 @@ TEST(MetricsRecoveryTest, CheckpointCounterSurvivesCrash) {
   EXPECT_FALSE((*engine)->crash_recovered());
   EXPECT_EQ(metrics.GetCounter("storage.engine.checkpoints")->Value(), 1);
   EXPECT_EQ(metrics.GetCounter("storage.engine.recoveries")->Value(), 0);
-}
-
-TEST(MetricsRecoveryTest, MissStallHistogramObservesReadsWithManualClock) {
-  InMemEnv env;
-  obs::MetricsRegistry metrics;
-  obs::ManualClock clock(0, 50);
-  const StorageOptions options = TestOptions(&env, &metrics, &clock);
-
-  PageId head = kInvalidPageId;
-  {
-    auto engine = StorageEngine::Open("/db", options);
-    ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    head = (*heap)->head();
-    ASSERT_TRUE((*heap)->Append("page payload").ok());
-    ASSERT_TRUE((*engine)->Checkpoint("").ok());
-  }
-  const uint64_t stalls_before =
-      metrics.GetHistogram("storage.pool.miss_stall_ns")->Count();
-
-  // Clean reopen: the head page is read back through the pool on first
-  // touch, which must land one timed miss-stall observation.
-  auto engine = StorageEngine::Open("/db", options);
-  ASSERT_TRUE(engine.ok());
-  auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(), head);
-  ASSERT_TRUE(heap.ok());
-  int rows = 0;
-  ASSERT_TRUE((*heap)
-                  ->Scan([&rows](RecordId, std::string_view) {
-                    ++rows;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(rows, 1);
-  EXPECT_GT(metrics.GetHistogram("storage.pool.miss_stall_ns")->Count(),
-            stalls_before);
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 
 #include "obs/registry.h"
 #include "storage/env.h"
-#include "storage/page.h"
-#include "storage/table_heap.h"
 
 namespace mope::storage {
 namespace {
@@ -18,20 +16,42 @@ StorageOptions TestOptions(Env* env, obs::MetricsRegistry* metrics,
   StorageOptions options;
   options.env = env;
   options.metrics = metrics;
-  options.pool_frames = 8;
   options.wal_sync_every = sync_every;
   return options;
 }
 
-std::string EncodeHead(PageId head) {
-  std::string blob(8, '\0');
-  StoreU64(blob.data(), head);
-  return blob;
+std::vector<std::string> Payloads(const std::vector<WalRecord>& records) {
+  std::vector<std::string> out;
+  for (const WalRecord& record : records) out.push_back(record.payload);
+  return out;
 }
 
-PageId DecodeHead(std::string_view blob) {
-  EXPECT_EQ(blob.size(), 8u);
-  return LoadU64(blob.data());
+// A toy owner for the opaque records: its state is a list of strings, an
+// image is that list joined by '\n', and a record either appends
+// ("A<text>") or rewrites one entry ("U<index>:<text>").
+std::string EncodeList(const std::vector<std::string>& list) {
+  std::string out;
+  for (const std::string& item : list) out += item + "\n";
+  return out;
+}
+
+std::vector<std::string> DecodeList(const std::string& image) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  for (size_t end; (end = image.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    out.push_back(image.substr(start, end - start));
+  }
+  return out;
+}
+
+void ApplyOp(const std::string& op, std::vector<std::string>* list) {
+  if (op[0] == 'A') {
+    list->push_back(op.substr(1));
+    return;
+  }
+  const size_t colon = op.find(':');
+  (*list)[std::stoul(op.substr(1, colon - 1))] = op.substr(colon + 1);
 }
 
 TEST(StorageEngineTest, FreshDirectoryOpensEmpty) {
@@ -40,31 +60,24 @@ TEST(StorageEngineTest, FreshDirectoryOpensEmpty) {
   auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_FALSE((*engine)->crash_recovered());
-  EXPECT_TRUE((*engine)->catalog_blob().empty());
-  EXPECT_TRUE((*engine)->TakeCatalogRecords().empty());
+  EXPECT_TRUE((*engine)->TakeImage().empty());
+  EXPECT_TRUE((*engine)->TakeRecords().empty());
 }
 
 TEST(StorageEngineTest, CrashRecoveryReplaysCommittedRecords) {
   InMemEnv env;
   obs::MetricsRegistry metrics;
-  PageId head = kInvalidPageId;
+  std::vector<std::string> logged = {"ddl"};
   {
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    head = (*heap)->head();
-    // The engine's DDL record referencing the head page.
-    ASSERT_TRUE((*engine)
-                    ->logger()
-                    ->Log(WalRecordType::kCatalog, EncodeHead(head))
-                    .ok());
+    ASSERT_TRUE((*engine)->Log(logged[0]).ok());
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE((*heap)->Append("row " + std::to_string(i)).ok());
+      logged.push_back("row " + std::to_string(i));
+      ASSERT_TRUE((*engine)->Log(logged.back()).ok());
     }
-    // sync_every=1: every record is committed. No flush, no checkpoint —
-    // the page file may contain nothing at all.
+    // sync_every=1: every record is committed. No checkpoint: the meta
+    // file does not even exist.
   }
   env.SimulateCrash();
 
@@ -72,41 +85,24 @@ TEST(StorageEngineTest, CrashRecoveryReplaysCommittedRecords) {
   auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics2));
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_TRUE((*engine)->crash_recovered());
-  EXPECT_GT((*engine)->recovered_records(), 0u);
+  EXPECT_EQ((*engine)->recovered_records(), logged.size());
   EXPECT_EQ(metrics2.GetCounter("storage.engine.recoveries")->Value(), 1u);
-
-  auto catalog_records = (*engine)->TakeCatalogRecords();
-  ASSERT_EQ(catalog_records.size(), 1u);
-  EXPECT_EQ(DecodeHead(catalog_records[0].payload), head);
-
-  auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(), head);
-  ASSERT_TRUE(heap.ok()) << heap.status();
-  int count = 0;
-  ASSERT_TRUE((*heap)
-                  ->Scan([&count](RecordId, std::string_view bytes) {
-                    EXPECT_EQ(bytes, "row " + std::to_string(count));
-                    ++count;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(count, 50);
+  EXPECT_TRUE((*engine)->TakeImage().empty());
+  EXPECT_EQ(Payloads((*engine)->TakeRecords()), logged);
 }
 
 TEST(StorageEngineTest, CheckpointThenCrashIsCleanReopen) {
   InMemEnv env;
   obs::MetricsRegistry metrics;
-  PageId head = kInvalidPageId;
+  std::vector<std::string> list;
   {
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    head = (*heap)->head();
     for (int i = 0; i < 30; ++i) {
-      ASSERT_TRUE((*heap)->Append("checkpointed " + std::to_string(i)).ok());
+      list.push_back("checkpointed " + std::to_string(i));
+      ASSERT_TRUE((*engine)->Log("A" + list.back()).ok());
     }
-    ASSERT_TRUE((*engine)->Checkpoint(EncodeHead(head)).ok());
+    ASSERT_TRUE((*engine)->Checkpoint(EncodeList(list)).ok());
   }
   env.SimulateCrash();
 
@@ -114,37 +110,24 @@ TEST(StorageEngineTest, CheckpointThenCrashIsCleanReopen) {
   ASSERT_TRUE(engine.ok()) << engine.status();
   // Nothing to replay: the WAL was truncated at the checkpoint.
   EXPECT_FALSE((*engine)->crash_recovered());
-  EXPECT_EQ(DecodeHead((*engine)->catalog_blob()), head);
-
-  auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(), head);
-  ASSERT_TRUE(heap.ok());
-  int count = 0;
-  ASSERT_TRUE((*heap)
-                  ->Scan([&count](RecordId, std::string_view) {
-                    ++count;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(count, 30);
+  EXPECT_TRUE((*engine)->TakeRecords().empty());
+  EXPECT_EQ(DecodeList((*engine)->TakeImage()), list);
 }
 
 TEST(StorageEngineTest, WorkAfterCheckpointAlsoRecovers) {
   InMemEnv env;
   obs::MetricsRegistry metrics;
-  PageId head = kInvalidPageId;
   {
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    head = (*heap)->head();
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE((*heap)->Append("before").ok());
+      ASSERT_TRUE((*engine)->Log("Abefore").ok());
     }
-    ASSERT_TRUE((*engine)->Checkpoint(EncodeHead(head)).ok());
+    ASSERT_TRUE(
+        (*engine)->Checkpoint(EncodeList(std::vector<std::string>(10, "before")))
+            .ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE((*heap)->Append("after").ok());
+      ASSERT_TRUE((*engine)->Log("Aafter").ok());
     }
   }
   env.SimulateCrash();
@@ -152,51 +135,35 @@ TEST(StorageEngineTest, WorkAfterCheckpointAlsoRecovers) {
   auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
   ASSERT_TRUE(engine.ok());
   EXPECT_TRUE((*engine)->crash_recovered());
-  auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(), head);
-  ASSERT_TRUE(heap.ok());
-  int before = 0, after = 0;
-  ASSERT_TRUE((*heap)
-                  ->Scan([&](RecordId, std::string_view bytes) {
-                    (bytes == "before" ? before : after)++;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(before, 10);
-  EXPECT_EQ(after, 10);
+  std::vector<std::string> list = DecodeList((*engine)->TakeImage());
+  for (const WalRecord& record : (*engine)->TakeRecords()) {
+    ApplyOp(record.payload, &list);
+  }
+  std::vector<std::string> expected(10, "before");
+  expected.insert(expected.end(), 10, "after");
+  EXPECT_EQ(list, expected);
 }
 
 TEST(StorageEngineTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   InMemEnv env;
   obs::MetricsRegistry metrics;
-  PageId head = kInvalidPageId;
+  std::vector<std::string> logged;
   {
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok());
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                kInvalidPageId);
-    ASSERT_TRUE(heap.ok());
-    head = (*heap)->head();
     for (int i = 0; i < 25; ++i) {
-      ASSERT_TRUE((*heap)->Append("stable " + std::to_string(i)).ok());
+      logged.push_back("stable " + std::to_string(i));
+      ASSERT_TRUE((*engine)->Log(logged.back()).ok());
     }
   }
   // Crash, recover, crash again without checkpointing, recover again: the
-  // same records replay over already-recovered pages (LSN guard).
+  // same records come back every time.
   for (int round = 0; round < 3; ++round) {
     env.SimulateCrash();
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok()) << "round " << round << ": " << engine.status();
-    auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(), head);
-    ASSERT_TRUE(heap.ok());
-    int count = 0;
-    ASSERT_TRUE((*heap)
-                    ->Scan([&count](RecordId, std::string_view bytes) {
-                      EXPECT_EQ(bytes, "stable " + std::to_string(count));
-                      ++count;
-                      return Status::OK();
-                    })
-                    .ok());
-    EXPECT_EQ(count, 25) << "round " << round;
+    EXPECT_EQ(Payloads((*engine)->TakeRecords()), logged) << "round "
+                                                          << round;
   }
 }
 
@@ -212,39 +179,26 @@ TEST(StorageEngineTest, CrashAtEveryPointRecoversExactPrefix) {
   for (int crash_at = 0; crash_at <= kSteps; ++crash_at) {
     InMemEnv env;
     obs::MetricsRegistry metrics;
-    PageId head = kInvalidPageId;
     std::vector<std::string> expected;
 
     {
       auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
       ASSERT_TRUE(engine.ok());
-      auto heap = TableHeap::Open((*engine)->pool(), (*engine)->logger(),
-                                  kInvalidPageId);
-      ASSERT_TRUE(heap.ok());
-      head = (*heap)->head();
-      ASSERT_TRUE((*engine)
-                      ->logger()
-                      ->Log(WalRecordType::kCatalog, EncodeHead(head))
-                      .ok());
-      std::vector<RecordId> rids;
       for (int i = 0; i < crash_at; ++i) {
         if (i == kCheckpointAt) {
-          ASSERT_TRUE((*engine)->Checkpoint(EncodeHead(head)).ok());
+          ASSERT_TRUE((*engine)->Checkpoint(EncodeList(expected)).ok());
         }
-        if (i % 7 == 3 && !rids.empty()) {
-          // Same-length in-place update (the rotation pattern). Large
-          // enough records that the chain grows a few pages.
-          const size_t victim = static_cast<size_t>(i) % rids.size();
-          std::string updated(expected[victim].size(), 'U');
-          ASSERT_TRUE((*heap)->Update(rids[victim], updated).ok());
-          expected[victim] = updated;
+        std::string op;
+        if (i % 7 == 3 && !expected.empty()) {
+          // Same-length rewrite (the rotation pattern).
+          const size_t victim = static_cast<size_t>(i) % expected.size();
+          op = "U" + std::to_string(victim) + ":" +
+               std::string(expected[victim].size(), 'U');
         } else {
-          std::string record(120 + i, static_cast<char>('a' + i % 26));
-          auto rid = (*heap)->Append(record);
-          ASSERT_TRUE(rid.ok());
-          rids.push_back(*rid);
-          expected.push_back(record);
+          op = "A" + std::string(120 + i, static_cast<char>('a' + i % 26));
         }
+        ASSERT_TRUE((*engine)->Log(op).ok());
+        ApplyOp(op, &expected);
       }
     }
     env.SimulateCrash();
@@ -252,31 +206,34 @@ TEST(StorageEngineTest, CrashAtEveryPointRecoversExactPrefix) {
     auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
     ASSERT_TRUE(engine.ok()) << "crash_at=" << crash_at << ": "
                              << engine.status();
-    // Head comes from the blob (post-checkpoint) or the replayed DDL
-    // record (pre-checkpoint) — exactly how the engine layer finds it.
-    PageId recovered_head = kInvalidPageId;
-    if (!(*engine)->catalog_blob().empty()) {
-      recovered_head = DecodeHead((*engine)->catalog_blob());
-    } else {
-      auto records = (*engine)->TakeCatalogRecords();
-      ASSERT_FALSE(records.empty()) << "crash_at=" << crash_at;
-      recovered_head = DecodeHead(records[0].payload);
+    std::vector<std::string> recovered = DecodeList((*engine)->TakeImage());
+    for (const WalRecord& record : (*engine)->TakeRecords()) {
+      ApplyOp(record.payload, &recovered);
     }
-    ASSERT_EQ(recovered_head, head) << "crash_at=" << crash_at;
-
-    auto heap =
-        TableHeap::Open((*engine)->pool(), (*engine)->logger(), recovered_head);
-    ASSERT_TRUE(heap.ok()) << "crash_at=" << crash_at;
-    std::vector<std::string> recovered;
-    ASSERT_TRUE((*heap)
-                    ->Scan([&recovered](RecordId, std::string_view bytes) {
-                      recovered.emplace_back(bytes);
-                      return Status::OK();
-                    })
-                    .ok())
-        << "crash_at=" << crash_at;
     EXPECT_EQ(recovered, expected) << "crash_at=" << crash_at;
   }
+}
+
+TEST(StorageEngineTest, TornTailAloneStillCountsAsRecovery) {
+  InMemEnv env;
+  obs::MetricsRegistry metrics;
+  {
+    auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->Checkpoint("image").ok());
+  }
+  // Half a frame header, synced, then the crash.
+  auto wal = env.OpenAppend("/db/wal.log", /*truncate=*/false);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->Append(std::string(10, '\x7f')).ok());
+  ASSERT_TRUE((*wal)->Sync().ok());
+  env.SimulateCrash();
+
+  auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_TRUE((*engine)->TakeRecords().empty());
+  // Nothing to replay, but the owner must still checkpoint before logging.
+  EXPECT_TRUE((*engine)->crash_recovered());
 }
 
 TEST(StorageEngineTest, MetaCorruptionIsDetected) {
@@ -294,6 +251,18 @@ TEST(StorageEngineTest, MetaCorruptionIsDetected) {
   ASSERT_TRUE(env.WriteFileAtomic("/db/storage.meta", tampered).ok());
   auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
   EXPECT_FALSE(engine.ok());
+}
+
+TEST(StorageEngineTest, PagedFormatMetaIsRejectedByName) {
+  InMemEnv env;
+  obs::MetricsRegistry metrics;
+  std::string old_meta = "MOPEMET1";
+  old_meta.append(40, '\0');
+  ASSERT_TRUE(env.WriteFileAtomic("/db/storage.meta", old_meta).ok());
+  auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsNotSupported()) << engine.status();
+  EXPECT_NE(engine.status().message().find("MOPEMET1"), std::string::npos);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ TEST(WalTest, AppendReadAllRoundTrip) {
   auto wal = Wal::Open(&env, "/wal", /*next_lsn=*/1, /*sync_every=*/1, nullptr);
   ASSERT_TRUE(wal.ok()) << wal.status();
   auto l1 = (*wal)->Append(WalRecordType::kCatalog, "ddl one");
-  auto l2 = (*wal)->Append(WalRecordType::kHeapAppend, "row bytes");
+  auto l2 = (*wal)->Append(WalRecordType::kCatalog, "row bytes");
   ASSERT_TRUE(l1.ok() && l2.ok());
   EXPECT_EQ(*l1, 1u);
   EXPECT_EQ(*l2, 2u);
@@ -66,23 +66,6 @@ TEST(WalTest, ExplicitSyncCommitsEverything) {
   auto records = Wal::ReadAll(&env, "/wal", 0);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 2u);
-}
-
-TEST(WalTest, SyncToCoversRequestedLsn) {
-  InMemEnv env;
-  auto wal = Wal::Open(&env, "/wal", 1, 0, nullptr);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->Append(WalRecordType::kCatalog, "a").ok());
-  ASSERT_TRUE((*wal)->Append(WalRecordType::kCatalog, "b").ok());
-  ASSERT_TRUE((*wal)->SyncTo(2).ok());
-  env.SimulateCrash();
-  auto records = Wal::ReadAll(&env, "/wal", 0);
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 2u);
-  // LSN 0 needs no sync at all (pages written without a WAL record).
-  auto wal2 = Wal::Open(&env, "/wal", 3, 0, nullptr);
-  ASSERT_TRUE(wal2.ok());
-  EXPECT_TRUE((*wal2)->SyncTo(0).ok());
 }
 
 TEST(WalTest, TornTailToleratedNotFatal) {

@@ -14,12 +14,13 @@
 ///   mope_serverd (--snapshot PATH | --tpch) --data-dir DIR [...]
 ///
 /// --data-dir attaches the disk-backed storage engine (src/storage/): every
-/// mutation is write-ahead logged and applied to heap/index pages under DIR.
-/// A DIR that already holds data is recovered on startup — crash recovery
-/// replays the WAL — and served as-is (the --snapshot/--tpch source is then
-/// only a bootstrap for an empty DIR). The pages hold the same MOPE
-/// ciphertexts the in-memory catalog does; kill -9 never costs more than a
-/// WAL replay plus an index rebuild, and never a re-encryption.
+/// mutation is write-ahead logged to DIR/wal.log, and a checkpoint writes
+/// the whole catalog image to DIR/storage.meta. A DIR that already holds
+/// data is recovered on startup — the image is loaded and the WAL replayed
+/// on top — and served as-is (the --snapshot/--tpch source is then only a
+/// bootstrap for an empty DIR). Both files hold the same MOPE ciphertexts
+/// the in-memory catalog does; kill -9 never costs more than a WAL replay
+/// plus an index rebuild, and never a re-encryption.
 ///
 /// Observability:
 ///   - Every operational message is a structured log line (src/obs/log.h)
@@ -32,10 +33,11 @@
 ///   - --slow-query-ms logs a per-span breakdown for any request that
 ///     exceeds the threshold, and --slow-query-trace additionally exports
 ///     the request's Chrome trace (chrome://tracing) with the same trace
-///     id, WAL and buffer-pool spans included.
+///     id, WAL and checkpoint spans included.
 ///   - --checkpoint-every N checkpoints the storage engine every N
-///     data-bearing requests, putting storage.wal.* / storage.pool.* work
-///     (and spans) on the serving path.
+///     data-bearing requests, putting storage.wal.* / storage.checkpoint
+///     work (and spans) on the serving path. Each checkpoint rewrites the
+///     whole catalog image, so its cost grows with the row count.
 ///   - --query-log-sample N profiles every Nth data-bearing request exactly
 ///     as a client's EXPLAIN ANALYZE would and logs it as a structured
 ///     `event=query` line with the full attributed resource profile.
@@ -130,8 +132,8 @@ void PrintUsage(const char* argv0) {
       "  --port N            TCP port; 0 picks an ephemeral one (default "
       "5811)\n"
       "  --workers N         worker threads (default 4)\n"
-      "  --data-dir DIR      disk-backed storage: WAL + pages live in DIR; "
-      "an\n"
+      "  --data-dir DIR      disk-backed storage: WAL + checkpoint live in "
+      "DIR; an\n"
       "                      existing DIR is recovered (WAL replay) and "
       "served,\n"
       "                      a fresh one is seeded from --snapshot/--tpch\n"
@@ -173,9 +175,8 @@ void PrintUsage(const char* argv0) {
       "for 3';\n"
       "                      implies --sample-every-ms 1000 unless set\n"
       "  --default-alerts    add the built-in rule set (gap convergence,\n"
-      "                      chi-square criticality, dispatch p99, pool "
-      "miss\n"
-      "                      rate, WAL fsync stalls); implies sampling too\n"
+      "                      chi-square criticality, dispatch p99, WAL\n"
+      "                      fsync stalls); implies sampling too\n"
       "  --blackbox FILE     crash flight recorder: persist the last trace/"
       "log\n"
       "                      events to FILE on request boundaries and dump "
@@ -421,8 +422,8 @@ int main(int argc, char** argv) {
   }
 
   if (server->has_storage() && !recovered_data) {
-    // Make the freshly imported data cheap to reopen: flush pages, persist
-    // index roots, truncate the WAL.
+    // Make the freshly imported data cheap to reopen: write the catalog
+    // image, truncate the WAL.
     const Status cp = server->CheckpointStorage();
     if (!cp.ok()) {
       MOPE_LOG(kError, "main", "checkpoint_failed")
@@ -565,8 +566,8 @@ int main(int argc, char** argv) {
     obs::FlightRecorder::Install(nullptr);
   }
   if (server->has_storage()) {
-    // Clean-shutdown checkpoint: the next start reopens the paged indexes
-    // from their checkpointed roots instead of rebuilding them.
+    // Clean-shutdown checkpoint: the next start loads the image instead of
+    // replaying the WAL.
     const Status cp = server->CheckpointStorage();
     if (!cp.ok()) {
       MOPE_LOG(kError, "main", "shutdown_checkpoint_failed")

@@ -131,7 +131,7 @@ fi
 hard_kill
 echo "smoke_recovery: daemon killed with SIGKILL"
 
-for f in pages.db wal.log storage.meta; do
+for f in wal.log storage.meta; do
   [ -f "$dir1/$f" ] || {
     echo "smoke_recovery: $f missing from data dir after kill" >&2
     exit 1

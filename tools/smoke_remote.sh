@@ -12,7 +12,7 @@
 #     is JSON,
 #   - the query (over a deliberately tiny --slow-query-ms) produced one
 #     structured slow_query log line whose trace id matches the exported
-#     Chrome trace, and that trace contains WAL + buffer-pool spans,
+#     Chrome trace, and that trace contains WAL + checkpoint spans,
 #   - a live EXPLAIN ANALYZE over TCP prints the per-operator plan with
 #     actuals plus the server-attributed resource vector, and the profile's
 #     srv.engine.batches_received reconciles *exactly* with the
@@ -58,7 +58,7 @@ cleanup() {
 # (event=listening / event=http_listening), so parallel CI jobs never
 # collide. --slow-query-ms 0.001 makes every request "slow" so the query
 # below deterministically exercises the trace-export path, and
-# --checkpoint-every 1 puts real WAL + buffer-pool work inside it.
+# --checkpoint-every 1 puts real WAL + checkpoint work inside it.
 # --sample-every-ms 200 keeps history accumulating fast enough to assert on;
 # the alert rule's threshold is deliberately trivial (any served frame) so
 # the firing edge is deterministic once the first query lands.
@@ -305,7 +305,7 @@ grep -q "event=slow_query .*trace=$trace_id\$" "$server_log" || {
   grep "event=slow_query" "$server_log" >&2 || true
   exit 1
 }
-for span in storage.wal.sync storage.pool.flush server.checkpoint; do
+for span in storage.wal.sync storage.checkpoint server.checkpoint; do
   grep -q "\"name\":\"$span\"" "$trace_snapshot" || {
     echo "smoke_remote: exported trace missing span $span" >&2
     cat "$trace_snapshot" >&2
