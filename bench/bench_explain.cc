@@ -194,8 +194,6 @@ double TrimmedMean(std::vector<double> xs) {
 /// ANALYZE pays.
 template <typename MakePlan, typename RawDrain>
 Measurement Measure(const MakePlan& make, const RawDrain& raw) {
-  engine::ProfileContext ctx;
-  ctx.clock = obs::SystemClock();
   std::vector<double> raw_times, off_times, on_times;
   for (int rep = 0; rep < 3 * kTimeReps + 3; ++rep) {
     const int mode = rep % 3;
@@ -204,7 +202,7 @@ Measurement Measure(const MakePlan& make, const RawDrain& raw) {
       MOPE_CHECK(raw() > 0, "raw drain must visit rows");
     } else {
       std::unique_ptr<engine::Operator> plan = make();
-      if (mode == 2) plan->EnableProfiling(&ctx);
+      if (mode == 2) plan->EnableProfiling(obs::SystemClock());
       auto rows = engine::Collect(plan.get());
       MOPE_CHECK(rows.ok(), "bench plan must execute");
     }

@@ -43,12 +43,16 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
-void PutSchema(std::string* out, const Schema& schema) {
-  PutU64(out, schema.num_columns());
+void PutColumns(std::string* out, const Schema& schema) {
   for (const Column& col : schema.columns()) {
     PutString(out, col.name);
     out->push_back(static_cast<char>(col.type));
   }
+}
+
+void PutSchema(std::string* out, const Schema& schema) {
+  PutU64(out, schema.num_columns());
+  PutColumns(out, schema);
 }
 
 Result<uint8_t> ByteReader::Byte() {
@@ -123,9 +127,13 @@ Result<Schema> ByteReader::ReadSchema() {
     return Status::Corruption(std::string("implausible column count in ") +
                               context_);
   }
+  return ReadColumns(num_columns);
+}
+
+Result<Schema> ByteReader::ReadColumns(uint64_t count) {
   std::vector<Column> columns;
   std::set<std::string> names;
-  for (uint64_t c = 0; c < num_columns; ++c) {
+  for (uint64_t c = 0; c < count; ++c) {
     Column col;
     MOPE_ASSIGN_OR_RETURN(col.name, String());
     MOPE_ASSIGN_OR_RETURN(uint8_t type, Byte());

@@ -37,7 +37,11 @@ void PutValue(std::string* out, const Value& v);
 /// The most columns ReadSchema accepts.
 inline constexpr uint64_t kMaxColumns = 4096;
 
-/// u64 column count, then per column: name, 1-byte type tag (== ValueType).
+/// Per column: name, 1-byte type tag (== ValueType). The snapshot/WAL
+/// schema and the wire's schema reply differ only in the count in front.
+void PutColumns(std::string* out, const Schema& schema);
+
+/// u64 column count, then PutColumns.
 void PutSchema(std::string* out, const Schema& schema);
 
 // --- Reader ---------------------------------------------------------------
@@ -55,8 +59,10 @@ class ByteReader {
   Result<uint64_t> U64();
   Result<std::string> String();
   Result<Value> ReadValue();
-  /// A PutSchema encoding with 1 to kMaxColumns columns of known types and
-  /// distinct names.
+  /// `count` PutColumns entries of known types and distinct names; the
+  /// caller bounds `count`.
+  Result<Schema> ReadColumns(uint64_t count);
+  /// A PutSchema encoding with 1 to kMaxColumns columns (see ReadColumns).
   Result<Schema> ReadSchema();
 
   bool AtEnd() const { return pos_ == bytes_.size(); }

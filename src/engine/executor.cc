@@ -7,38 +7,28 @@
 
 namespace mope::engine {
 
-void Operator::EnableProfiling(const ProfileContext* ctx) {
-  profile_ = ctx;
+void Operator::EnableProfiling(obs::Clock* clock) {
+  clock_ = clock;
   stats_ = OpStats{};
-  for (Operator* child : children()) child->EnableProfiling(ctx);
+  for (Operator* child : children()) child->EnableProfiling(clock);
 }
 
 Status Operator::OpenProfiled() {
   // A profiled execution starts here: drop actuals from any previous run so
   // re-executing a cached plan reports this run, not the sum of all runs.
   stats_ = OpStats{};
-  const uint64_t t0 = profile_->clock->NowNanos();
-  const uint64_t wal0 =
-      profile_->wal_bytes != nullptr ? profile_->wal_bytes->Value() : 0;
+  const uint64_t t0 = clock_->NowNanos();
   const Status s = OpenImpl();
-  stats_.open_ns += profile_->clock->NowNanos() - t0;
-  if (profile_->wal_bytes != nullptr) {
-    stats_.wal_bytes += profile_->wal_bytes->Value() - wal0;
-  }
+  stats_.open_ns += clock_->NowNanos() - t0;
   return s;
 }
 
 Result<bool> Operator::NextProfiled(Row* out) {
-  const uint64_t t0 = profile_->clock->NowNanos();
-  const uint64_t wal0 =
-      profile_->wal_bytes != nullptr ? profile_->wal_bytes->Value() : 0;
+  const uint64_t t0 = clock_->NowNanos();
   Result<bool> r = NextImpl(out);
-  stats_.next_ns += profile_->clock->NowNanos() - t0;
+  stats_.next_ns += clock_->NowNanos() - t0;
   ++stats_.next_calls;
   if (r.ok() && r.value()) ++stats_.rows_out;
-  if (profile_->wal_bytes != nullptr) {
-    stats_.wal_bytes += profile_->wal_bytes->Value() - wal0;
-  }
   return r;
 }
 

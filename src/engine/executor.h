@@ -16,11 +16,10 @@
 /// the per-operator `OpenImpl()` / `NextImpl()` overrides. With profiling
 /// off the hook is a single pointer test (no clock reads, no counter
 /// traffic); with profiling on it fills the operator's `OpStats` block —
-/// rows out, `Next()` calls, cumulative wall time from the injectable
-/// `obs::Clock`, and WAL-byte deltas snapshotted from a registry counter
-/// around each call. Timings and counter deltas are *inclusive* of
-/// children, as in PostgreSQL's EXPLAIN ANALYZE; subtract a child's numbers
-/// to get an operator's self cost.
+/// rows out, `Next()` calls and cumulative wall time from the injectable
+/// `obs::Clock`. Timings are *inclusive* of children, as in PostgreSQL's
+/// EXPLAIN ANALYZE; subtract a child's numbers to get an operator's self
+/// cost.
 
 #include <cstdint>
 #include <functional>
@@ -36,7 +35,6 @@
 
 namespace mope::obs {
 class Clock;
-class Counter;
 class MetricsRegistry;
 }  // namespace mope::obs
 
@@ -51,16 +49,6 @@ struct OpStats {
   uint64_t next_ns = 0;        ///< Cumulative Next() time, incl. children.
   uint64_t entries_visited = 0;    ///< Index entries touched (index scans).
   uint64_t nodes_visited = 0;      ///< B+-tree leaf nodes touched.
-  uint64_t wal_bytes = 0;      ///< WAL byte delta attributed here.
-};
-
-/// Shared profiling context threaded through an operator tree. The clock is
-/// required; the counter is an optional delta source (pass the live
-/// `storage.wal.bytes` registry counter to attribute logging work to the
-/// operators that triggered it).
-struct ProfileContext {
-  obs::Clock* clock = nullptr;
-  const obs::Counter* wal_bytes = nullptr;
 };
 
 /// Pull-based operator interface.
@@ -104,9 +92,10 @@ class Operator {
   void set_estimated_rows(uint64_t rows) { estimated_rows_ = rows; }
   uint64_t estimated_rows() const { return estimated_rows_; }
 
-  /// Turns profiling on (ctx != nullptr) or off for this subtree. The
-  /// context must outlive execution. Resets accumulated stats.
-  void EnableProfiling(const ProfileContext* ctx);
+  /// Turns profiling on (clock != nullptr) or off for this subtree; the
+  /// clock times Open() and Next() and must outlive execution. Resets
+  /// accumulated stats.
+  void EnableProfiling(obs::Clock* clock);
 
   /// Actuals from the last profiled execution.
   const OpStats& stats() const { return stats_; }
@@ -117,13 +106,13 @@ class Operator {
 
   /// Lets OpImpl code (index scans) attribute data-access detail.
   OpStats* mutable_stats() { return &stats_; }
-  bool profiling_enabled() const { return profile_ != nullptr; }
+  bool profiling_enabled() const { return clock_ != nullptr; }
 
  private:
   Status OpenProfiled();
   Result<bool> NextProfiled(Row* out);
 
-  const ProfileContext* profile_ = nullptr;
+  obs::Clock* clock_ = nullptr;  ///< Non-null while profiling.
   OpStats stats_;
   uint64_t estimated_rows_ = 0;
   std::string annotation_;
@@ -131,12 +120,12 @@ class Operator {
 
 inline Status Operator::Open() {
   // Fast path: profiling off costs one predicted-not-taken branch.
-  if (profile_ == nullptr) return OpenImpl();
+  if (clock_ == nullptr) return OpenImpl();
   return OpenProfiled();
 }
 
 inline Result<bool> Operator::Next(Row* out) {
-  if (profile_ == nullptr) return NextImpl(out);
+  if (clock_ == nullptr) return NextImpl(out);
   return NextProfiled(out);
 }
 

@@ -17,39 +17,6 @@ DbServer::DbServer()
       bytes_sent_(metrics_->GetCounter("engine.bytes_sent")),
       batch_ranges_hist_(metrics_->GetHistogram("engine.batch_ranges")) {}
 
-const std::vector<std::string>& ServerProfileProbe::CounterNames() {
-  // Kept small and stable: the engine work counters plus the storage-layer
-  // cost drivers. GetCounter creates absent ones at zero, so a server
-  // without attached storage still reports the storage fields (as zeros).
-  static const std::vector<std::string> kNames = {
-      "engine.batches_received", "engine.segments_scanned",
-      "engine.entries_visited",  "engine.index_nodes_visited",
-      "engine.rows_returned",    "storage.wal.bytes",
-      "storage.wal.records",
-  };
-  return kNames;
-}
-
-ServerProfileProbe::ServerProfileProbe(DbServer* server) {
-  obs::MetricsRegistry* metrics = server->metrics();
-  baseline_.reserve(CounterNames().size());
-  for (const std::string& name : CounterNames()) {
-    obs::Counter* counter = metrics->GetCounter(name);
-    baseline_.emplace_back(counter, counter->Value());
-  }
-}
-
-std::vector<std::pair<std::string, uint64_t>> ServerProfileProbe::Delta()
-    const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(baseline_.size());
-  for (size_t i = 0; i < baseline_.size(); ++i) {
-    out.emplace_back("srv." + CounterNames()[i],
-                     baseline_[i].first->Value() - baseline_[i].second);
-  }
-  return out;
-}
-
 ServerStats DbServer::stats() const {
   ServerStats s;
   s.batches_received = batches_received_->Value();

@@ -171,30 +171,6 @@ class DbServer {
   std::unique_ptr<DurableCatalog> durable_;
 };
 
-/// Attributes one request's server-side resource consumption by delta: built
-/// immediately before the engine call, it snapshots a fixed set of counters
-/// from the server's metrics registry; Delta() afterwards yields the
-/// differences as "srv."-prefixed name/value pairs. Zero deltas are included
-/// so the profile's field set is identical on every request — the remote
-/// EXPLAIN ANALYZE test compares an embedded profile to a TCP one field by
-/// field. Single-threaded use around one request (the dispatcher serializes
-/// data operations; DirectConnection is single-threaded by contract).
-class ServerProfileProbe {
- public:
-  explicit ServerProfileProbe(DbServer* server);
-
-  /// Counter deltas since construction, name-ordered, zeros included.
-  std::vector<std::pair<std::string, uint64_t>> Delta() const;
-
-  /// The fixed counter set a probe attributes, in Delta() order and without
-  /// the "srv." prefix (shared with tests and the /metrics reconciliation
-  /// in smoke_remote.sh).
-  static const std::vector<std::string>& CounterNames();
-
- private:
-  std::vector<std::pair<obs::Counter*, uint64_t>> baseline_;
-};
-
 }  // namespace mope::engine
 
 #endif  // MOPE_ENGINE_SERVER_H_

@@ -13,6 +13,14 @@ namespace mope::net {
 
 namespace {
 
+/// The wire profile section: the trace's counters so far plus its id.
+std::string EncodeProfile(const obs::Trace& trace) {
+  const std::map<std::string, uint64_t> counters = trace.counters();
+  StatsReply entries(counters.begin(), counters.end());
+  entries.emplace_back(kProfileTraceIdEntry, trace.trace_id());
+  return EncodeStatsReply(entries);
+}
+
 /// Encodes an application-level outcome: a reply frame on success, a
 /// kStatusReply frame on error. Only called with already-validated framing.
 /// A reply body over `max_payload` bytes is itself an application-level
@@ -20,17 +28,19 @@ namespace {
 /// hostile) wide query must cost a StatusReply, not the process.
 /// `trace_id` (the request's, possibly 0) is echoed on whichever frame goes
 /// back so the client can attribute the reply to its span tree; likewise a
-/// captured `profile` rides on both outcomes — a failed query still consumed
-/// the resources its probe measured.
+/// `profile` trace rides on both outcomes as the profile extension — a
+/// failed query still consumed the resources its trace recorded.
 template <typename T, typename Encode>
 std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                           Encode&& encode, size_t max_payload,
-                          uint64_t trace_id, bool has_profile = false,
-                          std::string_view profile = {}) {
+                          uint64_t trace_id,
+                          const obs::Trace* profile = nullptr) {
+  const bool has_profile = profile != nullptr;
+  const std::string section = has_profile ? EncodeProfile(*profile) : "";
   if (!result.ok()) {
     return EncodeFrame(MessageType::kStatusReply,
                        EncodeStatusReply(result.status()), trace_id,
-                       has_profile, profile);
+                       has_profile, section);
   }
   std::string body = encode(result.value());
   if (body.size() > max_payload) {
@@ -41,19 +51,10 @@ std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
             std::to_string(body.size()) + " > " +
             std::to_string(max_payload) +
             " bytes); narrow the ranges or lower the batch size")),
-        trace_id, has_profile, profile);
+        trace_id, has_profile, section);
   }
   return EncodeFrame(reply_type, std::move(body), trace_id, has_profile,
-                     profile);
-}
-
-/// Fills `*profile_out` with the probe's deltas plus the request's trace id
-/// and returns the wire-encoded profile section.
-std::string CaptureProfile(const engine::ServerProfileProbe& probe,
-                           uint64_t trace_id, StatsReply* profile_out) {
-  *profile_out = probe.Delta();
-  profile_out->emplace_back("profile.trace_id", trace_id);
-  return EncodeStatsReply(*profile_out);
+                     section);
 }
 
 /// Marks a completed dispatch in the crash flight recorder and persists the
@@ -90,94 +91,70 @@ WireDispatcher::WireDispatcher(engine::DbServer* server,
       requests_stats_(server->metrics()->GetCounter("server.requests.stats")) {
 }
 
-WireDispatcher::WireDispatcher(engine::DbServer* server,
-                               size_t max_reply_payload_bytes,
-                               obs::Clock* clock)
-    : WireDispatcher(server, [&] {
-        DispatcherOptions options;
-        options.max_reply_payload_bytes = max_reply_payload_bytes;
-        options.clock = clock;
-        return options;
-      }()) {}
-
 Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
                                                      size_t* consumed) {
   size_t frame_size = 0;
   MOPE_ASSIGN_OR_RETURN(Frame frame, DecodeFrame(bytes, &frame_size));
   if (consumed != nullptr) *consumed = frame_size;
 
-  // Query-log sampling: every Nth data-bearing request is profiled as if
-  // the client had asked for it, and emitted as an `event=query` line after
-  // dispatch. The decision is made pre-dispatch so the probe brackets the
-  // engine call exactly like a client-requested profile does.
+  // Query-log sampling: every Nth data-bearing request runs traced and is
+  // emitted as an `event=query` line after dispatch. Only the client's own
+  // flag shapes the reply: a peer that did not ask for a profile gets none.
   const bool data_bearing =
       frame.type == static_cast<uint8_t>(MessageType::kRangeBatchRequest) ||
       frame.type == static_cast<uint8_t>(MessageType::kCountBatchRequest);
+  const bool profiled = data_bearing && frame.has_profile;
   const bool sampled =
       data_bearing && options_.query_log_sample > 0 &&
       query_seq_.fetch_add(1, std::memory_order_relaxed) %
               options_.query_log_sample ==
           0;
-  const bool want_profile = frame.has_profile || sampled;
-  StatsReply profile;
+  const bool slow_mode = options_.slow_query_threshold_ns != 0;
 
-  if (options_.slow_query_threshold_ns == 0) {
-    const uint64_t start_ns = clock_->NowNanos();
-    std::string reply;
-    {
-      const MutexLock lock(&mutex_);
-      MOPE_ASSIGN_OR_RETURN(reply,
-                            HandleFrameLocked(frame, want_profile, &profile));
-      server_->AddTransferBytes(frame_size, reply.size());
-    }
-    frames_served_->Increment();
-    const uint64_t elapsed_ns = clock_->NowNanos() - start_ns;
-    dispatch_ns_->Observe(elapsed_ns);
-    if (sampled) EmitQueryLog(frame, elapsed_ns, profile);
-    RecordDispatchDone(frame.trace_id);
-    return reply;
+  // The request's own activation, with or without a trace, so instrumented
+  // layers underneath (engine counters, storage WAL and checkpoint spans)
+  // credit this request and never a caller's trace. Adopting the wire trace
+  // id (when the client sent one) is what lets the client, the query log
+  // and the slow-query export all name the same trace.
+  std::optional<obs::Trace> trace;
+  if (profiled || sampled || slow_mode) {
+    trace.emplace("server.dispatch", clock_, frame.trace_id);
   }
-
-  // Slow-query mode: give the request a server-side trace so instrumented
-  // layers underneath (storage WAL, checkpoint) attach spans.
-  // Adopting the wire trace id (when the client sent one) is what lets the
-  // operator join this trace against the client's own span tree.
-  obs::Trace trace("server.dispatch", clock_, frame.trace_id);
-  const obs::ScopedTraceActivation activation(&trace);
+  const obs::ScopedTraceActivation activation(trace ? &*trace : nullptr);
   const uint64_t start_ns = clock_->NowNanos();
   std::string reply;
   {
     const obs::ScopedSpan span("server.handle");
     const MutexLock lock(&mutex_);
-    MOPE_ASSIGN_OR_RETURN(reply,
-                          HandleFrameLocked(frame, want_profile, &profile));
+    MOPE_ASSIGN_OR_RETURN(
+        reply, HandleFrameLocked(frame, profiled ? &*trace : nullptr));
     server_->AddTransferBytes(frame_size, reply.size());
   }
   frames_served_->Increment();
   const uint64_t elapsed_ns = clock_->NowNanos() - start_ns;
   dispatch_ns_->Observe(elapsed_ns);
-  if (elapsed_ns >= options_.slow_query_threshold_ns) {
-    ReportSlowQuery(frame, elapsed_ns, trace);
+  if (slow_mode && elapsed_ns >= options_.slow_query_threshold_ns) {
+    ReportSlowQuery(frame, elapsed_ns, *trace);
   }
-  if (sampled) EmitQueryLog(frame, elapsed_ns, profile);
+  if (sampled) EmitQueryLog(frame, elapsed_ns, *trace);
   // The server-side trace id (== frame.trace_id when the client sent one),
   // so the done-marker joins the span events already in the ring.
-  RecordDispatchDone(trace.trace_id());
+  RecordDispatchDone(trace ? trace->trace_id() : frame.trace_id);
   return reply;
 }
 
 void WireDispatcher::EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
-                                  const StatsReply& profile) {
-  // One line per sampled query, full profile inline: grep `event=query` and
-  // every resource the server attributed to the request is on the line,
+                                  const obs::Trace& trace) {
+  // One line per sampled query, every counter inline: grep `event=query` and
+  // every resource the server credited to the request is on the line,
   // joinable against client-side traces via trace_id. Flows through the
   // default logger, so its rate limiter has the final say under load.
   obs::LogEvent event(obs::Logger::Default(), obs::LogLevel::kInfo, "server",
                       "query");
   event.Arg("type", static_cast<uint64_t>(frame.type))
       .Arg("elapsed_ns", elapsed_ns)
-      .Arg("trace_id", frame.trace_id);
-  for (const auto& [name, value] : profile) {
+      .Arg("trace_id", trace.trace_id());
+  for (const auto& [name, value] : trace.counters()) {
     event.Arg(name.c_str(), value);
   }
 }
@@ -246,31 +223,23 @@ Result<engine::Schema> WireDispatcher::LookupSchemaLocked(
   return tbl->schema();
 }
 
-Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
-                                                      bool want_profile,
-                                                      StatsReply* profile_out) {
+Result<std::string> WireDispatcher::HandleFrameLocked(
+    const Frame& frame, const obs::Trace* profile) {
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRangeBatchRequest: {
       requests_range_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      // The probe brackets the engine call only: a periodic checkpoint that
-      // happens to fire afterwards is a server policy cost, deliberately
-      // excluded from the query's attributed profile (it shows up in the
-      // dispatch latency and the slow-query trace instead).
-      std::optional<engine::ServerProfileProbe> probe;
-      if (want_profile) probe.emplace(server_);
       const Result<RowsWithIds> rows = server_->ExecuteRangeBatchWithIds(
           request->table, request->column, request->ranges);
-      std::string encoded_profile;
-      if (want_profile) {
-        encoded_profile = CaptureProfile(*probe, frame.trace_id, profile_out);
-      }
+      // The profile is taken right after the engine call: a periodic
+      // checkpoint that fires afterwards is a server policy cost, left out
+      // of the query's profile (it shows up in the dispatch latency, the
+      // query log and the slow-query trace instead).
       std::string reply = ReplyOrStatus(
           rows, MessageType::kRangeBatchReply,
           [](const RowsWithIds& r) { return EncodeRangeBatchReply(r); },
-          options_.max_reply_payload_bytes, frame.trace_id, want_profile,
-          encoded_profile);
+          options_.max_reply_payload_bytes, frame.trace_id, profile);
       MaybeCheckpointLocked(frame);
       return reply;
     }
@@ -278,19 +247,12 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
       requests_count_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      std::optional<engine::ServerProfileProbe> probe;
-      if (want_profile) probe.emplace(server_);
       const Result<uint64_t> count = server_->CountRangeBatch(
           request->table, request->column, request->ranges);
-      std::string encoded_profile;
-      if (want_profile) {
-        encoded_profile = CaptureProfile(*probe, frame.trace_id, profile_out);
-      }
       std::string reply = ReplyOrStatus(
           count, MessageType::kCountBatchReply,
           [](uint64_t c) { return EncodeCountBatchReply(c); },
-          options_.max_reply_payload_bytes, frame.trace_id, want_profile,
-          encoded_profile);
+          options_.max_reply_payload_bytes, frame.trace_id, profile);
       MaybeCheckpointLocked(frame);
       return reply;
     }

@@ -14,10 +14,18 @@
 ///
 /// Observability: requests carrying a version-2 trace id get that id echoed
 /// on their reply frame, so a client's span tree and the server's accounting
-/// correlate. Per-request dispatch latency (decode + engine + encode) lands
-/// in the server registry's `server.dispatch_ns` histogram, and a
-/// kStatsRequest frame is answered with the full registry snapshot — the
-/// live stats endpoint `mope_serverd` exposes.
+/// correlate. Every request runs under the dispatcher's own trace
+/// activation: a server-side obs::Trace, adopting the frame's trace id, when
+/// something will read it (a profile the client asked for, the sampled query
+/// log, slow-query mode), and no trace otherwise. The server's registry
+/// counters credit that trace, so a profiled reply carries exactly what the
+/// request cost, and server work never credits a client trace that happens
+/// to be active on the same thread (the in-process wire pumps the
+/// dispatcher on the client's thread). Per-request dispatch latency
+/// (decode + engine + encode) lands in the server registry's
+/// `server.dispatch_ns` histogram, and a kStatsRequest frame is answered
+/// with the full registry snapshot — the live stats endpoint `mope_serverd`
+/// exposes.
 
 #include <atomic>
 #include <cstddef>
@@ -63,21 +71,18 @@ struct DispatcherOptions {
   /// checkpoint rewrites the whole catalog image: O(rows).
   uint64_t checkpoint_every = 0;
   /// Sampled query log: every Nth data-bearing request (range or count
-  /// batch) is profiled — as if the client had asked — and emitted as a
-  /// structured `event=query` log line carrying the full attributed
-  /// profile, through the default (rate-limited) logger. 0 disables.
+  /// batch) runs under a server-side trace and is emitted as a structured
+  /// `event=query` log line carrying that trace's counters, through the
+  /// default (rate-limited) logger. The reply is unchanged: it carries a
+  /// profile only when its request asked for one. 0 disables.
   uint64_t query_log_sample = 0;
 };
 
 class WireDispatcher {
  public:
   /// `server` must outlive the dispatcher.
-  WireDispatcher(engine::DbServer* server, DispatcherOptions options);
-
-  /// Convenience form preserving the original signature.
   explicit WireDispatcher(engine::DbServer* server,
-                          size_t max_reply_payload_bytes = kMaxPayloadBytes,
-                          obs::Clock* clock = nullptr);
+                          DispatcherOptions options = {});
 
   WireDispatcher(const WireDispatcher&) = delete;
   WireDispatcher& operator=(const WireDispatcher&) = delete;
@@ -93,14 +98,13 @@ class WireDispatcher {
   uint64_t frames_served() const { return frames_served_->Value(); }
 
  private:
-  /// `want_profile` makes the data-bearing cases snapshot the server's
-  /// counters around the engine call (engine::ServerProfileProbe) and attach
-  /// the deltas — plus the request's trace id — to the reply as the wire
-  /// profile extension; `*profile_out` receives the same entries for the
-  /// sampled query log. Non-data-bearing requests ignore the flag: their
-  /// deltas are all zero and the embedded path attributes the same set.
-  Result<std::string> HandleFrameLocked(const Frame& frame, bool want_profile,
-                                        StatsReply* profile_out)
+  /// `profile` is the request's trace when the client asked for a profile
+  /// of a data-bearing request, else nullptr. The reply then carries the
+  /// trace's counters as they stand after the engine call, plus its id, as
+  /// the wire profile extension. Non-data-bearing requests never carry one:
+  /// the embedded path does not attribute them either.
+  Result<std::string> HandleFrameLocked(const Frame& frame,
+                                        const obs::Trace* profile)
       MOPE_REQUIRES(mutex_);
   /// Catalog lookup for a schema request (split out so the capability
   /// analysis sees the engine access inside the dispatch critical section).
@@ -112,9 +116,10 @@ class WireDispatcher {
   /// (still thread-activated) server-side trace of the request.
   void ReportSlowQuery(const Frame& frame, uint64_t elapsed_ns,
                        const obs::Trace& trace);
-  /// Emits the sampled `event=query` structured log line.
+  /// Emits the sampled `event=query` structured log line from the request's
+  /// server-side trace.
   void EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
-                    const StatsReply& profile);
+                    const obs::Trace& trace);
 
   /// Serializes engine access: DbServer is single-threaded by design (the
   /// paper's server is one unmodified DBMS), so the pointee is guarded even

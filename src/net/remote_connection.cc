@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "net/inmem.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "proxy/connection_registry.h"
 
@@ -16,6 +15,29 @@ namespace {
 
 obs::MetricsRegistry* ResolveRegistry(obs::MetricsRegistry* registry) {
   return registry != nullptr ? registry : obs::Registry();
+}
+
+/// Adds a reply's profile entries into `trace`, the trace the request was
+/// sent under. The profile must name that trace: one attributed to any
+/// other trace id is Corruption, so nothing the server credited elsewhere
+/// lands in this query's counters.
+Status MergeProfile(std::string_view section, obs::Trace* trace) {
+  MOPE_ASSIGN_OR_RETURN(const StatsReply entries, DecodeStatsReply(section));
+  bool named = false;
+  for (const auto& [name, value] : entries) {
+    if (name != kProfileTraceIdEntry) continue;
+    if (value != trace->trace_id()) {
+      return Status::Corruption("profile attributed to trace " +
+                                std::to_string(value) + ", not " +
+                                std::to_string(trace->trace_id()));
+    }
+    named = true;
+  }
+  if (!named) return Status::Corruption("profile names no trace");
+  for (const auto& [name, value] : entries) {
+    if (name != kProfileTraceIdEntry) trace->IncrementCounter(name, value);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -67,12 +89,13 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
   // One span per application-level round trip (retries included): in a query
   // trace, N of these under one segment shows the real/fake batch fan-out.
   const obs::ScopedSpan span("net.roundtrip");
-  const uint64_t trace_id = obs::CurrentTraceId();
-  // An active profile collector turns on the frame's profile extension: the
-  // request carries an empty section ("profile me"), the reply brings back
-  // the server's attributed counter deltas, merged below.
-  obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-  const bool want_profile = collector != nullptr;
+  // An active trace turns on the frame's profile extension: the request
+  // carries the trace id and an empty section ("profile me"), and the reply
+  // brings back what the server credited to that id, added to the trace
+  // below. The client's own counters credit the trace directly.
+  obs::Trace* trace = obs::CurrentTrace();
+  const bool want_profile = trace != nullptr;
+  const uint64_t trace_id = want_profile ? trace->trace_id() : 0;
   const uint64_t start_ns = clock_->NowNanos();
   const MutexLock lock(&mutex_);
   roundtrips_->Increment();
@@ -81,7 +104,6 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
     if (attempt > 0) {
       retries_->Increment();
       retry_count_.fetch_add(1, std::memory_order_relaxed);
-      obs::BumpTraceCounter("net.retries");
       const int backoff = std::min(
           options_.backoff_max_ms,
           options_.backoff_initial_ms << std::min(attempt - 1, 20u));
@@ -121,25 +143,11 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
                             : 0) +
         frame->payload.size();
     bytes_received_->Increment(received_bytes);
-    if (collector != nullptr) {
-      collector->Add("net.frames", 1);
-      collector->Add("net.frame_bytes_sent", sent_bytes);
-      collector->Add("net.frame_bytes_received", received_bytes);
-      if (frame->has_profile) {
-        auto entries = DecodeStatsReply(frame->profile);
-        if (!entries.ok()) {
-          DisconnectLocked();
-          return entries.status();
-        }
-        for (const auto& [name, value] : *entries) {
-          // Ids overwrite; resource deltas accumulate across the query's
-          // round trips (one per segment batch).
-          if (name == "profile.trace_id") {
-            collector->Set(name, value);
-          } else {
-            collector->Add(name, value);
-          }
-        }
+    if (want_profile && frame->has_profile) {
+      const Status merged = MergeProfile(frame->profile, trace);
+      if (!merged.ok()) {
+        DisconnectLocked();
+        return merged;
       }
     }
     if (frame->type == static_cast<uint8_t>(MessageType::kStatusReply)) {

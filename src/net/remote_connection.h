@@ -18,6 +18,12 @@
 ///     stream is a bug or an attack, not weather;
 ///   - server-side application errors arrive as kStatusReply frames and are
 ///     returned verbatim, never retried.
+///
+/// Under an active obs::Trace every request carries the trace id and asks
+/// for a profile; what the server credited to that id comes back in the
+/// reply and is added into the trace, next to the connection's own
+/// `net.client.*` counters. A profile attributed to another trace is
+/// Corruption.
 
 #include <atomic>
 #include <cstdint>

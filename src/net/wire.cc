@@ -355,35 +355,23 @@ Result<std::string> DecodeSchemaRequest(std::string_view payload) {
 std::string EncodeSchemaReply(const engine::Schema& schema) {
   std::string out;
   PutU32(&out, static_cast<uint32_t>(schema.num_columns()));
-  for (const engine::Column& col : schema.columns()) {
-    PutString(&out, col.name);
-    out.push_back(static_cast<char>(col.type));
-  }
+  engine::PutColumns(&out, schema);
   return out;
 }
 
 Result<engine::Schema> DecodeSchemaReply(std::string_view payload) {
   ByteReader reader(payload, "wire frame");
   MOPE_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
-  if (count > 4096) {
+  if (count > engine::kMaxColumns) {
     return Status::Corruption("implausible column count in schema reply");
   }
-  std::vector<engine::Column> columns;
-  columns.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    engine::Column col;
-    MOPE_ASSIGN_OR_RETURN(col.name, reader.String());
-    MOPE_ASSIGN_OR_RETURN(uint8_t type, reader.Byte());
-    if (type > static_cast<uint8_t>(engine::ValueType::kString)) {
-      return Status::Corruption("unknown column type in schema reply");
-    }
-    col.type = static_cast<engine::ValueType>(type);
-    columns.push_back(std::move(col));
-  }
+  // The shared decoder rejects unknown types and repeated names, which the
+  // Schema constructor would abort on: a hostile server costs a Corruption.
+  MOPE_ASSIGN_OR_RETURN(engine::Schema schema, reader.ReadColumns(count));
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after schema reply");
   }
-  return engine::Schema(std::move(columns));
+  return schema;
 }
 
 std::string EncodeStatsReply(const StatsReply& stats) {

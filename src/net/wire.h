@@ -23,8 +23,10 @@
 ///   kFrameFlagHasProfile  a u32 length followed by that many bytes of
 ///                         profile (StatsReply-encoded name/u64 pairs).
 ///                         On a request an empty profile section asks the
-///                         server to attribute this request's resource
-///                         deltas; the reply carries them back.
+///                         server to run the request under a trace that
+///                         adopts the frame's trace id; the reply carries
+///                         back the counters that trace collected plus a
+///                         kProfileTraceIdEntry naming it.
 ///
 /// Frames that use no extension are still emitted as byte-identical
 /// version-1 frames, so an old peer interoperates until tracing or
@@ -66,6 +68,9 @@ inline constexpr uint8_t kFrameFlagHasTraceId = 0x01;
 inline constexpr uint8_t kFrameFlagHasProfile = 0x02;
 inline constexpr size_t kTraceIdBytes = 8;
 inline constexpr size_t kProfileLengthBytes = 4;
+/// The profile entry whose value is the id of the trace the server
+/// attributed the request to; a client checks that it is its own.
+inline constexpr char kProfileTraceIdEntry[] = "profile.trace_id";
 /// Upper bound on a payload; anything larger is rejected before allocation.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
@@ -86,8 +91,8 @@ enum class MessageType : uint8_t {
 /// Status instead of dropping the connection. `trace_id` is nonzero when the
 /// peer stamped the frame with an active query trace (version-2 extension).
 /// `has_profile` is true when the frame carried the profile extension —
-/// empty on a request (meaning "profile me"), filled with attributed
-/// counter deltas on a reply.
+/// empty on a request (meaning "profile me"), filled with the counters the
+/// server credited to the request on a reply.
 struct Frame {
   uint8_t type = 0;
   uint64_t trace_id = 0;

@@ -114,7 +114,7 @@ mope::Histogram ExpHistogram::ToHistogram() const {
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   const MutexLock lock(&mutex_);
   auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
+  if (slot == nullptr) slot = std::make_unique<Counter>(name);
   return slot.get();
 }
 

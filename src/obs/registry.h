@@ -9,7 +9,12 @@
 ///   - Lookup once, update forever: GetCounter/GetGauge/GetHistogram take a
 ///     registry lock and return a pointer that stays valid for the
 ///     registry's lifetime. Hot paths cache the pointer at construction and
-///     pay exactly one relaxed atomic RMW per update — no lock, no string.
+///     pay one relaxed atomic RMW per update — no lock, no string.
+///   - A counter bumped on a thread with an active obs::Trace also adds to
+///     that trace's counter of the same name (one thread-local test when no
+///     trace is active). The trace is therefore the per-query view of the
+///     registry: EXPLAIN ANALYZE, the wire profile and the sampled query log
+///     all read it, and a new counter is attributed with no list to extend.
 ///   - Every metric is readable while being written (all storage is atomic),
 ///     so a live stats endpoint can serve a consistent-enough snapshot from
 ///     under a running server without stalling it.
@@ -34,19 +39,30 @@
 
 #include "common/histogram.h"
 #include "common/thread_annotations.h"
+#include "obs/trace.h"
 
 namespace mope::obs {
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count. Increment also credits the
+/// calling thread's active trace under the name the registry gave the
+/// counter; the credit takes no lock, so a counter may be bumped while
+/// holding any mutex.
 class Counter {
  public:
+  Counter() = default;
+  explicit Counter(std::string name) : name_(std::move(name)) {}
+
   void Increment(uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
+    if (Trace* trace = CurrentTrace(); trace != nullptr) {
+      trace->IncrementCounter(name_, n);
+    }
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
+  const std::string name_;
   std::atomic<uint64_t> value_{0};
 };
 

@@ -28,13 +28,10 @@ Trace::Trace(std::string name, Clock* clock, uint64_t forced_id)
 
 uint32_t Trace::StartSpan(std::string span_name) {
   const uint64_t now = clock_->NowNanos();
-  // Feed the crash flight recorder before taking the span lock; Record is
-  // lock-free, so the ordering only matters for hygiene.
   if (FlightRecorder* recorder = FlightRecorder::Installed()) {
     recorder->Record(FlightRecorder::EventKind::kSpanBegin,
                      span_name.c_str(), trace_id_);
   }
-  const MutexLock lock(&mutex_);
   Span span;
   span.name = std::move(span_name);
   span.parent = open_stack_.empty() ? 0 : open_stack_.back();
@@ -47,11 +44,9 @@ uint32_t Trace::StartSpan(std::string span_name) {
 
 void Trace::EndSpan(uint32_t id) {
   const uint64_t now = clock_->NowNanos();
-  const MutexLock lock(&mutex_);
   if (id == 0 || id > spans_.size()) return;
   spans_[id - 1].end_ns = now;
   if (FlightRecorder* recorder = FlightRecorder::Installed()) {
-    // Lock-free record; legal while holding the trace mutex (rank 70).
     recorder->Record(FlightRecorder::EventKind::kSpanEnd,
                      spans_[id - 1].name.c_str(), trace_id_);
   }
@@ -65,22 +60,14 @@ void Trace::EndSpan(uint32_t id) {
 }
 
 void Trace::IncrementCounter(const std::string& name, uint64_t n) {
-  const MutexLock lock(&mutex_);
   counters_[name] += n;
 }
 
-std::vector<Span> Trace::spans() const {
-  const MutexLock lock(&mutex_);
-  return spans_;
-}
+std::vector<Span> Trace::spans() const { return spans_; }
 
-std::map<std::string, uint64_t> Trace::counters() const {
-  const MutexLock lock(&mutex_);
-  return counters_;
-}
+std::map<std::string, uint64_t> Trace::counters() const { return counters_; }
 
 size_t Trace::CountSpans(const std::string& span_name) const {
-  const MutexLock lock(&mutex_);
   size_t n = 0;
   for (const Span& span : spans_) {
     if (span.name == span_name) ++n;
@@ -89,7 +76,6 @@ size_t Trace::CountSpans(const std::string& span_name) const {
 }
 
 bool Trace::TimingsMonotone() const {
-  const MutexLock lock(&mutex_);
   uint64_t last_sibling_start = 0;
   for (size_t i = 0; i < spans_.size(); ++i) {
     const Span& span = spans_[i];
@@ -113,7 +99,6 @@ bool Trace::TimingsMonotone() const {
 }
 
 std::string Trace::RenderTree() const {
-  const MutexLock lock(&mutex_);
   std::string out =
       "trace " + std::to_string(trace_id_) + " \"" + name_ + "\"\n";
   // Depth of each span = depth(parent) + 1, computable in one pass because

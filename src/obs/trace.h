@@ -5,7 +5,8 @@
 /// Per-query trace spans: one user query becomes one span tree.
 ///
 /// A Trace is created at a query entry point (EncryptedSqlSession::Execute,
-/// or any caller that wants a profile), activated for the current thread,
+/// the server's WireDispatcher for one request, or any caller that wants a
+/// profile of what it runs), activated for the current thread,
 /// and then every instrumented layer underneath — the SQL parser, the
 /// fake-query sampling, MOPE encryption, each server round trip, the
 /// decrypt/filter pass — contributes spans without any plumbing through
@@ -13,11 +14,21 @@
 /// active trace and is a no-op (two branches, no allocation) when tracing is
 /// off, which is what keeps the hot paths honest.
 ///
-/// The trace also carries named counters (HGD draws, decrypt calls) that are
-/// too fine-grained to be spans, and a 64-bit trace id that RemoteConnection
-/// stamps into the wire frame header so a server can correlate its own
-/// accounting with the client's span tree (see net/wire.h, version 2
-/// frames).
+/// The trace also carries named counters for events too fine-grained to be
+/// spans (HGD draws, decrypt calls, rows swept). They are not bumped by
+/// hand: every obs::Counter increment on a thread with an active trace adds
+/// to the trace's counter of the same name (obs/registry.h). The trace is
+/// the one per-query context: its counters are EXPLAIN ANALYZE's resource
+/// vector, the wire profile a server returns and the sampled query-log
+/// line. Its 64-bit id is what RemoteConnection stamps into the wire frame
+/// header so a server can attribute its own work to the client's trace (see
+/// net/wire.h, version 2 frames).
+///
+/// A Trace takes no lock. Only the thread that activated it records into
+/// it, and it is read on that thread or after that thread is done with it
+/// (a query's trace is read once the query returns). The lock-free credit
+/// is what lets a counter be bumped under any mutex, including the log
+/// sink's.
 ///
 /// Timing comes from an injectable Clock (obs/clock.h): production traces
 /// use SystemClock(), tests use a ManualClock with auto-advance so span
@@ -29,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "obs/clock.h"
 
 namespace mope::obs {
@@ -60,10 +70,11 @@ class Trace {
   uint32_t StartSpan(std::string span_name);
   void EndSpan(uint32_t id);
 
-  /// Bumps a per-trace named counter (for events too frequent to span).
+  /// Adds `n` to a per-trace named counter. obs::Counter calls this for
+  /// the active trace; a server also adds the profile a reply brought back.
   void IncrementCounter(const std::string& name, uint64_t n = 1);
 
-  // --- Inspection (safe after, or concurrently with, recording) -----------
+  // --- Inspection (on the recording thread, or after it is done) ---------
   std::vector<Span> spans() const;
   std::map<std::string, uint64_t> counters() const;
 
@@ -83,17 +94,16 @@ class Trace {
   Clock* const clock_;
   const uint64_t trace_id_;
 
-  mutable Mutex mutex_{lock_rank::kTrace};
-  std::vector<Span> spans_ MOPE_GUARDED_BY(mutex_);
+  std::vector<Span> spans_;
   /// 1-based ids of open spans.
-  std::vector<uint32_t> open_stack_ MOPE_GUARDED_BY(mutex_);
-  std::map<std::string, uint64_t> counters_ MOPE_GUARDED_BY(mutex_);
+  std::vector<uint32_t> open_stack_;
+  std::map<std::string, uint64_t> counters_;
 };
 
 // --- Thread-local activation ---------------------------------------------
 
 /// The trace active on this thread, or nullptr. Instrumented code calls
-/// this (via ScopedSpan / BumpTraceCounter) instead of taking a Trace
+/// this (via ScopedSpan and obs::Counter) instead of taking a Trace
 /// parameter.
 Trace* CurrentTrace();
 
@@ -132,12 +142,6 @@ class ScopedSpan {
   Trace* trace_;
   uint32_t id_ = 0;
 };
-
-/// Bumps a counter on the active trace; no-op when tracing is off.
-inline void BumpTraceCounter(const char* name, uint64_t n = 1) {
-  Trace* trace = CurrentTrace();
-  if (trace != nullptr) trace->IncrementCounter(name, n);
-}
 
 }  // namespace mope::obs
 

@@ -8,7 +8,6 @@
 #include "common/thread_annotations.h"
 #include "crypto/drbg.h"
 #include "crypto/hgd.h"
-#include "obs/trace.h"
 
 namespace mope::ope {
 
@@ -100,7 +99,6 @@ Result<uint64_t> OpeScheme::SampleSplit(uint64_t dlo, uint64_t m_count,
                                         uint64_t rlo, uint64_t n_count,
                                         uint64_t draws) const {
   hgd_draws_->Increment();
-  obs::BumpTraceCounter("ope.hgd_draws");
   crypto::TagBuilder tag(kSplitLabel);
   tag.AppendU64(dlo).AppendU64(m_count).AppendU64(rlo).AppendU64(n_count);
   const crypto::Block seed = prf_.Eval(tag.bytes());
@@ -185,7 +183,6 @@ Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
                               std::to_string(params_.domain));
   }
   encrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.encrypt_calls");
   MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(m, Descend::kByPlaintext));
   recursion_depth_->Observe(end.depth);
   return end.cipher;
@@ -198,7 +195,6 @@ Result<uint64_t> OpeScheme::Decrypt(uint64_t c) const {
                               std::to_string(params_.range));
   }
   decrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.decrypt_calls");
   MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(c, Descend::kByCiphertext));
   if (end.m_count == 0) {
     return Status::Corruption("ciphertext maps to an empty OPF branch");
@@ -216,7 +212,6 @@ Result<uint64_t> OpeScheme::DecryptFloorCeil(uint64_t c) const {
                               std::to_string(params_.range));
   }
   decrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.decrypt_calls");
   MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(c, Descend::kByCiphertext));
   // An empty branch: every plaintext before it encrypts below c and every
   // one from it on above, so the answer is its dlo (== domain: none).

@@ -20,8 +20,6 @@
 #include "common/status.h"
 #include "engine/server.h"
 #include "engine/table.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace mope::proxy {
 
@@ -57,13 +55,12 @@ class ServerConnection {
   }
 };
 
-/// In-process connection to an embedded DbServer.
-///
-/// Profile parity with the wire path: when a thread-local ProfileCollector
-/// is active (EXPLAIN ANALYZE), each data-bearing call is bracketed by an
-/// engine::ServerProfileProbe — the same fixed counter set the remote
-/// dispatcher snapshots — so an embedded query's profile is field-identical
-/// to one collected across TCP.
+/// In-process connection to an embedded DbServer. It only forwards: the
+/// engine runs on the caller's thread, so its `engine.*` and `storage.*`
+/// counters credit the caller's active trace directly, under the same names
+/// a remote server's profile brings back (net/remote_connection.h). An
+/// embedded EXPLAIN ANALYZE therefore reports the same server-side entries
+/// as a remote one.
 class DirectConnection final : public ServerConnection {
  public:
   explicit DirectConnection(engine::DbServer* server) : server_(server) {}
@@ -71,14 +68,7 @@ class DirectConnection final : public ServerConnection {
   Result<std::vector<std::pair<engine::RowId, engine::Row>>> ExecuteRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
-    obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-    if (collector == nullptr) {
-      return server_->ExecuteRangeBatchWithIds(table, column, ranges);
-    }
-    const engine::ServerProfileProbe probe(server_);
-    auto rows = server_->ExecuteRangeBatchWithIds(table, column, ranges);
-    MergeProfile(probe, collector);
-    return rows;
+    return server_->ExecuteRangeBatchWithIds(table, column, ranges);
   }
 
   Result<engine::Schema> GetSchema(const std::string& table) override {
@@ -92,14 +82,7 @@ class DirectConnection final : public ServerConnection {
   Result<uint64_t> CountRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
-    obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-    if (collector == nullptr) {
-      return server_->CountRangeBatch(table, column, ranges);
-    }
-    const engine::ServerProfileProbe probe(server_);
-    auto count = server_->CountRangeBatch(table, column, ranges);
-    MergeProfile(probe, collector);
-    return count;
+    return server_->CountRangeBatch(table, column, ranges);
   }
 
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchServerStats()
@@ -108,16 +91,6 @@ class DirectConnection final : public ServerConnection {
   }
 
  private:
-  /// Mirrors the remote merge in RemoteConnection::RoundTrip: deltas add
-  /// across the query's per-segment calls, the trace id overwrites.
-  static void MergeProfile(const engine::ServerProfileProbe& probe,
-                           obs::ProfileCollector* collector) {
-    for (const auto& [name, value] : probe.Delta()) {
-      collector->Add(name, value);
-    }
-    collector->Set("profile.trace_id", obs::CurrentTraceId());
-  }
-
   engine::DbServer* server_;
 };
 

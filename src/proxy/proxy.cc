@@ -184,7 +184,6 @@ Result<std::vector<std::pair<engine::RowId, engine::Row>>> Proxy::SendBatch(
     ++attempt;
     ++retries_performed_;
     retries_->Increment();
-    obs::BumpTraceCounter("proxy.retries");
   }
 }
 

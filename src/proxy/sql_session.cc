@@ -23,31 +23,20 @@ Status EncryptedSqlSession::AttachClientTable(
 
 Result<sql::SqlResult> EncryptedSqlSession::Execute(
     const std::string& sql_text) {
-  // EXPLAIN ANALYZE always runs traced + profiled: the actuals and the
-  // resource vector *are* the result. The prefix peek is cheap and a false
-  // negative on malformed input just means the parse error surfaces on the
-  // untraced path.
-  const bool analyze = sql::IsExplainAnalyze(sql_text);
-  if (!tracing_enabled_ && !analyze) return ExecuteImpl(sql_text);
+  // EXPLAIN ANALYZE always runs traced: the actuals and the trace's counters
+  // *are* the result. The prefix peek is cheap and a false negative on
+  // malformed input just means the parse error surfaces on the untraced
+  // path.
+  if (!tracing_enabled_ && !sql::IsExplainAnalyze(sql_text)) {
+    return ExecuteImpl(sql_text);
+  }
 
   // A fresh trace per statement: the activation makes it visible to every
-  // instrumented layer below (proxy, OPE, wire) without touching signatures,
-  // and RemoteConnection stamps its id into outgoing frames.
+  // instrumented layer below (proxy, OPE, engine, wire) without touching
+  // signatures, and RemoteConnection stamps its id into outgoing frames and
+  // asks the server for a profile of each request.
   auto trace = std::make_unique<obs::Trace>("sql.execute", trace_clock_);
   const obs::ScopedTraceActivation activate(trace.get());
-  if (analyze) {
-    // The collector is what flips the wire layer into profile mode: every
-    // round trip under this scope requests (and merges back) the server's
-    // attributed counter deltas.
-    auto profile = std::make_unique<obs::ProfileCollector>();
-    Result<sql::SqlResult> result = [&] {
-      const obs::ScopedProfileActivation profiling(profile.get());
-      return ExecuteImpl(sql_text);
-    }();
-    last_profile_ = std::move(profile);
-    last_trace_ = std::move(trace);
-    return result;
-  }
   Result<sql::SqlResult> result = ExecuteImpl(sql_text);
   last_trace_ = std::move(trace);
   return result;
@@ -209,13 +198,8 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
   MOPE_ASSIGN_OR_RETURN(sql::PlannedQuery plan, planner.Plan(std::move(stmt)));
 
   if (analyze) {
-    engine::ProfileContext ctx;
-    ctx.clock =
-        trace_clock_ != nullptr ? trace_clock_ : obs::SystemClock();
-    // The local exec runs over the in-memory scratch catalog, so there are
-    // no storage counters to attribute here; the server-side WAL costs
-    // arrive via the wire profile (srv.storage.*) instead.
-    plan.root->EnableProfiling(&ctx);
+    plan.root->EnableProfiling(trace_clock_ != nullptr ? trace_clock_
+                                                       : obs::SystemClock());
     {
       const obs::ScopedSpan span("session.local_exec");
       MOPE_RETURN_NOT_OK(engine::Collect(plan.root.get()).status());
@@ -230,28 +214,16 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
   }
 
   if (analyze) {
-    // The query-level resource vector, one entry per line: the session's
-    // real/fake accounting, the trace's fine-grained counters (HGD draws,
-    // OPE calls), and everything the profile collector gathered (server
-    // counter deltas keyed srv.*, wire bytes keyed net.*).
+    // The query-level resource vector, one entry per line: the trace's id
+    // and every counter credited to it — the session's real/fake
+    // accounting, OPE calls, wire bytes, and the server's engine.* and
+    // storage.* work (credited directly by an embedded server, or brought
+    // back in the wire profile by a remote one).
+    const obs::Trace* trace = obs::CurrentTrace();
     lines.push_back("Resources:");
-    lines.push_back("  session: ranges=" +
-                    std::to_string(stats_.ranges_fetched) +
-                    " rows_fetched=" + std::to_string(stats_.rows_fetched) +
-                    " real_queries=" + std::to_string(stats_.real_queries) +
-                    " fake_queries=" + std::to_string(stats_.fake_queries) +
-                    " server_requests=" +
-                    std::to_string(stats_.server_requests));
-    if (const obs::Trace* trace = obs::CurrentTrace(); trace != nullptr) {
-      for (const auto& [name, value] : trace->counters()) {
-        lines.push_back("  trace." + name + "=" + std::to_string(value));
-      }
-    }
-    if (const obs::ProfileCollector* profile = obs::CurrentProfileCollector();
-        profile != nullptr) {
-      for (const auto& [name, value] : profile->entries()) {
-        lines.push_back("  " + name + "=" + std::to_string(value));
-      }
+    lines.push_back("  trace_id=" + std::to_string(trace->trace_id()));
+    for (const auto& [name, value] : trace->counters()) {
+      lines.push_back("  " + name + "=" + std::to_string(value));
     }
   }
   return sql::PlanLinesToResult(std::move(lines));

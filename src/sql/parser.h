@@ -34,7 +34,7 @@ Result<SelectStmt> Parse(const std::string& sql);
 Result<Statement> ParseStatement(const std::string& sql);
 
 /// Cheap prefix peek: true iff the text lexes and starts with
-/// EXPLAIN ANALYZE. Lets a caller arm trace/profile capture *before* the
+/// EXPLAIN ANALYZE. Lets a caller arm trace capture *before* the
 /// (traced, span-emitting) full parse runs; malformed input returns false
 /// and is diagnosed by the real parse.
 bool IsExplainAnalyze(const std::string& sql);

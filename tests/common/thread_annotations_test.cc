@@ -160,8 +160,8 @@ TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex a(lock_rank::kTrace);
-        Mutex b(lock_rank::kTrace);
+        Mutex a(lock_rank::kLogSink);
+        Mutex b(lock_rank::kLogSink);
         const MutexLock outer(&a);
         const MutexLock inner(&b);
       },

@@ -44,9 +44,7 @@ TEST(OpStatsTest, ProfiledScanCountsRowsCallsAndTime) {
   auto t = NumbersTable(10);
   SeqScanOp scan(t.get());
   obs::ManualClock clock(/*start_ns=*/0, /*auto_advance_ns=*/5);
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  scan.EnableProfiling(&ctx);
+  scan.EnableProfiling(&clock);
   auto rows = Collect(&scan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 10u);
@@ -66,9 +64,7 @@ TEST(OpStatsTest, TimingsAreInclusiveOfChildren) {
     return std::get<int64_t>(row[0]) % 2 == 0;
   });
   obs::ManualClock clock(0, 5);
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  filter.EnableProfiling(&ctx);
+  filter.EnableProfiling(&clock);
   auto rows = Collect(&filter);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 5u);
@@ -89,9 +85,7 @@ TEST(OpStatsTest, EnableProfilingRecursesAndReExecutionResets) {
     return true;
   });
   obs::ManualClock clock(0, 1);
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  filter.EnableProfiling(&ctx);
+  filter.EnableProfiling(&clock);
   ASSERT_TRUE(Collect(&filter).ok());
   EXPECT_EQ(filter.children()[0]->stats().rows_out, 8u);  // recursed
 
@@ -105,9 +99,7 @@ TEST(OpStatsTest, IndexScanAttributesEntriesAndNodes) {
   auto t = NumbersTable(200);
   IndexRangeScanOp scan(t.get(), *t->GetIndex("v"), {{10, 29}});
   obs::ManualClock clock(0, 1);
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  scan.EnableProfiling(&ctx);
+  scan.EnableProfiling(&clock);
   ASSERT_TRUE(Collect(&scan).ok());
   EXPECT_EQ(scan.stats().rows_out, 20u);
   EXPECT_EQ(scan.stats().entries_visited, 20u);
@@ -136,22 +128,6 @@ TEST(OpStatsTest, EverySweepOfAMultiRangeScanIsAttributed) {
   EXPECT_GT(per_sweep[2], per_sweep[0]);
 }
 
-TEST(OpStatsTest, StorageCounterDeltasAttachWhenProvided) {
-  auto t = NumbersTable(10);
-  SeqScanOp scan(t.get());
-  obs::ManualClock clock(0, 1);
-  obs::MetricsRegistry registry;
-  obs::Counter* wal_bytes = registry.GetCounter("storage.wal.bytes");
-  wal_bytes->Increment(7);  // pre-existing activity must not be attributed
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  ctx.wal_bytes = wal_bytes;
-  scan.EnableProfiling(&ctx);
-  ASSERT_TRUE(Collect(&scan).ok());
-  // A read logs nothing: the delta is zero, not seven.
-  EXPECT_EQ(scan.stats().wal_bytes, 0u);
-}
-
 TEST(FoldOpStatsTest, ProfiledTreeFoldsIntoPerTypeHistograms) {
   auto t = NumbersTable(10);
   auto scan = std::make_unique<SeqScanOp>(t.get());
@@ -159,9 +135,7 @@ TEST(FoldOpStatsTest, ProfiledTreeFoldsIntoPerTypeHistograms) {
     return true;
   });
   obs::ManualClock clock(0, 1);
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  filter.EnableProfiling(&ctx);
+  filter.EnableProfiling(&clock);
   ASSERT_TRUE(Collect(&filter).ok());
 
   obs::MetricsRegistry registry;

@@ -1,8 +1,9 @@
 /// EXPLAIN ANALYZE across the trust boundary, end to end: a same-seed
-/// remote session over real loopback TCP must produce a resource profile
-/// whose server-attributed fields are *identical* to the embedded session's
-/// (same field set, same values — the cover traffic is deterministic), the
-/// profile's trace id must be the one stamped on the wire frames, and a
+/// remote session over real loopback TCP, or over the in-process wire, must
+/// produce a trace whose server-attributed counters are *identical* to the
+/// embedded session's (same field set, same values — the cover traffic is
+/// deterministic) and count the server's work exactly once, the server must
+/// attribute that work to the trace id stamped on the wire frames, and a
 /// profile-less v1 peer talking to the same live daemon must keep getting
 /// byte-identical version-1 replies.
 
@@ -57,6 +58,11 @@ proxy::EncryptedColumnSpec MakeSpec() {
   return spec;
 }
 
+/// Counters only the server bumps: what the server did for the query.
+bool IsServerEntry(const std::string& name) {
+  return name.rfind("engine.", 0) == 0 || name.rfind("storage.", 0) == 0;
+}
+
 constexpr char kSql[] =
     "EXPLAIN ANALYZE SELECT COUNT(*) FROM sales "
     "WHERE day BETWEEN 40 AND 80";
@@ -73,8 +79,8 @@ TEST(RemoteExplainTest, RemoteProfileMatchesEmbeddedFieldForField) {
   proxy::EncryptedSqlSession embedded(&owner);
   auto embedded_result = embedded.Execute(kSql);
   ASSERT_TRUE(embedded_result.ok()) << embedded_result.status().ToString();
-  ASSERT_NE(embedded.last_profile(), nullptr);
-  const auto embedded_profile = embedded.last_profile()->entries();
+  ASSERT_NE(embedded.last_trace(), nullptr);
+  const auto embedded_profile = embedded.last_trace()->counters();
 
   // Remote: same seed, fresh system, attached over loopback TCP.
   proxy::MopeSystem remote_system(kSeed);
@@ -88,33 +94,31 @@ TEST(RemoteExplainTest, RemoteProfileMatchesEmbeddedFieldForField) {
   proxy::EncryptedSqlSession remote(&remote_system);
   auto remote_result = remote.Execute(kSql);
   ASSERT_TRUE(remote_result.ok()) << remote_result.status().ToString();
-  ASSERT_NE(remote.last_profile(), nullptr);
-  const auto remote_profile = remote.last_profile()->entries();
+  ASSERT_NE(remote.last_trace(), nullptr);
+  const auto remote_profile = remote.last_trace()->counters();
 
   // The server-attributed entries are field-identical AND value-identical:
   // the same-seed remote proxy re-derives the key and fake sequence, so the
   // daemon does exactly the work the embedded server did.
   for (const auto& [name, value] : embedded_profile) {
-    if (name.rfind("srv.", 0) != 0) continue;
+    if (!IsServerEntry(name)) continue;
     auto it = remote_profile.find(name);
     ASSERT_NE(it, remote_profile.end()) << "remote profile missing " << name;
     EXPECT_EQ(it->second, value) << name;
   }
   for (const auto& [name, value] : remote_profile) {
-    if (name.rfind("srv.", 0) == 0) {
+    if (IsServerEntry(name)) {
       EXPECT_TRUE(embedded_profile.count(name))
           << "embedded profile missing " << name;
     }
   }
-  // Both paths name their trace; only the remote one paid wire bytes.
-  EXPECT_TRUE(embedded_profile.count("profile.trace_id"));
-  EXPECT_TRUE(remote_profile.count("profile.trace_id"));
-  EXPECT_GT(remote.last_profile()->Value("net.frames"), 0u);
-  EXPECT_GT(remote.last_profile()->Value("net.frame_bytes_received"), 0u);
-  EXPECT_EQ(embedded.last_profile()->Value("net.frames"), 0u);
+  // Only the remote path paid wire bytes.
+  EXPECT_GT(remote_profile.at("net.client.roundtrips"), 0u);
+  EXPECT_GT(remote_profile.at("net.client.bytes_received"), 0u);
+  EXPECT_EQ(embedded_profile.count("net.client.roundtrips"), 0u);
 
   // The rendered output agrees modulo the wire-only resource lines (the
-  // remote resource vector additionally reports net.* frame accounting).
+  // remote resource vector additionally reports net.client.* traffic).
   EXPECT_GE(remote_result->rows.size(), embedded_result->rows.size());
 }
 
@@ -137,13 +141,76 @@ TEST(RemoteExplainTest, ProfileTraceIdIsTheFrameTraceId) {
   auto result = session.Execute(kSql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // The daemon learns the trace id only from the frame header, and it echoes
-  // it back inside the profile payload: agreement here proves the id
-  // traveled request frame -> server attribution -> profile, uncorrupted.
+  // The daemon learns the trace id only from the frame header, and it names
+  // the trace it attributed the work to inside every profile it returns;
+  // the client rejects a profile naming any other trace
+  // (ProfileWireTest.ClientRejectsAProfileAttributedToAnotherTrace). So
+  // server counters in the session's trace prove the id traveled request
+  // frame -> server attribution -> profile, uncorrupted.
   ASSERT_NE(session.last_trace(), nullptr);
-  ASSERT_NE(session.last_profile(), nullptr);
-  EXPECT_EQ(session.last_profile()->Value("profile.trace_id"),
-            session.last_trace()->trace_id());
+  const auto counters = session.last_trace()->counters();
+  ASSERT_TRUE(counters.count("engine.batches_received"));
+  EXPECT_GT(counters.at("engine.batches_received"), 0u);
+}
+
+TEST(RemoteExplainTest, ThreeLegsAgreeAndCountServerWorkOnce) {
+  proxy::MopeSystem owner(kSeed);
+  ASSERT_TRUE(
+      owner.LoadTable("sales", MakeSchema(), MakeRows(), MakeSpec()).ok());
+  auto daemon = net::TcpServer::Start(owner.server(), net::TcpServerOptions{});
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+
+  // Embedded: the engine credits the session's trace directly.
+  proxy::EncryptedSqlSession embedded(&owner);
+  ASSERT_TRUE(embedded.Execute(kSql).ok());
+  const auto embedded_counters = embedded.last_trace()->counters();
+
+  // In-process wire, the transport analyst_q6 uses: the dispatcher runs on
+  // the session's own thread, so server work must reach the trace through
+  // the profile only — never also directly.
+  proxy::MopeSystem loopback_system(kSeed);
+  ASSERT_TRUE(loopback_system
+                  .AttachRemoteTable(
+                      "sales", MakeSpec(),
+                      net::MakeLoopbackWireConnection(owner.server()))
+                  .ok());
+  proxy::EncryptedSqlSession loopback(&loopback_system);
+  const uint64_t batches_before = owner.server()->stats().batches_received;
+  ASSERT_TRUE(loopback.Execute(kSql).ok());
+  const uint64_t batches_done =
+      owner.server()->stats().batches_received - batches_before;
+  const auto loopback_counters = loopback.last_trace()->counters();
+
+  // Real TCP.
+  proxy::MopeSystem tcp_system(kSeed);
+  net::RemoteOptions options;
+  options.port = (*daemon)->port();
+  ASSERT_TRUE(tcp_system
+                  .AttachRemoteTable(
+                      "sales", MakeSpec(),
+                      std::make_unique<net::RemoteConnection>(options))
+                  .ok());
+  proxy::EncryptedSqlSession tcp(&tcp_system);
+  ASSERT_TRUE(tcp.Execute(kSql).ok());
+  const auto tcp_counters = tcp.last_trace()->counters();
+
+  // Same entry set and values on all three legs.
+  const auto server_entries = [](const std::map<std::string, uint64_t>& all) {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] : all) {
+      if (IsServerEntry(name)) out.emplace(name, value);
+    }
+    return out;
+  };
+  const auto expected = server_entries(embedded_counters);
+  ASSERT_TRUE(expected.count("engine.batches_received"));
+  ASSERT_TRUE(expected.count("engine.rows_returned"));
+  EXPECT_EQ(server_entries(loopback_counters), expected);
+  EXPECT_EQ(server_entries(tcp_counters), expected);
+  // Counted once: the trace holds exactly what the server's registry moved.
+  EXPECT_EQ(loopback_counters.at("engine.batches_received"), batches_done);
+  EXPECT_GT(batches_done, 0u);
+  (*daemon)->Stop();
 }
 
 TEST(RemoteExplainTest, V1PeerAgainstLiveDaemonRoundTripsByteIdentically) {

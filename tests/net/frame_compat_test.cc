@@ -216,7 +216,9 @@ TEST(DispatcherCompatTest, DispatchLatencyLandsInServerHistogram) {
   // Auto-advance 50ns per read: each dispatch reads the clock twice, so
   // every observed latency is exactly 50ns.
   obs::ManualClock clock(0, 50);
-  WireDispatcher dispatcher(&server, kMaxPayloadBytes, &clock);
+  DispatcherOptions options;
+  options.clock = &clock;
+  WireDispatcher dispatcher(&server, options);
   size_t consumed = 0;
   for (int i = 0; i < 3; ++i) {
     auto reply = dispatcher.HandleFrameBytes(

@@ -9,12 +9,19 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/server.h"
 #include "net/dispatcher.h"
+#include "net/remote_connection.h"
+#include "net/transport.h"
 #include "net/wire.h"
+#include "obs/log.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace mope::net {
 namespace {
@@ -49,7 +56,7 @@ Result<Frame> Dispatch(WireDispatcher* dispatcher, MessageType type,
 }
 
 TEST(ProfileWireTest, ProfileSectionRoundTripsOnAFrame) {
-  const StatsReply profile = {{"srv.engine.rows_returned", 42},
+  const StatsReply profile = {{"engine.rows_returned", 42},
                               {"profile.trace_id", 7}};
   const std::string encoded =
       EncodeFrame(MessageType::kRangeBatchReply, "rows", /*trace_id=*/7,
@@ -103,15 +110,9 @@ TEST(ProfileWireTest, DispatcherAttachesProfileWhenAsked) {
   auto profile = DecodeStatsReply(reply->profile);
   ASSERT_TRUE(profile.ok());
   std::map<std::string, uint64_t> entries(profile->begin(), profile->end());
-  // Every fixed counter is present (zeros included) so embedded and remote
-  // profiles carry the same field set...
-  for (const std::string& name :
-       engine::ServerProfileProbe::CounterNames()) {
-    EXPECT_TRUE(entries.count("srv." + name)) << name;
-  }
-  // ...the deltas are this request's, not lifetime totals...
-  EXPECT_EQ(entries["srv.engine.batches_received"], 1u);
-  EXPECT_EQ(entries["srv.engine.rows_returned"], 5u);
+  // The deltas are this request's, not lifetime totals...
+  EXPECT_EQ(entries["engine.batches_received"], 1u);
+  EXPECT_EQ(entries["engine.rows_returned"], 5u);
   // ...and the reply names the trace the deltas belong to.
   EXPECT_EQ(entries["profile.trace_id"], 99u);
 }
@@ -129,7 +130,7 @@ TEST(ProfileWireTest, SecondRequestGetsItsOwnDeltas) {
   auto profile = DecodeStatsReply(reply->profile);
   ASSERT_TRUE(profile.ok());
   std::map<std::string, uint64_t> entries(profile->begin(), profile->end());
-  EXPECT_EQ(entries["srv.engine.rows_returned"], 3u);  // not 23
+  EXPECT_EQ(entries["engine.rows_returned"], 3u);  // not 23
   EXPECT_EQ(entries["profile.trace_id"], 2u);
 }
 
@@ -142,6 +143,95 @@ TEST(ProfileWireTest, UnprofiledRequestGetsUnprofiledReply) {
   ASSERT_TRUE(reply.ok());
   // No speculative profiling: a peer that didn't ask pays zero bytes.
   EXPECT_FALSE(reply->has_profile);
+}
+
+void CaptureLine(void* lines, const std::string& line) {
+  static_cast<std::vector<std::string>*>(lines)->push_back(line);
+}
+
+TEST(ProfileWireTest, QueryLogSamplingLeavesUnprofiledRepliesAlone) {
+  // Sampling traces a request for the server's own log. A peer that never
+  // asked for a profile must get the very bytes it gets with sampling off:
+  // a version-1 peer could not even parse a version-2 reply.
+  engine::DbServer plain_server = MakeServer();
+  engine::DbServer sampled_server = MakeServer();
+  WireDispatcher plain(&plain_server);
+  DispatcherOptions options;
+  options.query_log_sample = 1;  // every data-bearing request
+  WireDispatcher sampled(&sampled_server, options);
+  RangeBatchRequest request{"data", "key", {ModularInterval(10, 5, 100)}};
+  const std::string bytes = EncodeFrame(MessageType::kRangeBatchRequest,
+                                        EncodeRangeBatchRequest(request));
+  size_t consumed = 0;
+  auto expected = plain.HandleFrameBytes(bytes, &consumed);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  std::vector<std::string> lines;
+  obs::Logger::Default()->SetSink(&CaptureLine, &lines);
+  auto reply = sampled.HandleFrameBytes(bytes, &consumed);
+  obs::Logger::Default()->SetSink(nullptr, nullptr);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, *expected);
+  // The request was still sampled: its log line carries the server's work.
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("event=query"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(" engine.rows_returned=5"), std::string::npos)
+      << lines[0];
+}
+
+/// A connection whose server answers every request with `reply`.
+std::unique_ptr<RemoteConnection> ScriptedConnection(
+    std::string reply, obs::MetricsRegistry* registry) {
+  RemoteOptions options;
+  options.max_retries = 0;
+  options.registry = registry;
+  options.transport_factory =
+      [reply]() -> Result<std::unique_ptr<Transport>> {
+    return std::unique_ptr<Transport>(std::make_unique<StringTransport>(reply));
+  };
+  return std::make_unique<RemoteConnection>(std::move(options));
+}
+
+/// A count reply whose profile says the server attributed 5 returned rows
+/// to trace `attributed_to`.
+std::string ProfiledCountReply(uint64_t attributed_to) {
+  return EncodeFrame(
+      MessageType::kCountBatchReply, EncodeCountBatchReply(5), attributed_to,
+      /*has_profile=*/true,
+      EncodeStatsReply({{"engine.rows_returned", 5},
+                        {kProfileTraceIdEntry, attributed_to}}));
+}
+
+TEST(ProfileWireTest, ClientAddsItsOwnProfileIntoTheActiveTrace) {
+  obs::MetricsRegistry registry;
+  auto connection = ScriptedConnection(ProfiledCountReply(4242), &registry);
+  obs::Trace trace("q", nullptr, /*forced_id=*/4242);
+  {
+    const obs::ScopedTraceActivation activation(&trace);
+    auto count = connection->CountRangeBatch("data", "key",
+                                             {ModularInterval(0, 5, 100)});
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, 5u);
+  }
+  const auto counters = trace.counters();
+  EXPECT_EQ(counters.at("engine.rows_returned"), 5u);
+  // The id is checked, not summed into the trace.
+  EXPECT_EQ(counters.count(kProfileTraceIdEntry), 0u);
+  // The client's own counters credit the trace directly.
+  EXPECT_EQ(counters.at("net.client.roundtrips"), 1u);
+}
+
+TEST(ProfileWireTest, ClientRejectsAProfileAttributedToAnotherTrace) {
+  obs::MetricsRegistry registry;
+  auto connection = ScriptedConnection(ProfiledCountReply(4243), &registry);
+  obs::Trace trace("q", nullptr, /*forced_id=*/4242);
+  {
+    const obs::ScopedTraceActivation activation(&trace);
+    auto count = connection->CountRangeBatch("data", "key",
+                                             {ModularInterval(0, 5, 100)});
+    EXPECT_TRUE(count.status().IsCorruption()) << count.status().ToString();
+  }
+  EXPECT_EQ(trace.counters().count("engine.rows_returned"), 0u);
 }
 
 TEST(ProfileWireTest, NonDataRequestsIgnoreTheProfileFlag) {
@@ -162,7 +252,7 @@ TEST(ProfileWireTest, TruncatedProfileSectionIsUnavailableNotMisframed) {
   const std::string encoded =
       EncodeFrame(MessageType::kRangeBatchReply, "rows", 0,
                   /*has_profile=*/true,
-                  EncodeStatsReply({{"srv.engine.rows_returned", 1}}));
+                  EncodeStatsReply({{"engine.rows_returned", 1}}));
   size_t consumed = 0;
   // Every truncation point mid-extension reads as "need more bytes", never
   // as a decoded frame with garbage profile bytes.

@@ -218,6 +218,18 @@ TEST(MessageTest, SchemaRoundTrip) {
   EXPECT_EQ(decoded->column(2).name, "tag");
 }
 
+TEST(MessageTest, SchemaReplyRepeatingAColumnNameIsCorruptionNotAbort) {
+  // Schema's constructor aborts on a repeated name, so a broken or hostile
+  // server must cost the proxy a Corruption at decode time instead.
+  std::string payload;
+  engine::PutU32(&payload, 2);
+  for (int i = 0; i < 2; ++i) {
+    engine::PutString(&payload, "key");
+    payload.push_back(static_cast<char>(ValueType::kInt));
+  }
+  EXPECT_TRUE(DecodeSchemaReply(payload).status().IsCorruption());
+}
+
 TEST(MessageTest, StatusReplyRoundTrip) {
   const Status original = Status::NotFound("no table 'x'");
   Status decoded;
@@ -328,7 +340,9 @@ TEST(DispatcherTest, OversizedReplyBecomesStatusReplyNotAbort) {
   // legitimate query on a big table; it must cost an error answer, not the
   // daemon. A tiny cap stands in for the real 64 MiB one.
   engine::DbServer server = MakeServer();
-  WireDispatcher dispatcher(&server, /*max_reply_payload_bytes=*/64);
+  DispatcherOptions options;
+  options.max_reply_payload_bytes = 64;
+  WireDispatcher dispatcher(&server, options);
   RangeBatchRequest request{"data", "key", {ModularInterval(0, 100, 100)}};
   auto reply = Dispatch(&dispatcher, MessageType::kRangeBatchRequest,
                         EncodeRangeBatchRequest(request));

@@ -139,6 +139,31 @@ TEST(LogTest, RateLimiterDropsBurstsAndRefillsFromClock) {
   EXPECT_EQ(logger.dropped_total(), 4u);
 }
 
+TEST(LogTest, DropUnderActiveTraceCreditsItWithoutALock) {
+  // The drop counter is bumped while the logger holds its sink mutex (rank
+  // 75). Crediting the active trace must take no lock, or the lock-rank
+  // checks of the sanitizer presets would abort here.
+  Logger logger;
+  CapturedLines captured;
+  captured.Attach(&logger);
+  ManualClock clock(1000000000);
+  logger.SetClock(&clock);
+  MetricsRegistry registry;
+  logger.SetDropCounterRegistry(&registry);
+  logger.SetRateLimit(/*rate_per_sec=*/1.0, /*burst=*/1.0);
+
+  Trace trace("request", &clock);
+  {
+    const ScopedTraceActivation activation(&trace);
+    for (int i = 0; i < 3; ++i) {
+      LogEvent(&logger, LogLevel::kInfo, "net", "spam").Arg("i", i);
+    }
+  }
+  EXPECT_EQ(captured.lines.size(), 1u);
+  EXPECT_EQ(logger.dropped_total(), 2u);
+  EXPECT_EQ(trace.counters().at("obs.log.dropped"), 2u);
+}
+
 TEST(LogTest, ActiveTraceIdIsAttached) {
   Logger logger;
   CapturedLines captured;

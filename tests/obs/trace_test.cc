@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/clock.h"
+#include "obs/registry.h"
 
 namespace mope::obs {
 namespace {
@@ -121,9 +123,10 @@ TEST(TraceActivationTest, CurrentTraceFollowsScopes) {
 
 TEST(TraceActivationTest, ScopedSpanAndBumpAreNoOpsWhenOff) {
   ASSERT_EQ(CurrentTrace(), nullptr);
+  MetricsRegistry registry;
   {
     ScopedSpan span("orphan");  // must not crash or record anywhere
-    BumpTraceCounter("orphan.counter", 3);
+    registry.GetCounter("orphan.counter")->Increment(3);
   }
   // And with a trace active, the same code records against it.
   ManualClock clock(0, 1);
@@ -131,10 +134,61 @@ TEST(TraceActivationTest, ScopedSpanAndBumpAreNoOpsWhenOff) {
   {
     ScopedTraceActivation activate(&trace);
     ScopedSpan span("work");
-    BumpTraceCounter("work.items", 2);
+    registry.GetCounter("work.items")->Increment(2);
   }
   EXPECT_EQ(trace.CountSpans("work"), 1u);
   EXPECT_EQ(trace.counters().at("work.items"), 2u);
+}
+
+TEST(TraceActivationTest, ActivationIsPerThread) {
+  ManualClock clock(0, 1);
+  Trace trace("q", &clock);
+  const ScopedTraceActivation scope(&trace);
+  Trace* seen = &trace;
+  // Another thread must not observe this thread's trace: a concurrent
+  // untraced query can't leak counters into someone's EXPLAIN ANALYZE.
+  std::thread([&seen] { seen = CurrentTrace(); }).join();
+  EXPECT_EQ(seen, nullptr);
+}
+
+TEST(TraceCreditTest, CounterBumpedUnderActiveTraceCreditsItsName) {
+  MetricsRegistry registry;
+  Counter* rows = registry.GetCounter("engine.rows_returned");
+  Counter* calls = registry.GetCounter("ope.encrypt_calls");
+  ManualClock clock(0, 1);
+  Trace trace("q", &clock);
+  {
+    const ScopedTraceActivation activate(&trace);
+    rows->Increment(5);
+    rows->Increment(7);
+    calls->Increment();
+    calls->Increment();
+    calls->Increment();
+  }
+  // Every bump reached the trace under the registry's name, with the same
+  // total the registry holds.
+  const auto counters = trace.counters();
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters.at("engine.rows_returned"), rows->Value());
+  EXPECT_EQ(counters.at("ope.encrypt_calls"), calls->Value());
+  EXPECT_EQ(rows->Value(), 12u);
+  EXPECT_EQ(calls->Value(), 3u);
+}
+
+TEST(TraceCreditTest, OtherThreadsAndNoTraceCreditNothing) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("engine.batches_received");
+  ManualClock clock(0, 1);
+  Trace trace("q", &clock);
+  counter->Increment(2);  // before activation
+  {
+    const ScopedTraceActivation activate(&trace);
+    // A bump on another thread belongs to whatever that thread is doing.
+    std::thread([counter] { counter->Increment(3); }).join();
+  }
+  counter->Increment(4);  // after deactivation
+  EXPECT_EQ(counter->Value(), 9u);
+  EXPECT_TRUE(trace.counters().empty());
 }
 
 TEST(TraceTest, OutOfOrderEndDoesNotWedgeTheStack) {

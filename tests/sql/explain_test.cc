@@ -108,9 +108,7 @@ TEST_F(ExplainRenderTest, AnalyzeAppendsActuals) {
   PlannedQuery plan =
       PlanOf("SELECT COUNT(*) FROM t WHERE a BETWEEN 10 AND 19");
   obs::ManualClock clock(0, 3);
-  engine::ProfileContext ctx;
-  ctx.clock = &clock;
-  plan.root->EnableProfiling(&ctx);
+  plan.root->EnableProfiling(&clock);
   ASSERT_TRUE(engine::Collect(plan.root.get()).ok());
 
   ExplainOptions options;

@@ -102,6 +102,17 @@ Machine-enforces the correctness conventions that code review used to carry:
                          to re-deliver with default disposition. Applies to
                          every linted tree.
 
+  R14 thread-local        `thread_local` is banned in src/ outside
+                         src/obs/trace.cc (the active trace: the one
+                         implicit per-query context) and
+                         src/common/thread_annotations.cc (lock-rank
+                         bookkeeping). A second thread-local "current X"
+                         splits one query's attribution across mechanisms
+                         again; per-query state belongs in the active
+                         obs::Trace, which registry counters already credit.
+                         Anything else needs a reviewed
+                         `// invariant-ok: R14 <reason>`.
+
 A line may opt out with a trailing `// invariant-ok: <reason>` comment; the
 reason is mandatory and greppable. Exit status: 0 clean, 1 violations,
 2 usage error.
@@ -261,6 +272,15 @@ RULES = [
         "text may opt out with invariant-ok",
         includes=("src/", "tools/"),
         excludes=("src/obs/log.",),
+    ),
+    Rule(
+        "thread-local",
+        r"\bthread_local\b",
+        "thread_local outside src/obs/trace.cc and "
+        "src/common/thread_annotations.cc: per-query context belongs in the "
+        "active obs::Trace; other per-thread state needs invariant-ok",
+        includes=("src/",),
+        excludes=("src/obs/trace.cc", "src/common/thread_annotations.cc"),
     ),
     Rule(
         "auditor-ciphertext-only",

@@ -569,6 +569,38 @@ class NoFalsePositives(unittest.TestCase):
         )
         self.assertNotIn("fatal-handler-unsafe", rule_ids(v))
 
+    def test_thread_local_outside_trace_caught(self) -> None:
+        # A second implicit per-thread context (what ProfileCollector was).
+        v = run_on_tree(
+            {"src/obs/profile.cc":
+                 "namespace {\n"
+                 "thread_local Collector* t_current = nullptr;\n"
+                 "}\n"}
+        )
+        self.assertIn("thread-local", rule_ids(v))
+
+    def test_thread_local_allowed_in_trace_and_lock_ranks(self) -> None:
+        v = run_on_tree(
+            {"src/obs/trace.cc": "thread_local Trace* t_current = nullptr;\n",
+             "src/common/thread_annotations.cc":
+                 "thread_local std::vector<int> t_held_ranks;\n"}
+        )
+        self.assertNotIn("thread-local", rule_ids(v))
+
+    def test_thread_local_rule_scoped_to_src(self) -> None:
+        v = run_on_tree(
+            {"tests/obs/helper_test.cc": "thread_local int t_calls = 0;\n"}
+        )
+        self.assertNotIn("thread-local", rule_ids(v))
+
+    def test_thread_local_escape_comment(self) -> None:
+        v = run_on_tree(
+            {"src/crypto/cache.cc":
+                 "thread_local Block t_scratch;  "
+                 "// invariant-ok: R14 scratch buffer, not per-query state\n"}
+        )
+        self.assertNotIn("thread-local", rule_ids(v))
+
     def test_real_repo_is_clean(self) -> None:
         root = Path(__file__).resolve().parent.parent
         violations = []

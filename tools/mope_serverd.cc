@@ -38,9 +38,10 @@
 ///     data-bearing requests, putting storage.wal.* / storage.checkpoint
 ///     work (and spans) on the serving path. Each checkpoint rewrites the
 ///     whole catalog image, so its cost grows with the row count.
-///   - --query-log-sample N profiles every Nth data-bearing request exactly
-///     as a client's EXPLAIN ANALYZE would and logs it as a structured
-///     `event=query` line with the full attributed resource profile.
+///   - --query-log-sample N traces every Nth data-bearing request the way
+///     a client's EXPLAIN ANALYZE does and logs it as a structured
+///     `event=query` line with every counter the request credited. The
+///     reply is unchanged: only a client that asked gets a profile.
 ///   - --sample-every-ms N keeps in-process metric history (ring buffers,
 ///     fixed memory budget) served as JSON on GET /vars; --alert-rule /
 ///     --default-alerts evaluate declarative rules over those samples and
@@ -147,11 +148,11 @@ void PrintUsage(const char* argv0) {
       "                      trace (atomic write; same trace id as the log "
       "line)\n"
       "  --checkpoint-every N  checkpoint storage every N data requests\n"
-      "  --query-log-sample N  profile every Nth data-bearing request and "
+      "  --query-log-sample N  trace every Nth data-bearing request and "
       "log\n"
       "                      it as a structured event=query line carrying "
       "the\n"
-      "                      full attributed resource profile (0 = off)\n"
+      "                      counters it credited (0 = off)\n"
       "  --metrics           dump the metrics registry at shutdown\n"
       "  --metrics-out FILE  atomically write the Prometheus text dump to "
       "FILE\n"

@@ -122,9 +122,9 @@ echo "smoke_recovery: baseline count = $expected"
 explain_out="$("$MOPE_SHELL" --connect "127.0.0.1:$port" \
     -c "EXPLAIN ANALYZE $QUERY")"
 final_trace="$(echo "$explain_out" |
-    sed -n 's/^ *profile\.trace_id=\([0-9][0-9]*\)$/\1/p')"
+    sed -n 's/^ *trace_id=\([0-9][0-9]*\)$/\1/p')"
 if [ -z "$final_trace" ]; then
-  echo "smoke_recovery: EXPLAIN ANALYZE reported no profile.trace_id" >&2
+  echo "smoke_recovery: EXPLAIN ANALYZE reported no trace_id" >&2
   echo "$explain_out" >&2
   exit 1
 fi

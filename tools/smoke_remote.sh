@@ -14,8 +14,8 @@
 #     structured slow_query log line whose trace id matches the exported
 #     Chrome trace, and that trace contains WAL + checkpoint spans,
 #   - a live EXPLAIN ANALYZE over TCP prints the per-operator plan with
-#     actuals plus the server-attributed resource vector, and the profile's
-#     srv.engine.batches_received reconciles *exactly* with the
+#     actuals plus the server-attributed resource vector, and the trace's
+#     engine.batches_received reconciles *exactly* with the
 #     engine_batches_received delta between two /metrics scrapes bracketing
 #     the statement,
 #   - the daemon's sampled query log (--query-log-sample) carries the same
@@ -253,15 +253,15 @@ echo "$explain_out" | grep -q 'actual rows=' || {
   echo "$explain_out" >&2
   exit 1
 }
-echo "$explain_out" | grep -q '^  net\.frames=' || {
+echo "$explain_out" | grep -q '^  net\.client\.roundtrips=' || {
   echo "smoke_remote: EXPLAIN ANALYZE resource vector missing wire bytes" >&2
   echo "$explain_out" >&2
   exit 1
 }
 profile_batches="$(echo "$explain_out" |
-    sed -n 's/^ *srv\.engine\.batches_received=\([0-9][0-9]*\)$/\1/p')"
+    sed -n 's/^ *engine\.batches_received=\([0-9][0-9]*\)$/\1/p')"
 if [ -z "$profile_batches" ] || [ "$profile_batches" -eq 0 ]; then
-  echo "smoke_remote: profile carries no srv.engine.batches_received" >&2
+  echo "smoke_remote: profile carries no engine.batches_received" >&2
   echo "$explain_out" >&2
   exit 1
 fi
@@ -278,13 +278,13 @@ echo "smoke_remote: EXPLAIN ANALYZE profile reconciles with /metrics" \
 
 # The sampled query log carries the same profile, joinable by trace id.
 explain_trace="$(echo "$explain_out" |
-    sed -n 's/^ *profile\.trace_id=\([0-9][0-9]*\)$/\1/p')"
+    sed -n 's/^ *trace_id=\([0-9][0-9]*\)$/\1/p')"
 if [ -z "$explain_trace" ]; then
-  echo "smoke_remote: EXPLAIN ANALYZE reported no profile.trace_id" >&2
+  echo "smoke_remote: EXPLAIN ANALYZE reported no trace_id" >&2
   echo "$explain_out" >&2
   exit 1
 fi
-grep -q "event=query .*trace_id=$explain_trace .*srv\.engine\.batches_received=" \
+grep -q "event=query .*trace_id=$explain_trace .*engine\.batches_received=" \
     "$server_log" || {
   echo "smoke_remote: no event=query log line with trace_id=$explain_trace" >&2
   grep "event=query" "$server_log" | head -n 3 >&2 || true
