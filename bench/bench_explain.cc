@@ -31,64 +31,19 @@
 /// off" acceptance criterion in enforceable form.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "engine/btree.h"
 #include "engine/executor.h"
 #include "engine/table.h"
 #include "obs/clock.h"
-
-// ---------------------------------------------------------------------------
-// Deterministic allocation counting: every heap allocation in the process
-// bumps one relaxed counter. Replacing the global throwing operators is
-// enough — std::allocator and make_unique route through these.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace mope {
 namespace {
@@ -215,9 +170,9 @@ Measurement Measure(const MakePlan& make, const RawDrain& raw) {
   uint64_t off_allocs = 0;
   for (int pass = 0; pass < 2; ++pass) {
     std::unique_ptr<engine::Operator> plan = make();
-    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const uint64_t before = bench::Allocations();
     auto rows = engine::Collect(plan.get());
-    const uint64_t drained = g_allocs.load(std::memory_order_relaxed) - before;
+    const uint64_t drained = bench::Allocations() - before;
     MOPE_CHECK(rows.ok(), "bench plan must execute");
     MOPE_CHECK(pass == 0 || drained == off_allocs,
                "profiling-off allocation count must be deterministic");

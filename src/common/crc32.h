@@ -5,10 +5,11 @@
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 ///
 /// One implementation, three consumers: the wire protocol's frame check
-/// (net/wire.h), the storage engine's per-page checksums and the WAL's
+/// (net/wire.h), the checkpoint meta file's checksum and the WAL's
 /// per-record checksums (src/storage/). All three defend the same way:
 /// bytes that crossed an untrusted medium (network, disk) are verified
-/// before anything decodes them.
+/// before anything decodes them. The implementation folds in 8 bytes per
+/// step (slicing-by-8), because every reply byte passes through it twice.
 
 #include <cstdint>
 #include <string_view>

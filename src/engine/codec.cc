@@ -5,42 +5,15 @@
 
 namespace mope::engine {
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
 void PutString(std::string* out, const std::string& s) {
   PutU64(out, s.size());
   out->append(s);
 }
 
 void PutValue(std::string* out, const Value& v) {
-  switch (TypeOf(v)) {
-    case ValueType::kInt:
-      out->push_back(0);
-      PutU64(out, static_cast<uint64_t>(std::get<int64_t>(v)));
-      break;
-    case ValueType::kDouble: {
-      out->push_back(1);
-      uint64_t bits;
-      const double d = std::get<double>(v);
-      std::memcpy(&bits, &d, 8);
-      PutU64(out, bits);
-      break;
-    }
-    case ValueType::kString:
-      out->push_back(2);
-      PutString(out, std::get<std::string>(v));
-      break;
-  }
+  const size_t at = out->size();
+  out->resize(at + EncodedSize(v));
+  WriteValue(out->data() + at, v);
 }
 
 void PutColumns(std::string* out, const Schema& schema) {
@@ -55,39 +28,18 @@ void PutSchema(std::string* out, const Schema& schema) {
   PutColumns(out, schema);
 }
 
-Result<uint8_t> ByteReader::Byte() {
-  if (pos_ >= bytes_.size()) return Truncated();
-  return static_cast<uint8_t>(bytes_[pos_++]);
+Status ByteReader::UnknownTag() const {
+  return Status::Corruption(std::string("unknown value tag in ") + context_);
 }
 
-Result<uint32_t> ByteReader::U32() {
-  if (pos_ + 4 > bytes_.size()) return Truncated();
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::U64() {
-  if (pos_ + 8 > bytes_.size()) return Truncated();
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
+Status ByteReader::StringOutOfBounds() const {
+  return Status::Corruption(std::string(context_) +
+                            " string length out of bounds");
 }
 
 Result<std::string> ByteReader::String() {
   MOPE_ASSIGN_OR_RETURN(uint64_t len, U64());
-  if (len > bytes_.size() - pos_) {
-    return Status::Corruption(std::string(context_) +
-                              " string length out of bounds");
-  }
+  if (len > bytes_.size() - pos_) return StringOutOfBounds();
   std::string s(bytes_.substr(pos_, len));
   pos_ += len;
   return s;
@@ -115,8 +67,7 @@ Result<Value> ByteReader::ReadValue() {
       break;
     }
     default:
-      return Status::Corruption(std::string("unknown value tag in ") +
-                                context_);
+      return UnknownTag();
   }
   return out;
 }

@@ -14,9 +14,12 @@
 /// aborts, because every consumer decodes bytes from untrusted media.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <variant>
 
+#include "common/coding.h"
 #include "common/status.h"
 #include "engine/table.h"
 
@@ -24,8 +27,16 @@ namespace mope::engine {
 
 // --- Writers (append to `out`) --------------------------------------------
 
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
+inline void PutU32(std::string* out, uint32_t v) {
+  char buf[4];
+  StoreU32(buf, v);
+  out->append(buf, 4);
+}
+inline void PutU64(std::string* out, uint64_t v) {
+  char buf[8];
+  StoreU64(buf, v);
+  out->append(buf, 8);
+}
 
 /// u64 length prefix + raw bytes.
 void PutString(std::string* out, const std::string& s);
@@ -33,6 +44,35 @@ void PutString(std::string* out, const std::string& s);
 /// 1-byte type tag (== ValueType) + payload: u64 for ints, IEEE-754 bits for
 /// doubles, length-prefixed bytes for strings.
 void PutValue(std::string* out, const Value& v);
+
+/// The number of bytes PutValue appends for `v`.
+inline size_t EncodedSize(const Value& v) {
+  const auto* s = std::get_if<std::string>(&v);
+  return 9 + (s != nullptr ? s->size() : 0);
+}
+
+/// Writes PutValue's encoding of `v` at `p`, which must have
+/// EncodedSize(v) bytes of room, and returns the end of what it wrote.
+/// Writers that size a whole record first (a reply row) use this to fill it
+/// with one buffer resize.
+inline char* WriteValue(char* p, const Value& v) {
+  // Value's alternatives are declared in ValueType order: the index is the
+  // tag.
+  *p = static_cast<char>(v.index());
+  if (const auto* s = std::get_if<std::string>(&v)) {
+    StoreU64(p + 1, s->size());
+    std::memcpy(p + 9, s->data(), s->size());
+    return p + 9 + s->size();
+  }
+  uint64_t bits;
+  if (const auto* i = std::get_if<int64_t>(&v)) {
+    bits = static_cast<uint64_t>(*i);
+  } else {
+    std::memcpy(&bits, &std::get<double>(v), 8);
+  }
+  StoreU64(p + 1, bits);
+  return p + 9;
+}
 
 /// The most columns ReadSchema accepts.
 inline constexpr uint64_t kMaxColumns = 4096;
@@ -54,11 +94,39 @@ class ByteReader {
   explicit ByteReader(std::string_view bytes, const char* context = "buffer")
       : bytes_(bytes), context_(context) {}
 
-  Result<uint8_t> Byte();
-  Result<uint32_t> U32();
-  Result<uint64_t> U64();
+  Result<uint8_t> Byte() {
+    if (pos_ >= bytes_.size()) return Truncated();
+    return static_cast<uint8_t>(bytes_[pos_++]);
+  }
+  Result<uint32_t> U32() {
+    if (bytes_.size() - pos_ < 4) return Truncated();
+    const uint32_t v = LoadU32(bytes_.data() + pos_);
+    pos_ += 4;
+    return v;
+  }
+  Result<uint64_t> U64() {
+    if (bytes_.size() - pos_ < 8) return Truncated();
+    const uint64_t v = LoadU64(bytes_.data() + pos_);
+    pos_ += 8;
+    return v;
+  }
   Result<std::string> String();
   Result<Value> ReadValue();
+  /// Checks one PutValue encoding exactly as ReadValue does, without
+  /// building the value.
+  Status SkipValue() {
+    MOPE_ASSIGN_OR_RETURN(const uint8_t tag, Byte());
+    if (tag > static_cast<uint8_t>(ValueType::kString)) return UnknownTag();
+    uint64_t len = 8;
+    if (tag == static_cast<uint8_t>(ValueType::kString)) {
+      MOPE_ASSIGN_OR_RETURN(len, U64());
+      if (len > remaining()) return StringOutOfBounds();
+    } else if (remaining() < 8) {
+      return Truncated();
+    }
+    pos_ += len;
+    return Status::OK();
+  }
   /// `count` PutColumns entries of known types and distinct names; the
   /// caller bounds `count`.
   Result<Schema> ReadColumns(uint64_t count);
@@ -67,11 +135,15 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
+  /// Bytes consumed so far.
+  size_t position() const { return pos_; }
 
  private:
   Status Truncated() const {
     return Status::Corruption(std::string(context_) + " truncated");
   }
+  Status UnknownTag() const;
+  Status StringOutOfBounds() const;
 
   std::string_view bytes_;
   size_t pos_ = 0;

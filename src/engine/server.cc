@@ -91,69 +91,51 @@ Status DbServer::EnableLeakageAudit(const obs::LeakageAuditConfig& config) {
   return Status();
 }
 
-Result<std::vector<Row>> DbServer::ExecuteRangeBatch(
+Status DbServer::VisitRangeBatch(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
+    const std::vector<ModularInterval>& ranges,
+    const std::function<void(RowId, const Row&)>& visit) {
   const Table* tbl = nullptr;
   const BPlusTree* index = nullptr;
   MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
                         PrepareSegments(table, column, ranges, &tbl, &index));
 
-  IndexRangeScanOp scan(tbl, index, std::move(segments));
-  MOPE_ASSIGN_OR_RETURN(std::vector<Row> rows, Collect(&scan));
-  segments_scanned_->Increment(scan.segments_scanned());
-  entries_visited_->Increment(scan.entries_visited());
-  index_nodes_visited_->Increment(scan.nodes_visited());
-  rows_returned_->Increment(rows.size());
-  return rows;
-}
-
-Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
-    const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
-
-  std::vector<std::pair<RowId, Row>> rows;
+  uint64_t rows = 0;
   for (const Segment& seg : CoalesceSegments(std::move(segments))) {
     // Fresh stats per executed sweep so every merged range's node visits
     // are attributed as they happen — the trace-scoped delta snapshots that
     // EXPLAIN ANALYZE takes around a request see the full per-sweep cost,
     // not just the first range's.
     BPlusTree::ScanStats sweep_stats;
-    entries_visited_->Increment(index->ScanRange(
+    const size_t visited = index->ScanRange(
         seg.lo, seg.hi,
-        [&rows, tbl](uint64_t, uint64_t rid) {
-          rows.emplace_back(rid, tbl->row(rid));
-        },
-        &sweep_stats));
+        [&visit, tbl](uint64_t, uint64_t rid) { visit(rid, tbl->row(rid)); },
+        &sweep_stats);
+    rows += visited;
+    entries_visited_->Increment(visited);
     segments_scanned_->Increment();
     index_nodes_visited_->Increment(sweep_stats.nodes_visited);
   }
-  rows_returned_->Increment(rows.size());
+  rows_returned_->Increment(rows);
+  return Status::OK();
+}
+
+Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
+    const std::string& table, const std::string& column,
+    const std::vector<ModularInterval>& ranges) {
+  std::vector<std::pair<RowId, Row>> rows;
+  MOPE_RETURN_NOT_OK(VisitRangeBatch(
+      table, column, ranges,
+      [&rows](RowId rid, const Row& row) { rows.emplace_back(rid, row); }));
   return rows;
 }
 
 Result<uint64_t> DbServer::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
-
   uint64_t count = 0;
-  for (const Segment& seg : CoalesceSegments(std::move(segments))) {
-    BPlusTree::ScanStats sweep_stats;
-    count += index->ScanRange(seg.lo, seg.hi, [](uint64_t, uint64_t) {},
-                              &sweep_stats);
-    segments_scanned_->Increment();
-    index_nodes_visited_->Increment(sweep_stats.nodes_visited);
-  }
-  entries_visited_->Increment(count);
-  rows_returned_->Increment(count);
+  MOPE_RETURN_NOT_OK(VisitRangeBatch(table, column, ranges,
+                                     [&count](RowId, const Row&) { ++count; }));
   return count;
 }
 

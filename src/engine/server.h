@@ -19,6 +19,7 @@
 /// (net::WireDispatcher provides it for the daemon).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -86,21 +87,25 @@ class DbServer {
 
   /// Executes one batch of ciphertext range predicates (each an interval on
   /// the ciphertext space, wrapping allowed) against the index on `column`
-  /// of `table`. All ranges in the batch share a single coalesced sweep and
-  /// each qualifying row is returned exactly once.
-  Result<std::vector<Row>> ExecuteRangeBatch(
+  /// of `table`. All ranges in the batch share a single coalesced sweep,
+  /// which hands each qualifying row to `visit` exactly once, in place, with
+  /// its stable row id (DBMSes expose this as ctid/rowid). The row reference
+  /// is valid only during the call. This is the one sweep behind every
+  /// batch entry point below and behind the wire dispatcher, which encodes
+  /// each visited row straight into its reply.
+  Status VisitRangeBatch(
       const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges);
+      const std::vector<ModularInterval>& ranges,
+      const std::function<void(RowId, const Row&)>& visit);
 
-  /// Like ExecuteRangeBatch, but each row is returned together with its
-  /// stable row id (DBMSes expose this as ctid/rowid); the proxy uses the
+  /// VisitRangeBatch, copying each row out with its id; the proxy uses the
   /// ids to deduplicate rows that multiple overlapping requests returned.
   Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatchWithIds(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges);
 
-  /// Like ExecuteRangeBatch but only returns the number of qualifying rows
-  /// (still updates the counters; used by benches that do not need rows).
+  /// VisitRangeBatch that only counts the qualifying rows (still updates
+  /// the counters; used by benches that do not need rows).
   Result<uint64_t> CountRangeBatch(const std::string& table,
                                    const std::string& column,
                                    const std::vector<ModularInterval>& ranges);

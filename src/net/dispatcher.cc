@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/codec.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace_export.h"
@@ -13,48 +14,52 @@ namespace mope::net {
 
 namespace {
 
-/// The wire profile section: the trace's counters so far plus its id.
-std::string EncodeProfile(const obs::Trace& trace) {
-  const std::map<std::string, uint64_t> counters = trace.counters();
+/// The wire profile section: the trace's counters so far plus its id;
+/// empty without a trace.
+std::string EncodeProfile(const obs::Trace* trace) {
+  if (trace == nullptr) return std::string();
+  const std::map<std::string, uint64_t> counters = trace->counters();
   StatsReply entries(counters.begin(), counters.end());
-  entries.emplace_back(kProfileTraceIdEntry, trace.trace_id());
+  entries.emplace_back(kProfileTraceIdEntry, trace->trace_id());
   return EncodeStatsReply(entries);
 }
 
+/// The kStatusReply frame answering a request with `status`. `trace_id`
+/// (the request's, possibly 0) is echoed so the client can attribute the
+/// reply to its span tree; a `profile` trace rides along as the profile
+/// extension — a failed query still consumed the resources its trace
+/// recorded.
+std::string StatusFrame(const Status& status, uint64_t trace_id,
+                        const obs::Trace* profile) {
+  return EncodeFrame(MessageType::kStatusReply, EncodeStatusReply(status),
+                     trace_id, profile != nullptr, EncodeProfile(profile));
+}
+
+/// A reply body over the dispatcher's cap is an application-level outcome:
+/// FinishFrame would MOPE_CHECK on it, and a legitimate (or hostile) wide
+/// query must cost a StatusReply, not the process.
+Status TooLarge(size_t size, size_t max_payload) {
+  return Status::InvalidArgument(
+      "result too large for one frame (" + std::to_string(size) + " > " +
+      std::to_string(max_payload) +
+      " bytes); narrow the ranges or lower the batch size");
+}
+
 /// Encodes an application-level outcome: a reply frame on success, a
-/// kStatusReply frame on error. Only called with already-validated framing.
-/// A reply body over `max_payload` bytes is itself an application-level
-/// outcome — EncodeFrame would MOPE_CHECK on it, and a legitimate (or
-/// hostile) wide query must cost a StatusReply, not the process.
-/// `trace_id` (the request's, possibly 0) is echoed on whichever frame goes
-/// back so the client can attribute the reply to its span tree; likewise a
-/// `profile` trace rides on both outcomes as the profile extension — a
-/// failed query still consumed the resources its trace recorded.
+/// kStatusReply frame on error (see StatusFrame). Only called with
+/// already-validated framing.
 template <typename T, typename Encode>
 std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                           Encode&& encode, size_t max_payload,
                           uint64_t trace_id,
                           const obs::Trace* profile = nullptr) {
-  const bool has_profile = profile != nullptr;
-  const std::string section = has_profile ? EncodeProfile(*profile) : "";
-  if (!result.ok()) {
-    return EncodeFrame(MessageType::kStatusReply,
-                       EncodeStatusReply(result.status()), trace_id,
-                       has_profile, section);
-  }
+  if (!result.ok()) return StatusFrame(result.status(), trace_id, profile);
   std::string body = encode(result.value());
   if (body.size() > max_payload) {
-    return EncodeFrame(
-        MessageType::kStatusReply,
-        EncodeStatusReply(Status::InvalidArgument(
-            "result too large for one frame (" +
-            std::to_string(body.size()) + " > " +
-            std::to_string(max_payload) +
-            " bytes); narrow the ranges or lower the batch size")),
-        trace_id, has_profile, section);
+    return StatusFrame(TooLarge(body.size(), max_payload), trace_id, profile);
   }
-  return EncodeFrame(reply_type, std::move(body), trace_id, has_profile,
-                     section);
+  return EncodeFrame(reply_type, std::move(body), trace_id,
+                     profile != nullptr, EncodeProfile(profile));
 }
 
 /// Marks a completed dispatch in the crash flight recorder and persists the
@@ -94,7 +99,7 @@ WireDispatcher::WireDispatcher(engine::DbServer* server,
 Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
                                                      size_t* consumed) {
   size_t frame_size = 0;
-  MOPE_ASSIGN_OR_RETURN(Frame frame, DecodeFrame(bytes, &frame_size));
+  MOPE_ASSIGN_OR_RETURN(const FrameView frame, ParseFrame(bytes, &frame_size));
   if (consumed != nullptr) *consumed = frame_size;
 
   // Query-log sampling: every Nth data-bearing request runs traced and is
@@ -143,7 +148,7 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
   return reply;
 }
 
-void WireDispatcher::EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
+void WireDispatcher::EmitQueryLog(const FrameView& frame, uint64_t elapsed_ns,
                                   const obs::Trace& trace) {
   // One line per sampled query, every counter inline: grep `event=query` and
   // every resource the server credited to the request is on the line,
@@ -159,7 +164,8 @@ void WireDispatcher::EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
   }
 }
 
-void WireDispatcher::ReportSlowQuery(const Frame& frame, uint64_t elapsed_ns,
+void WireDispatcher::ReportSlowQuery(const FrameView& frame,
+                                     uint64_t elapsed_ns,
                                      const obs::Trace& trace) {
   slow_queries_->Increment();
 
@@ -194,7 +200,7 @@ void WireDispatcher::ReportSlowQuery(const Frame& frame, uint64_t elapsed_ns,
   }
 }
 
-void WireDispatcher::MaybeCheckpointLocked(const Frame& frame) {
+void WireDispatcher::MaybeCheckpointLocked(const FrameView& frame) {
   if (options_.checkpoint_every == 0 || !server_->has_storage()) return;
   if (++frames_since_checkpoint_ < options_.checkpoint_every) return;
   frames_since_checkpoint_ = 0;
@@ -223,23 +229,48 @@ Result<engine::Schema> WireDispatcher::LookupSchemaLocked(
   return tbl->schema();
 }
 
+std::string WireDispatcher::RangeBatchReplyLocked(
+    const RangeBatchRequest& request, uint64_t trace_id,
+    const obs::Trace* profile) {
+  // Each row goes straight from table storage into the frame, behind the
+  // reserved header and the row count, which are filled in after the sweep.
+  std::string frame;
+  BeginFrame(&frame, trace_id);
+  const size_t payload_at = frame.size();
+  engine::PutU64(&frame, 0);
+  uint64_t rows = 0;
+  const Status swept = server_->VisitRangeBatch(
+      request.table, request.column, request.ranges,
+      [&frame, &rows](engine::RowId rid, const engine::Row& row) {
+        PutReplyRow(&frame, rid, row);
+        ++rows;
+      });
+  // The profile is taken right after the engine call: a periodic
+  // checkpoint that fires afterwards is a server policy cost, left out of
+  // the query's profile (it shows up in the dispatch latency, the query log
+  // and the slow-query trace instead).
+  if (!swept.ok()) return StatusFrame(swept, trace_id, profile);
+  const size_t payload_size = frame.size() - payload_at;
+  if (payload_size > options_.max_reply_payload_bytes) {
+    return StatusFrame(
+        TooLarge(payload_size, options_.max_reply_payload_bytes), trace_id,
+        profile);
+  }
+  StoreU64(frame.data() + payload_at, rows);
+  FinishFrame(&frame, MessageType::kRangeBatchReply, trace_id,
+              profile != nullptr, EncodeProfile(profile));
+  return frame;
+}
+
 Result<std::string> WireDispatcher::HandleFrameLocked(
-    const Frame& frame, const obs::Trace* profile) {
+    const FrameView& frame, const obs::Trace* profile) {
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRangeBatchRequest: {
       requests_range_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      const Result<RowsWithIds> rows = server_->ExecuteRangeBatchWithIds(
-          request->table, request->column, request->ranges);
-      // The profile is taken right after the engine call: a periodic
-      // checkpoint that fires afterwards is a server policy cost, left out
-      // of the query's profile (it shows up in the dispatch latency, the
-      // query log and the slow-query trace instead).
-      std::string reply = ReplyOrStatus(
-          rows, MessageType::kRangeBatchReply,
-          [](const RowsWithIds& r) { return EncodeRangeBatchReply(r); },
-          options_.max_reply_payload_bytes, frame.trace_id, profile);
+      std::string reply =
+          RangeBatchReplyLocked(*request, frame.trace_id, profile);
       MaybeCheckpointLocked(frame);
       return reply;
     }

@@ -103,22 +103,28 @@ class WireDispatcher {
   /// trace's counters as they stand after the engine call, plus its id, as
   /// the wire profile extension. Non-data-bearing requests never carry one:
   /// the embedded path does not attribute them either.
-  Result<std::string> HandleFrameLocked(const Frame& frame,
+  Result<std::string> HandleFrameLocked(const FrameView& frame,
                                         const obs::Trace* profile)
+      MOPE_REQUIRES(mutex_);
+  /// The reply frame to a range batch, its rows encoded straight from table
+  /// storage; a failed sweep or an over-cap result is a kStatusReply frame.
+  std::string RangeBatchReplyLocked(const RangeBatchRequest& request,
+                                    uint64_t trace_id,
+                                    const obs::Trace* profile)
       MOPE_REQUIRES(mutex_);
   /// Catalog lookup for a schema request (split out so the capability
   /// analysis sees the engine access inside the dispatch critical section).
   Result<engine::Schema> LookupSchemaLocked(const std::string& table) const
       MOPE_REQUIRES(mutex_);
   /// Periodic-checkpoint policy; called after every data-bearing request.
-  void MaybeCheckpointLocked(const Frame& frame) MOPE_REQUIRES(mutex_);
+  void MaybeCheckpointLocked(const FrameView& frame) MOPE_REQUIRES(mutex_);
   /// Slow-query aftermath: log line + Chrome-trace export. `trace` is the
   /// (still thread-activated) server-side trace of the request.
-  void ReportSlowQuery(const Frame& frame, uint64_t elapsed_ns,
+  void ReportSlowQuery(const FrameView& frame, uint64_t elapsed_ns,
                        const obs::Trace& trace);
   /// Emits the sampled `event=query` structured log line from the request's
   /// server-side trace.
-  void EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
+  void EmitQueryLog(const FrameView& frame, uint64_t elapsed_ns,
                     const obs::Trace& trace);
 
   /// Serializes engine access: DbServer is single-threaded by design (the

@@ -1,6 +1,7 @@
 #include "net/inmem.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/wire.h"
 
@@ -13,14 +14,8 @@ class InProcessChannel::ClientTransport final : public Transport {
 
   Result<size_t> Read(char* buf, size_t max) override {
     if (closed_) return Status::Unavailable("transport closed");
-    if (reply_pos_ >= reply_.size()) {
-      // Every reply byte so far has been read: drop them, so a long-lived
-      // connection holds only the replies still in flight.
-      reply_.clear();
-      reply_pos_ = 0;
-      MOPE_RETURN_NOT_OK(Pump());
-    }
-    if (reply_pos_ >= reply_.size()) {
+    if (reply_.empty()) MOPE_RETURN_NOT_OK(Pump());
+    if (reply_.empty()) {
       // Nothing to serve and no complete request pending: on a real network
       // this is a read deadline expiring with the peer silent.
       return Status::Unavailable("read deadline expired (no reply pending)");
@@ -28,6 +23,13 @@ class InProcessChannel::ClientTransport final : public Transport {
     const size_t n = std::min(max, reply_.size() - reply_pos_);
     reply_.copy(buf, n, reply_pos_);
     reply_pos_ += n;
+    if (reply_pos_ == reply_.size()) {
+      // Every reply byte has been read: free the buffer now (a swap, since
+      // clear() and assigning an empty string keep the capacity), so a
+      // connection holds only the replies still in flight.
+      std::string().swap(reply_);
+      reply_pos_ = 0;
+    }
     return n;
   }
 
@@ -40,8 +42,9 @@ class InProcessChannel::ClientTransport final : public Transport {
   void Close() override { closed_ = true; }
 
  private:
-  /// Serves every complete request currently buffered, appending replies in
-  /// order (a pipelined client gets pipelined replies).
+  /// Serves every complete request currently buffered, queueing replies in
+  /// order (a pipelined client gets pipelined replies). A reply to an idle
+  /// channel is moved in, not copied.
   Status Pump() {
     size_t consumed = 0;
     while (pending_.size() >= kFrameHeaderBytes) {
@@ -54,7 +57,11 @@ class InProcessChannel::ClientTransport final : public Transport {
         return reply.status();
       }
       pending_.erase(0, consumed);
-      reply_.append(*reply);
+      if (reply_.empty()) {
+        reply_ = std::move(reply).value();
+      } else {
+        reply_.append(*reply);
+      }
     }
     return Status::OK();
   }

@@ -40,6 +40,12 @@ Status MergeProfile(std::string_view section, obs::Trace* trace) {
   return Status::OK();
 }
 
+/// Reads one reply frame into `*raw` and validates it in place.
+Result<FrameView> ReadReply(Transport* transport, std::string* raw) {
+  MOPE_ASSIGN_OR_RETURN(*raw, ReadFrameBytes(transport));
+  return ParseFrame(*raw, nullptr);
+}
+
 }  // namespace
 
 RemoteConnection::RemoteConnection(RemoteOptions options)
@@ -83,9 +89,9 @@ void RemoteConnection::DisconnectLocked() {
   }
 }
 
-Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
-                                          std::string payload,
-                                          MessageType expected_reply) {
+Result<std::string_view> RemoteConnection::RoundTrip(
+    MessageType request_type, std::string payload, MessageType expected_reply,
+    std::string* reply) {
   // One span per application-level round trip (retries included): in a query
   // trace, N of these under one segment shows the real/fake batch fan-out.
   const obs::ScopedSpan span("net.roundtrip");
@@ -128,7 +134,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
       if (IsTransient(last)) continue;
       return last;
     }
-    auto frame = ReadFrame(transport_.get());
+    auto frame = ReadReply(transport_.get(), reply);
     if (!frame.ok()) {
       // The stream is in an unknown state either way; a fresh connection is
       // the only sane base for a retry.
@@ -137,12 +143,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
       if (IsTransient(last)) continue;
       return last;  // Corruption and friends: fail fast
     }
-    const uint64_t received_bytes =
-        kFrameHeaderBytes + (frame->trace_id != 0 ? kTraceIdBytes : 0) +
-        (frame->has_profile ? kProfileLengthBytes + frame->profile.size()
-                            : 0) +
-        frame->payload.size();
-    bytes_received_->Increment(received_bytes);
+    bytes_received_->Increment(reply->size());
     if (want_profile && frame->has_profile) {
       const Status merged = MergeProfile(frame->profile, trace);
       if (!merged.ok()) {
@@ -161,7 +162,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
                                 std::to_string(frame->type));
     }
     roundtrip_ns_->Observe(clock_->NowNanos() - start_ns);
-    return *std::move(frame);
+    return frame->payload;
   }
   return last;
 }
@@ -170,41 +171,57 @@ Result<std::vector<std::pair<engine::RowId, engine::Row>>>
 RemoteConnection::ExecuteRangeBatch(const std::string& table,
                                     const std::string& column,
                                     const std::vector<ModularInterval>& ranges) {
-  RangeBatchRequest request{table, column, ranges};
+  std::string reply;
   MOPE_ASSIGN_OR_RETURN(
-      Frame reply,
+      const std::string_view payload,
       RoundTrip(MessageType::kRangeBatchRequest,
-                EncodeRangeBatchRequest(request),
-                MessageType::kRangeBatchReply));
-  return DecodeRangeBatchReply(reply.payload);
+                EncodeRangeBatchRequest({table, column, ranges}),
+                MessageType::kRangeBatchReply, &reply));
+  return DecodeRangeBatchReply(payload);
+}
+
+Result<uint64_t> RemoteConnection::FetchRangeBatch(
+    const std::string& table, const std::string& column,
+    const std::vector<ModularInterval>& ranges, size_t key_column,
+    const ModularInterval& keep, RowsWithIds* kept) {
+  std::string reply;
+  MOPE_ASSIGN_OR_RETURN(
+      const std::string_view payload,
+      RoundTrip(MessageType::kRangeBatchRequest,
+                EncodeRangeBatchRequest({table, column, ranges}),
+                MessageType::kRangeBatchReply, &reply));
+  const RowFilter filter{key_column, keep};
+  return DecodeRangeBatchReply(payload, &filter, kept);
 }
 
 Result<uint64_t> RemoteConnection::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
-  RangeBatchRequest request{table, column, ranges};
+  std::string reply;
   MOPE_ASSIGN_OR_RETURN(
-      Frame reply,
+      const std::string_view payload,
       RoundTrip(MessageType::kCountBatchRequest,
-                EncodeRangeBatchRequest(request),
-                MessageType::kCountBatchReply));
-  return DecodeCountBatchReply(reply.payload);
+                EncodeRangeBatchRequest({table, column, ranges}),
+                MessageType::kCountBatchReply, &reply));
+  return DecodeCountBatchReply(payload);
 }
 
 Result<engine::Schema> RemoteConnection::GetSchema(const std::string& table) {
-  MOPE_ASSIGN_OR_RETURN(Frame reply,
+  std::string reply;
+  MOPE_ASSIGN_OR_RETURN(const std::string_view payload,
                         RoundTrip(MessageType::kSchemaRequest,
                                   EncodeSchemaRequest(table),
-                                  MessageType::kSchemaReply));
-  return DecodeSchemaReply(reply.payload);
+                                  MessageType::kSchemaReply, &reply));
+  return DecodeSchemaReply(payload);
 }
 
 Result<std::vector<std::pair<std::string, uint64_t>>>
 RemoteConnection::FetchServerStats() {
-  MOPE_ASSIGN_OR_RETURN(Frame reply,
+  std::string reply;
+  MOPE_ASSIGN_OR_RETURN(const std::string_view payload,
                         RoundTrip(MessageType::kStatsRequest, std::string(),
-                                  MessageType::kStatsReply));
-  return DecodeStatsReply(reply.payload);
+                                  MessageType::kStatsReply, &reply));
+  return DecodeStatsReply(payload);
 }
 
 uint64_t RemoteConnection::retries() const {

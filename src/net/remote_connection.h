@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -75,6 +76,14 @@ class RemoteConnection final : public proxy::ServerConnection {
   ExecuteRangeBatch(const std::string& table, const std::string& column,
                     const std::vector<ModularInterval>& ranges) override;
 
+  /// Decodes the reply with the filtered decoder: every byte is checked,
+  /// only the kept rows are built.
+  Result<uint64_t> FetchRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges, size_t key_column,
+      const ModularInterval& keep,
+      std::vector<std::pair<engine::RowId, engine::Row>>* kept) override;
+
   Result<uint64_t> CountRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override;
@@ -92,8 +101,12 @@ class RemoteConnection final : public proxy::ServerConnection {
   uint64_t connects() const;
 
  private:
-  Result<Frame> RoundTrip(MessageType request_type, std::string payload,
-                          MessageType expected_reply) MOPE_EXCLUDES(mutex_);
+  /// Sends one request and returns the payload of its `expected_reply`,
+  /// which views `*reply`, the reply frame's bytes.
+  Result<std::string_view> RoundTrip(MessageType request_type,
+                                     std::string payload,
+                                     MessageType expected_reply,
+                                     std::string* reply) MOPE_EXCLUDES(mutex_);
   Status EnsureConnectedLocked() MOPE_REQUIRES(mutex_);
   void DisconnectLocked() MOPE_REQUIRES(mutex_);
 

@@ -1,5 +1,8 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
+#include "common/coding.h"
 #include "common/crc32.h"
 #include "engine/codec.h"
 
@@ -17,6 +20,19 @@ namespace {
 /// decoder reserve gigabytes before the (bounded) payload runs out.
 constexpr uint64_t kMaxRangesPerBatch = 1u << 20;
 
+/// A reply row's fixed part: u64 row id + u32 value count.
+constexpr size_t kReplyRowHeaderBytes = 12;
+
+Result<engine::Row> ReadRow(ByteReader* reader, uint32_t num_values) {
+  engine::Row row;
+  row.reserve(num_values);
+  for (uint32_t c = 0; c < num_values; ++c) {
+    MOPE_ASSIGN_OR_RETURN(engine::Value v, reader->ReadValue());
+    row.push_back(std::move(v));
+  }
+  return row;
+}
+
 Result<ModularInterval> ReadInterval(ByteReader* reader) {
   MOPE_ASSIGN_OR_RETURN(uint64_t start, reader->U64());
   MOPE_ASSIGN_OR_RETURN(uint64_t length, reader->U64());
@@ -33,134 +49,187 @@ Result<ModularInterval> ReadInterval(ByteReader* reader) {
 
 uint32_t Crc32(std::string_view bytes) { return mope::Crc32(bytes); }
 
-std::string EncodeFrame(MessageType type, std::string payload,
-                        uint64_t trace_id, bool has_profile,
-                        std::string_view profile) {
-  MOPE_CHECK(payload.size() <= kMaxPayloadBytes, "frame payload too large");
-  MOPE_CHECK(profile.size() <= kMaxPayloadBytes, "frame profile too large");
-  // Extension-free frames stay version 1, byte-identical to what older
-  // builds emit; only an actual trace id or profile pays for version 2.
-  const bool traced = trace_id != 0;
-  const uint8_t flags =
-      static_cast<uint8_t>((traced ? kFrameFlagHasTraceId : 0) |
-                           (has_profile ? kFrameFlagHasProfile : 0));
-  std::string out;
-  out.reserve(kFrameHeaderBytes + (traced ? kTraceIdBytes : 0) +
-              (has_profile ? kProfileLengthBytes + profile.size() : 0) +
-              payload.size());
-  PutU32(&out, kWireMagic);
-  out.push_back(static_cast<char>(flags != 0 ? kWireVersion : 1));
-  out.push_back(static_cast<char>(type));
-  out.push_back(static_cast<char>(flags));
-  out.push_back(0);  // reserved
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32(payload));
-  if (traced) PutU64(&out, trace_id);
-  if (has_profile) {
-    PutU32(&out, static_cast<uint32_t>(profile.size()));
-    out.append(profile);
-  }
-  out.append(payload);
-  return out;
+namespace {
+
+size_t TraceIdBytes(uint64_t trace_id) {
+  return trace_id != 0 ? kTraceIdBytes : 0;
 }
 
-Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
-  if (bytes.size() < kFrameHeaderBytes) {
-    return Status::Unavailable("incomplete frame header");
-  }
-  ByteReader header(bytes.substr(0, kFrameHeaderBytes), "wire frame");
-  MOPE_ASSIGN_OR_RETURN(uint32_t magic, header.U32());
-  if (magic != kWireMagic) {
+/// The fixed header's fields, checked.
+struct Header {
+  uint8_t type = 0;
+  uint8_t flags = 0;
+  uint32_t length = 0;
+  uint32_t crc = 0;
+};
+
+/// Checks the kFrameHeaderBytes at `p`: magic, version, flags, reserved
+/// byte and payload length. Afterwards `flags` alone says which extensions
+/// follow.
+Result<Header> ParseHeader(const char* p) {
+  if (LoadU32(p) != kWireMagic) {
     return Status::Corruption("bad wire magic");
   }
-  MOPE_ASSIGN_OR_RETURN(uint8_t version, header.Byte());
+  const uint8_t version = static_cast<uint8_t>(p[4]);
   if (version == 0 || version > kWireVersion) {
     return Status::Corruption("unsupported wire protocol version " +
                               std::to_string(version));
   }
-  MOPE_ASSIGN_OR_RETURN(uint8_t type, header.Byte());
-  MOPE_ASSIGN_OR_RETURN(uint8_t flags, header.Byte());
-  MOPE_ASSIGN_OR_RETURN(uint8_t reserved, header.Byte());
+  Header header;
+  header.type = static_cast<uint8_t>(p[5]);
+  header.flags = static_cast<uint8_t>(p[6]);
   // Version 1 predates the flags byte: both bytes are reserved-zero there.
   // In version 2, an unknown flag bit would change the framing underneath
   // us, so it is Corruption, not something to ignore.
   constexpr uint8_t kKnownFlags = kFrameFlagHasTraceId | kFrameFlagHasProfile;
-  if (version == 1 ? flags != 0 : (flags & ~kKnownFlags) != 0) {
+  if (version == 1 ? header.flags != 0 : (header.flags & ~kKnownFlags) != 0) {
     return Status::Corruption(version == 1
                                   ? "nonzero reserved bytes in frame header"
                                   : "unknown frame flags");
   }
-  if (reserved != 0) {
+  if (p[7] != 0) {
     return Status::Corruption("nonzero reserved bytes in frame header");
   }
-  MOPE_ASSIGN_OR_RETURN(uint32_t length, header.U32());
-  if (length > kMaxPayloadBytes) {
+  header.length = LoadU32(p + 8);
+  if (header.length > kMaxPayloadBytes) {
     return Status::Corruption("oversized frame payload (" +
+                              std::to_string(header.length) + " bytes)");
+  }
+  header.crc = LoadU32(p + 12);
+  return header;
+}
+
+Result<uint32_t> ProfileLength(const char* p) {
+  const uint32_t length = LoadU32(p);
+  if (length > kMaxPayloadBytes) {
+    return Status::Corruption("oversized profile extension (" +
                               std::to_string(length) + " bytes)");
   }
-  MOPE_ASSIGN_OR_RETURN(uint32_t crc, header.U32());
-  Frame frame;
-  frame.type = type;
+  return length;
+}
+
+}  // namespace
+
+void BeginFrame(std::string* out, uint64_t trace_id) {
+  out->assign(kFrameHeaderBytes + TraceIdBytes(trace_id), '\0');
+}
+
+void FinishFrame(std::string* out, MessageType type, uint64_t trace_id,
+                 bool has_profile, std::string_view profile) {
+  MOPE_CHECK(profile.size() <= kMaxPayloadBytes, "frame profile too large");
+  size_t payload_at = kFrameHeaderBytes + TraceIdBytes(trace_id);
+  if (has_profile) {
+    std::string section;
+    section.reserve(kProfileLengthBytes + profile.size());
+    engine::PutU32(&section, static_cast<uint32_t>(profile.size()));
+    section.append(profile);
+    out->insert(payload_at, section);
+    payload_at += section.size();
+  }
+  const std::string_view payload = std::string_view(*out).substr(payload_at);
+  MOPE_CHECK(payload.size() <= kMaxPayloadBytes, "frame payload too large");
+  // Extension-free frames stay version 1, byte-identical to what older
+  // builds emit; only an actual trace id or profile pays for version 2.
+  const uint8_t flags =
+      static_cast<uint8_t>((trace_id != 0 ? kFrameFlagHasTraceId : 0) |
+                           (has_profile ? kFrameFlagHasProfile : 0));
+  char* p = out->data();
+  StoreU32(p, kWireMagic);
+  p[4] = static_cast<char>(flags != 0 ? kWireVersion : 1);
+  p[5] = static_cast<char>(type);
+  p[6] = static_cast<char>(flags);
+  p[7] = 0;  // reserved
+  StoreU32(p + 8, static_cast<uint32_t>(payload.size()));
+  StoreU32(p + 12, Crc32(payload));
+  if (trace_id != 0) StoreU64(p + kFrameHeaderBytes, trace_id);
+}
+
+std::string EncodeFrame(MessageType type, std::string payload,
+                        uint64_t trace_id, bool has_profile,
+                        std::string_view profile) {
+  std::string out;
+  out.reserve(kFrameHeaderBytes + TraceIdBytes(trace_id) +
+              (has_profile ? kProfileLengthBytes + profile.size() : 0) +
+              payload.size());
+  BeginFrame(&out, trace_id);
+  out.append(payload);
+  FinishFrame(&out, type, trace_id, has_profile, profile);
+  return out;
+}
+
+Result<FrameView> ParseFrame(std::string_view bytes, size_t* consumed) {
+  if (bytes.size() < kFrameHeaderBytes) {
+    return Status::Unavailable("incomplete frame header");
+  }
+  MOPE_ASSIGN_OR_RETURN(const Header header, ParseHeader(bytes.data()));
+  FrameView frame;
+  frame.type = header.type;
   // Extensions sit between the header and the payload in flag-bit order;
   // the profile one is length-prefixed, so framing is discovered in stages.
   size_t offset = kFrameHeaderBytes;
-  if ((flags & kFrameFlagHasTraceId) != 0) {
+  if ((header.flags & kFrameFlagHasTraceId) != 0) {
     if (bytes.size() < offset + kTraceIdBytes) {
       return Status::Unavailable("incomplete frame payload");
     }
-    ByteReader ext(bytes.substr(offset, kTraceIdBytes), "wire frame");
-    MOPE_ASSIGN_OR_RETURN(frame.trace_id, ext.U64());
+    frame.trace_id = LoadU64(bytes.data() + offset);
     offset += kTraceIdBytes;
   }
-  if ((flags & kFrameFlagHasProfile) != 0) {
+  if ((header.flags & kFrameFlagHasProfile) != 0) {
     frame.has_profile = true;
     if (bytes.size() < offset + kProfileLengthBytes) {
       return Status::Unavailable("incomplete frame payload");
     }
-    ByteReader ext(bytes.substr(offset, kProfileLengthBytes), "wire frame");
-    MOPE_ASSIGN_OR_RETURN(uint32_t profile_len, ext.U32());
-    if (profile_len > kMaxPayloadBytes) {
-      return Status::Corruption("oversized profile extension (" +
-                                std::to_string(profile_len) + " bytes)");
-    }
+    MOPE_ASSIGN_OR_RETURN(const uint32_t profile_len,
+                          ProfileLength(bytes.data() + offset));
     offset += kProfileLengthBytes;
-    if (bytes.size() < offset + profile_len) {
+    if (bytes.size() - offset < profile_len) {
       return Status::Unavailable("incomplete frame payload");
     }
-    frame.profile.assign(bytes.substr(offset, profile_len));
+    frame.profile = bytes.substr(offset, profile_len);
     offset += profile_len;
   }
-  if (bytes.size() - offset < length) {
+  if (bytes.size() - offset < header.length) {
     return Status::Unavailable("incomplete frame payload");
   }
-  const std::string_view payload = bytes.substr(offset, length);
-  if (Crc32(payload) != crc) {
+  frame.payload = bytes.substr(offset, header.length);
+  if (Crc32(frame.payload) != header.crc) {
     return Status::Corruption("frame CRC mismatch");
   }
-  if (consumed != nullptr) *consumed = offset + length;
-  frame.payload.assign(payload);
+  if (consumed != nullptr) *consumed = offset + header.length;
   return frame;
+}
+
+Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
+  MOPE_ASSIGN_OR_RETURN(const FrameView view, ParseFrame(bytes, consumed));
+  return Frame{view.type, view.trace_id, view.has_profile,
+               std::string(view.profile), std::string(view.payload)};
 }
 
 namespace {
 
-/// Reads exactly `n` more bytes into `out`. `at_boundary` distinguishes a
-/// clean EOF before any header byte (peer hung up between requests) from a
-/// stream cut mid-frame.
+/// The first read of a frame's remainder asks for at most this many bytes.
+constexpr size_t kMinReadChunk = 64 << 10;
+
+/// Reads exactly `n` more bytes onto the end of `out`, straight into its
+/// buffer. The buffer grows with the bytes that arrive (at most doubling),
+/// not with the length the peer claims, so a 16-byte header cannot make the
+/// reader touch 64 MiB. `at_boundary` distinguishes a clean EOF before any
+/// header byte (peer hung up between requests) from a stream cut mid-frame.
 Status ReadExact(Transport* transport, size_t n, std::string* out,
                  bool at_boundary) {
-  size_t got = 0;
-  char buf[4096];
-  while (got < n) {
-    MOPE_ASSIGN_OR_RETURN(
-        size_t chunk, transport->Read(buf, std::min(n - got, sizeof(buf))));
+  const size_t begin = out->size();
+  const size_t end = begin + n;
+  while (out->size() < end) {
+    const size_t at = out->size();
+    out->resize(std::min(end, at + std::max(at - begin, kMinReadChunk)));
+    MOPE_ASSIGN_OR_RETURN(const size_t chunk,
+                          transport->Read(out->data() + at, out->size() - at));
+    out->resize(at + chunk);
     if (chunk == 0) {
-      return (at_boundary && got == 0)
+      return (at_boundary && at == begin)
                  ? Status::Unavailable("connection closed")
                  : Status::Unavailable("connection closed mid-frame");
     }
-    out->append(buf, chunk);
-    got += chunk;
   }
   return Status::OK();
 }
@@ -169,54 +238,26 @@ Status ReadExact(Transport* transport, size_t n, std::string* out,
 
 Result<std::string> ReadFrameBytes(Transport* transport) {
   std::string raw;
-  raw.reserve(kFrameHeaderBytes);
   MOPE_RETURN_NOT_OK(
       ReadExact(transport, kFrameHeaderBytes, &raw, /*at_boundary=*/true));
-  // Vet the header far enough to learn the payload length; full validation
-  // (CRC included) happens in DecodeFrame once the bytes are in hand.
-  ByteReader header(raw, "wire frame");
-  MOPE_ASSIGN_OR_RETURN(uint32_t magic, header.U32());
-  if (magic != kWireMagic) {
-    return Status::Corruption("bad wire magic");
-  }
-  MOPE_ASSIGN_OR_RETURN(uint8_t version, header.Byte());
-  if (version == 0 || version > kWireVersion) {
-    return Status::Corruption("unsupported wire protocol version " +
-                              std::to_string(version));
-  }
-  MOPE_RETURN_NOT_OK(header.Byte().status());  // type: dispatcher's problem
-  MOPE_ASSIGN_OR_RETURN(uint8_t flags, header.Byte());
-  MOPE_RETURN_NOT_OK(header.Byte().status());  // reserved, checked on decode
-  MOPE_ASSIGN_OR_RETURN(uint32_t length, header.U32());
-  if (length > kMaxPayloadBytes) {
-    return Status::Corruption("oversized frame payload (" +
-                              std::to_string(length) + " bytes)");
-  }
-  // The flags byte tells us how many extension bytes precede the payload;
-  // flag *validity* is DecodeFrame's job once everything is in hand. The
+  MOPE_ASSIGN_OR_RETURN(const Header header, ParseHeader(raw.data()));
+  // The flags say how many extension bytes precede the payload; the
   // profile extension is length-prefixed, so its prefix is read first.
+  const size_t trace_ext =
+      (header.flags & kFrameFlagHasTraceId) != 0 ? kTraceIdBytes : 0;
+  const bool has_profile = (header.flags & kFrameFlagHasProfile) != 0;
   const size_t fixed_ext =
-      (version >= 2 && (flags & kFrameFlagHasTraceId) != 0) ? kTraceIdBytes
-                                                            : 0;
-  const bool has_profile =
-      version >= 2 && (flags & kFrameFlagHasProfile) != 0;
-  MOPE_RETURN_NOT_OK(ReadExact(
-      transport, fixed_ext + (has_profile ? kProfileLengthBytes : 0), &raw,
-      /*at_boundary=*/false));
-  size_t profile_len = 0;
-  if (has_profile) {
-    ByteReader plen(std::string_view(raw).substr(
-                        kFrameHeaderBytes + fixed_ext, kProfileLengthBytes),
-                    "wire frame");
-    MOPE_ASSIGN_OR_RETURN(uint32_t len32, plen.U32());
-    if (len32 > kMaxPayloadBytes) {
-      return Status::Corruption("oversized profile extension (" +
-                                std::to_string(len32) + " bytes)");
-    }
-    profile_len = len32;
-  }
+      trace_ext + (has_profile ? kProfileLengthBytes : 0);
+  raw.reserve(kFrameHeaderBytes + fixed_ext + header.length);
   MOPE_RETURN_NOT_OK(
-      ReadExact(transport, profile_len + length, &raw, /*at_boundary=*/false));
+      ReadExact(transport, fixed_ext, &raw, /*at_boundary=*/false));
+  uint32_t profile_len = 0;
+  if (has_profile) {
+    MOPE_ASSIGN_OR_RETURN(
+        profile_len, ProfileLength(raw.data() + kFrameHeaderBytes + trace_ext));
+  }
+  MOPE_RETURN_NOT_OK(ReadExact(transport, size_t{profile_len} + header.length,
+                               &raw, /*at_boundary=*/false));
   return raw;
 }
 
@@ -229,7 +270,7 @@ Status WriteFrame(Transport* transport, MessageType type, std::string payload,
                   uint64_t trace_id, bool has_profile,
                   std::string_view profile) {
   // Callers hand WriteFrame unbounded application data (e.g. a huge range
-  // batch); overflow must come back as a Status, not trip EncodeFrame's
+  // batch); overflow must come back as a Status, not trip FinishFrame's
   // precondition check.
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument(
@@ -281,44 +322,82 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload) {
   return request;
 }
 
+void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row) {
+  size_t size = kReplyRowHeaderBytes;
+  for (const engine::Value& v : row) size += engine::EncodedSize(v);
+  const size_t at = out->size();
+  out->resize(at + size);
+  char* p = out->data() + at;
+  StoreU64(p, rid);
+  StoreU32(p + 8, static_cast<uint32_t>(row.size()));
+  p += kReplyRowHeaderBytes;
+  for (const engine::Value& v : row) p = engine::WriteValue(p, v);
+}
+
 std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
   std::string out;
   PutU64(&out, rows.size());
-  for (const auto& [rid, row] : rows) {
-    PutU64(&out, rid);
-    PutU32(&out, static_cast<uint32_t>(row.size()));
-    for (const engine::Value& v : row) PutValue(&out, v);
-  }
+  for (const auto& [rid, row] : rows) PutReplyRow(&out, rid, row);
   return out;
 }
 
-Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
+Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
+                                       const RowFilter* filter,
+                                       RowsWithIds* rows) {
   ByteReader reader(payload, "wire frame");
-  MOPE_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-  // Each row costs at least 12 bytes on the wire; a count beyond that bound
-  // cannot be satisfied by the remaining payload.
-  if (count > reader.remaining() / 12) {
+  MOPE_ASSIGN_OR_RETURN(const uint64_t count, reader.U64());
+  // Each row costs at least kReplyRowHeaderBytes on the wire; a count
+  // beyond that bound cannot be satisfied by the remaining payload.
+  if (count > reader.remaining() / kReplyRowHeaderBytes) {
     return Status::Corruption("implausible row count in batch reply");
   }
-  RowsWithIds rows;
-  rows.reserve(count);
+  if (filter == nullptr) rows->reserve(rows->size() + count);
   for (uint64_t i = 0; i < count; ++i) {
-    MOPE_ASSIGN_OR_RETURN(uint64_t rid, reader.U64());
-    MOPE_ASSIGN_OR_RETURN(uint32_t num_values, reader.U32());
-    if (num_values > 4096) {
+    MOPE_ASSIGN_OR_RETURN(const uint64_t rid, reader.U64());
+    MOPE_ASSIGN_OR_RETURN(const uint32_t num_values, reader.U32());
+    if (num_values > engine::kMaxColumns) {
       return Status::Corruption("implausible column count in batch reply");
     }
     engine::Row row;
-    row.reserve(num_values);
-    for (uint32_t c = 0; c < num_values; ++c) {
-      MOPE_ASSIGN_OR_RETURN(engine::Value v, reader.ReadValue());
-      row.push_back(std::move(v));
+    if (filter == nullptr) {
+      MOPE_ASSIGN_OR_RETURN(row, ReadRow(&reader, num_values));
+      rows->emplace_back(rid, std::move(row));
+      continue;
     }
-    rows.emplace_back(rid, std::move(row));
+    // A first pass checks the row's bytes and reads its key; only a kept
+    // row is read again, to be built.
+    if (filter->key_column >= num_values) {
+      return Status::Corruption("batch reply row lacks the key column");
+    }
+    const size_t row_at = reader.position();
+    uint64_t key = 0;
+    for (uint32_t c = 0; c < num_values; ++c) {
+      if (c != filter->key_column) {
+        MOPE_RETURN_NOT_OK(reader.SkipValue());
+        continue;
+      }
+      MOPE_ASSIGN_OR_RETURN(const uint8_t tag, reader.Byte());
+      if (tag != static_cast<uint8_t>(engine::ValueType::kInt)) {
+        return Status::Corruption("non-int key column in batch reply");
+      }
+      MOPE_ASSIGN_OR_RETURN(key, reader.U64());
+    }
+    if (!filter->keep.Contains(key)) continue;
+    ByteReader kept(payload.substr(row_at, reader.position() - row_at),
+                    "wire frame");
+    MOPE_ASSIGN_OR_RETURN(row, ReadRow(&kept, num_values));
+    rows->emplace_back(rid, std::move(row));
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after batch reply");
   }
+  return count;
+}
+
+Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
+  RowsWithIds rows;
+  MOPE_RETURN_NOT_OK(
+      DecodeRangeBatchReply(payload, nullptr, &rows).status());
   return rows;
 }
 

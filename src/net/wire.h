@@ -35,15 +35,24 @@
 ///
 /// Payloads are encoded with the same value codec as catalog snapshots
 /// (engine/codec.h). Request/reply pairs mirror proxy::ServerConnection:
-/// ExecuteRangeBatch, CountRangeBatch, GetSchema; any server-side error
-/// comes back as a kStatusReply frame carrying the Status code and message.
+/// ExecuteRangeBatch / FetchRangeBatch, CountRangeBatch, GetSchema,
+/// FetchServerStats; any server-side error comes back as a kStatusReply
+/// frame carrying the Status code and message.
 ///
-/// Decoders never trust the peer: magic/version/reserved/length/CRC are all
-/// checked before a payload byte is looked at, every payload field is
-/// bounds-checked, and a ModularInterval is validated *before* construction
-/// (the constructor MOPE_CHECKs, and a hostile frame must not abort the
-/// process). Framing violations decode to Corruption; connection loss and
-/// deadline expiry to Unavailable (the retryable class).
+/// The range-batch reply is the bulk of all traffic, so its path copies as
+/// little as it can without changing a byte: the server writes each row
+/// straight from table storage into the reply frame behind reserved header
+/// bytes (BeginFrame / PutReplyRow / FinishFrame), ParseFrame validates a
+/// frame and hands out views of its payload and profile, and the client's
+/// decoder checks every payload byte but builds only the rows a RowFilter
+/// keeps.
+///
+/// Decoders never trust the peer: magic/version/flags/reserved/length/CRC
+/// are all checked before a payload byte is looked at, every payload field
+/// is bounds-checked, and a ModularInterval is validated *before*
+/// construction (the constructor MOPE_CHECKs, and a hostile frame must not
+/// abort the process). Framing violations decode to Corruption; connection
+/// loss and deadline expiry to Unavailable (the retryable class).
 
 #include <cstdint>
 #include <string>
@@ -86,13 +95,23 @@ enum class MessageType : uint8_t {
   kStatsReply = 9,         ///< body: StatsReply (sorted name/value pairs)
 };
 
-/// A decoded frame. `type` is the raw on-wire byte: framing layers pass
-/// unknown types through so the dispatcher can answer them with a clean
-/// Status instead of dropping the connection. `trace_id` is nonzero when the
-/// peer stamped the frame with an active query trace (version-2 extension).
-/// `has_profile` is true when the frame carried the profile extension —
-/// empty on a request (meaning "profile me"), filled with the counters the
-/// server credited to the request on a reply.
+/// A validated frame whose profile and payload view the bytes it was parsed
+/// from; those bytes must outlive it. `type` is the raw on-wire byte:
+/// framing layers pass unknown types through so the dispatcher can answer
+/// them with a clean Status instead of dropping the connection. `trace_id`
+/// is nonzero when the peer stamped the frame with an active query trace
+/// (version-2 extension). `has_profile` is true when the frame carried the
+/// profile extension — empty on a request (meaning "profile me"), filled
+/// with the counters the server credited to the request on a reply.
+struct FrameView {
+  uint8_t type = 0;
+  uint64_t trace_id = 0;
+  bool has_profile = false;
+  std::string_view profile;  ///< StatsReply-encoded; iff has_profile.
+  std::string_view payload;
+};
+
+/// A FrameView that owns copies of its profile and payload.
 struct Frame {
   uint8_t type = 0;
   uint64_t trace_id = 0;
@@ -104,26 +123,47 @@ struct Frame {
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`.
 uint32_t Crc32(std::string_view bytes);
 
-/// Serializes one frame (header + payload). A frame using no extension
-/// (zero `trace_id`, `has_profile` false) is emitted as a version-1 frame,
-/// byte-identical to what older builds emit; any extension selects version
-/// 2. `profile` is the StatsReply-encoded profile section (empty = request
-/// for one). Precondition (MOPE_CHECKed): payload and profile each fit in
-/// kMaxPayloadBytes — for unbounded or peer-influenced data use WriteFrame
-/// (client side) or the dispatcher's reply cap (server side), which surface
-/// overflow as a Status instead.
+/// Starts a frame in `*out`, replacing its contents: reserves the fixed
+/// header and, when `trace_id` is nonzero, writes the trace-id extension.
+/// Append the payload to `*out`, then complete the frame with FinishFrame
+/// and the same `trace_id`.
+void BeginFrame(std::string* out, uint64_t trace_id);
+
+/// Completes a frame started by BeginFrame: everything appended after the
+/// reserved bytes is the payload. Fills in the header (version, flags,
+/// length, CRC) and, when `has_profile`, inserts the profile section in
+/// front of the payload — the one case that moves the payload, since a
+/// reply's profile is known only once its rows are written. A frame using
+/// no extension (zero `trace_id`, `has_profile` false) is a version-1
+/// frame, byte-identical to what older builds emit; any extension selects
+/// version 2. `profile` is the StatsReply-encoded profile section (empty =
+/// request for one). Precondition (MOPE_CHECKed): payload and profile each
+/// fit in kMaxPayloadBytes — for unbounded or peer-influenced data use
+/// WriteFrame (client side) or the dispatcher's reply cap (server side),
+/// which surface overflow as a Status instead.
+void FinishFrame(std::string* out, MessageType type, uint64_t trace_id,
+                 bool has_profile = false, std::string_view profile = {});
+
+/// Serializes one frame (header + payload): BeginFrame, the payload,
+/// FinishFrame.
 std::string EncodeFrame(MessageType type, std::string payload,
                         uint64_t trace_id = 0, bool has_profile = false,
                         std::string_view profile = {});
 
-/// Validates and decodes the frame at the front of `bytes`; on success sets
-/// `*consumed` to its total size. Corruption on any header/CRC violation;
+/// Validates the frame at the front of `bytes` — header, extensions, CRC —
+/// and returns views into `bytes`; on success sets `*consumed` (when not
+/// null) to the frame's total size. Corruption on any header/CRC violation;
 /// Unavailable when `bytes` holds less than one whole frame (more input may
 /// still arrive).
+Result<FrameView> ParseFrame(std::string_view bytes, size_t* consumed);
+
+/// ParseFrame, then copies the profile and payload into an owning Frame.
 Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed);
 
-/// Reads one whole raw frame (header + payload bytes) off a transport.
-/// Unavailable on timeout or connection loss; Corruption as in DecodeFrame.
+/// Reads one whole raw frame (header, extensions, payload) off a transport,
+/// straight into the returned buffer. The header is validated before any
+/// further byte is read. Unavailable on timeout or connection loss;
+/// Corruption as in ParseFrame.
 Result<std::string> ReadFrameBytes(Transport* transport);
 
 /// ReadFrameBytes + DecodeFrame.
@@ -150,7 +190,33 @@ using RowsWithIds = std::vector<std::pair<engine::RowId, engine::Row>>;
 std::string EncodeRangeBatchRequest(const RangeBatchRequest& request);
 Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload);
 
+/// A range-batch reply payload is a u64 row count, then per row a u64 row
+/// id, a u32 value count and that many PutValue encodings. PutReplyRow
+/// appends one row: the only row writer, shared by EncodeRangeBatchReply and
+/// the dispatcher, which writes rows straight from table storage.
+void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row);
+
 std::string EncodeRangeBatchReply(const RowsWithIds& rows);
+
+/// The proxy's result filter: keep a row iff the int at `key_column` lies
+/// in `keep` (a ciphertext interval).
+struct RowFilter {
+  size_t key_column;
+  ModularInterval keep;
+};
+
+/// The range-batch reply decoder. One pass checks every byte — the row-count
+/// bound, each value's tag and string length, each row's column-count bound,
+/// trailing bytes — so any malformed byte, in a row kept or dropped, is
+/// Corruption and nothing is returned. With a `filter`, only the rows it
+/// keeps are built and appended to `*rows`, and a row lacking the key column
+/// or holding a non-int there is Corruption; without one every row is
+/// built. Returns the number of rows the reply carried.
+Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
+                                       const RowFilter* filter,
+                                       RowsWithIds* rows);
+
+/// The same decoder with no filter.
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload);
 
 std::string EncodeCountBatchReply(uint64_t count);

@@ -12,8 +12,10 @@
 /// wire protocol lives behind net::RemoteConnection (src/net/), which slots
 /// in here without touching the proxy logic.
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/interval.h"
@@ -36,6 +38,27 @@ class ServerConnection {
   /// Schema of a server table (catalog lookup).
   virtual Result<engine::Schema> GetSchema(const std::string& table) = 0;
 
+  /// ExecuteRangeBatch that keeps only the rows whose int `key_column` value
+  /// lies in `keep` (the proxy's ciphertext filter), appending them to
+  /// `*kept`, and returns how many rows the server shipped. A shipped row
+  /// without an int at `key_column` is Corruption: only a confused or
+  /// hostile server sends one. After an error `*kept` holds nothing usable.
+  /// The default filters ExecuteRangeBatch; connections that can skip
+  /// building dropped rows override it.
+  virtual Result<uint64_t> FetchRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges, size_t key_column,
+      const ModularInterval& keep,
+      std::vector<std::pair<engine::RowId, engine::Row>>* kept) {
+    MOPE_ASSIGN_OR_RETURN(auto rows, ExecuteRangeBatch(table, column, ranges));
+    for (auto& entry : rows) {
+      MOPE_ASSIGN_OR_RETURN(const bool in,
+                            KeyInRange(entry.second, key_column, keep));
+      if (in) kept->push_back(std::move(entry));
+    }
+    return static_cast<uint64_t>(rows.size());
+  }
+
   /// Number of rows the batch would return, without shipping them. The
   /// default fetches and counts; connections with a cheaper path (the wire
   /// protocol's count-only message, DbServer::CountRangeBatch) override it.
@@ -53,6 +76,19 @@ class ServerConnection {
   FetchServerStats() {
     return Status::NotSupported("this connection has no stats endpoint");
   }
+
+ protected:
+  /// FetchRangeBatch's filter on a built row.
+  static Result<bool> KeyInRange(const engine::Row& row, size_t key_column,
+                                 const ModularInterval& keep) {
+    const int64_t* key = key_column < row.size()
+                             ? std::get_if<int64_t>(&row[key_column])
+                             : nullptr;
+    if (key == nullptr) {
+      return Status::Corruption("range batch row lacks an int key column");
+    }
+    return keep.Contains(static_cast<uint64_t>(*key));
+  }
 };
 
 /// In-process connection to an embedded DbServer. It only forwards: the
@@ -69,6 +105,29 @@ class DirectConnection final : public ServerConnection {
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
     return server_->ExecuteRangeBatchWithIds(table, column, ranges);
+  }
+
+  /// Copies only the kept rows out of table storage.
+  Result<uint64_t> FetchRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges, size_t key_column,
+      const ModularInterval& keep,
+      std::vector<std::pair<engine::RowId, engine::Row>>* kept) override {
+    uint64_t shipped = 0;
+    Status filtered;
+    MOPE_RETURN_NOT_OK(server_->VisitRangeBatch(
+        table, column, ranges,
+        [&](engine::RowId rid, const engine::Row& row) {
+          ++shipped;
+          Result<bool> in = KeyInRange(row, key_column, keep);
+          if (!in.ok()) {
+            filtered = in.status();
+          } else if (*in) {
+            kept->emplace_back(rid, row);
+          }
+        }));
+    MOPE_RETURN_NOT_OK(filtered);
+    return shipped;
   }
 
   Result<engine::Schema> GetSchema(const std::string& table) override {

@@ -174,13 +174,17 @@ Status Proxy::SetupAlgorithm(const dist::Distribution* known_q) {
   return Status::OK();
 }
 
-Result<std::vector<std::pair<engine::RowId, engine::Row>>> Proxy::SendBatch(
-    const std::vector<ModularInterval>& cipher_ranges) {
+Result<uint64_t> Proxy::SendBatch(
+    const std::vector<ModularInterval>& cipher_ranges,
+    const ModularInterval& keep,
+    std::vector<std::pair<engine::RowId, engine::Row>>* kept) {
   uint32_t attempt = 0;
   while (true) {
-    auto rows = connection_->ExecuteRangeBatch(config_.table, config_.column,
-                                               cipher_ranges);
-    if (rows.ok() || attempt >= config_.max_retries) return rows;
+    kept->clear();  // nothing of a failed attempt is used
+    auto shipped = connection_->FetchRangeBatch(
+        config_.table, config_.column, cipher_ranges, key_column_index_, keep,
+        kept);
+    if (shipped.ok() || attempt >= config_.max_retries) return shipped;
     ++attempt;
     ++retries_performed_;
     retries_->Increment();
@@ -255,8 +259,9 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
   // 4: encrypt and ship in disjunctive batches, one batch per clock tick.
   // Since MOPE preserves modular order, a row's plaintext lies in the
   // client's range iff its ciphertext lies in the range's encryption — so
-  // results can be filtered in ciphertext space and only the rows that
-  // match need the (much more expensive) decryption walk.
+  // results are filtered in ciphertext space as they arrive, and only the
+  // rows that match are built and need the (much more expensive)
+  // decryption walk.
   const ModularInterval want =
       ModularInterval::FromEndpoints(q.first, q.last, config_.domain);
   MOPE_ASSIGN_OR_RETURN(ope::CipherRange want_cipher,
@@ -264,6 +269,7 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
   const ModularInterval want_cipher_iv = ModularInterval::FromEndpoints(
       want_cipher.first, want_cipher.last, mope_.range());
   std::unordered_set<engine::RowId> seen;
+  std::vector<std::pair<engine::RowId, engine::Row>> rows;
   for (size_t offset = 0; offset < batch.size(); offset += config_.batch_size) {
     const size_t end = std::min(batch.size(), offset + config_.batch_size);
     std::vector<ModularInterval> cipher_ranges;
@@ -278,18 +284,18 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
             cr.first, cr.last, mope_.range()));
       }
     }
-    MOPE_ASSIGN_OR_RETURN(auto rows, SendBatch(cipher_ranges));
+    MOPE_ASSIGN_OR_RETURN(const uint64_t shipped,
+                          SendBatch(cipher_ranges, want_cipher_iv, &rows));
     ++response.server_requests;
     ++response.clock_ticks;
-    response.rows_received += rows.size();
+    response.rows_received += shipped;
 
-    // 5: keep rows whose ciphertext falls in the client's encrypted range
-    // (deduplicating rows returned by more than one overlapping request),
-    // then decrypt the key column of just those rows.
+    // 5: of the rows whose ciphertext falls in the client's encrypted range,
+    // deduplicate those returned by more than one overlapping request, then
+    // decrypt the key column of just those rows.
     const obs::ScopedSpan span("proxy.decrypt_filter");
     for (auto& [rid, row] : rows) {
       const int64_t cipher = std::get<int64_t>(row[key_column_index_]);
-      if (!want_cipher_iv.Contains(static_cast<uint64_t>(cipher))) continue;
       if (!seen.insert(rid).second) continue;
       MOPE_ASSIGN_OR_RETURN(uint64_t plain,
                             mope_.Decrypt(static_cast<uint64_t>(cipher)));

@@ -169,9 +169,13 @@ class Proxy {
   /// the proxy is visible to any other thread.
   Status SetupAlgorithm(const dist::Distribution* known_q);
 
-  /// Sends one batch, retrying up to config_.max_retries times.
-  Result<std::vector<std::pair<engine::RowId, engine::Row>>> SendBatch(
-      const std::vector<ModularInterval>& cipher_ranges)
+  /// Sends one batch, retrying up to config_.max_retries times; `*kept`
+  /// gets the shipped rows whose key ciphertext lies in `keep`. Returns the
+  /// number of rows shipped.
+  Result<uint64_t> SendBatch(
+      const std::vector<ModularInterval>& cipher_ranges,
+      const ModularInterval& keep,
+      std::vector<std::pair<engine::RowId, engine::Row>>* kept)
       MOPE_REQUIRES(mutex_);
 
   ProxyConfig config_;

@@ -128,18 +128,13 @@ Result<std::vector<engine::Row>> EncryptedSqlSession::FetchSegments(
   }
   stats_.rows_fetched = fetched.size();
 
-  // Mirror the per-statement accounting into the system's registry, under
-  // session.* — the same names regardless of whether the proxy's connection
-  // is embedded or remote.
+  // The statement-level counts the proxy.* counters do not already hold,
+  // under session.* — the same names whether the proxy's connection is
+  // embedded or remote.
   obs::MetricsRegistry* registry = system_->metrics();
   registry->GetCounter("session.queries")->Increment();
   registry->GetCounter("session.ranges_fetched")
       ->Increment(stats_.ranges_fetched);
-  registry->GetCounter("session.rows_fetched")->Increment(stats_.rows_fetched);
-  registry->GetCounter("session.real_queries")->Increment(stats_.real_queries);
-  registry->GetCounter("session.fake_queries")->Increment(stats_.fake_queries);
-  registry->GetCounter("session.server_requests")
-      ->Increment(stats_.server_requests);
   return fetched;
 }
 

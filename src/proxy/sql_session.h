@@ -53,11 +53,11 @@ class EncryptedSqlSession {
   /// annotates each operator with actuals — rows, Next() calls, inclusive
   /// nanoseconds, index entries/nodes — followed by the query-level
   /// resource vector: the trace id and every counter credited to the trace.
-  /// That is the session's real/fake query mix (session.*, proxy.*), OPE
-  /// calls (ope.*), wire traffic (net.client.*), and the server's work
-  /// (engine.*, storage.*), which an embedded server credits directly and a
-  /// remote one returns in each reply's profile. Readable afterwards via
-  /// last_trace().
+  /// That is the session's real/fake query mix (proxy.*), its statement
+  /// and range counts (session.*), OPE calls (ope.*), wire traffic
+  /// (net.client.*), and the server's work (engine.*, storage.*), which an
+  /// embedded server credits directly and a remote one returns in each
+  /// reply's profile. Readable afterwards via last_trace().
   Result<sql::SqlResult> Execute(const std::string& sql_text);
 
   /// Accounting for the most recent Execute call.

@@ -5,10 +5,10 @@
 #include <memory>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/crc32.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "storage/coding.h"
 
 namespace mope::storage {
 

@@ -2,9 +2,9 @@
 
 #include <utility>
 
+#include "common/coding.h"
 #include "common/crc32.h"
 #include "obs/trace.h"
-#include "storage/coding.h"
 
 namespace mope::storage {
 

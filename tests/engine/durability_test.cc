@@ -304,7 +304,7 @@ TEST(DbServerStorageTest, OpenStorageRecoversServedData) {
   EXPECT_TRUE(server.durable_catalog()->recovered_from_crash());
   ExpectItemsEqual(*server.catalog(), 40);
   // The recovered server answers range queries over the rebuilt index.
-  auto rows = server.ExecuteRangeBatch(
+  auto rows = server.ExecuteRangeBatchWithIds(
       "items", "c", {ModularInterval(0, 257, 1024)});
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(rows->size(), 40u);
