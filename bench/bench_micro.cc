@@ -1,10 +1,14 @@
 /// Micro-benchmarks (google-benchmark): primitive costs underlying the
-/// figure benches, plus ablations of two design choices called out in
-/// DESIGN.md §4 — the geometric fast path for fake-query counts and the
-/// coalesced shared sweep for disjunctive range batches.
+/// figure benches and the reply path's CRC, plus ablations of two design
+/// choices called out in DESIGN.md §4 — the geometric fast path for
+/// fake-query counts and the coalesced shared sweep for disjunctive range
+/// batches.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "common/crc32.h"
 #include "common/random.h"
 #include "crypto/aes.h"
 #include "crypto/hgd.h"
@@ -229,6 +233,18 @@ void BM_UniformPlanBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniformPlanBuild)->Arg(1000)->Arg(10000);
+
+/// The frame/WAL/checkpoint CRC, through the path this host picks, at 64 B,
+/// one durable_load WAL insert record (123 B), 4 KiB and one analyst_q6
+/// range-batch reply (1.44 MB).
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(32);
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformUint64(256));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32(bytes));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(123)->Arg(4096)->Arg(1440780);
 
 }  // namespace
 }  // namespace mope

@@ -1,6 +1,6 @@
 #include "engine/codec.h"
 
-#include <cstring>
+#include <bit>
 #include <set>
 
 namespace mope::engine {
@@ -46,30 +46,59 @@ Result<std::string> ByteReader::String() {
 }
 
 Result<Value> ByteReader::ReadValue() {
-  MOPE_ASSIGN_OR_RETURN(uint8_t tag, Byte());
-  Value out;
-  switch (tag) {
-    case 0: {
-      MOPE_ASSIGN_OR_RETURN(uint64_t bits, U64());
-      out = static_cast<int64_t>(bits);
-      break;
-    }
-    case 1: {
-      MOPE_ASSIGN_OR_RETURN(uint64_t bits, U64());
-      double d;
-      std::memcpy(&d, &bits, 8);
-      out = d;
-      break;
-    }
-    case 2: {
-      MOPE_ASSIGN_OR_RETURN(std::string s, String());
-      out = std::move(s);
-      break;
-    }
-    default:
+  MOPE_ASSIGN_OR_RETURN(const CheckedRow one, CheckRow(1));
+  const char* p = one.begin_;
+  return CheckedRow::BuildValue(&p);
+}
+
+Result<CheckedRow> ByteReader::CheckRow(uint64_t count, uint64_t locate) {
+  // Every encoding takes at least 9 bytes, so a hostile count fails here,
+  // before the walk.
+  if (count > remaining() / 9) return Truncated();
+  const char* const begin = bytes_.data() + pos_;
+  const char* const end = bytes_.data() + bytes_.size();
+  const char* located = nullptr;
+  const char* p = begin;
+  for (uint64_t c = 0; c < count; ++c) {
+    if (c == locate) located = p;
+    if (end - p < 9) return Truncated();
+    const auto tag = static_cast<uint8_t>(*p);
+    p += 9;
+    if (tag == static_cast<uint8_t>(ValueType::kString)) {
+      const uint64_t len = LoadU64(p - 8);
+      if (len > static_cast<uint64_t>(end - p)) return StringOutOfBounds();
+      p += len;
+    } else if (tag > static_cast<uint8_t>(ValueType::kString)) {
       return UnknownTag();
+    }
   }
-  return out;
+  pos_ = static_cast<size_t>(p - bytes_.data());
+  return CheckedRow(begin, count, located);
+}
+
+Value CheckedRow::BuildValue(const char** p) {
+  const auto tag = static_cast<ValueType>(**p);
+  const uint64_t bits = LoadU64(*p + 1);
+  *p += 9;
+  switch (tag) {
+    case ValueType::kInt:
+      return static_cast<int64_t>(bits);
+    case ValueType::kDouble:
+      return std::bit_cast<double>(bits);
+    case ValueType::kString:
+      break;
+  }
+  const char* s = *p;
+  *p += bits;
+  return Value(std::in_place_type<std::string>, s, bits);
+}
+
+Row CheckedRow::Build() const {
+  Row row;
+  row.reserve(count_);
+  const char* p = begin_;
+  for (uint64_t c = 0; c < count_; ++c) row.push_back(BuildValue(&p));
+  return row;
 }
 
 Result<Schema> ByteReader::ReadSchema() {

@@ -12,9 +12,16 @@
 /// Writers are infallible appends; the reader returns Corruption for every
 /// malformed input (truncation, bad tags, out-of-bounds lengths) — it never
 /// aborts, because every consumer decodes bytes from untrusted media.
+///
+/// Rows are read by one row reader, ByteReader::CheckRow: a single pointer
+/// walk checks a row's encodings and yields a CheckedRow, which builds the
+/// values without checking them again. ReadRow is the two together; the
+/// snapshot loader, WAL replay and the range-batch reply decoder all read
+/// rows through it, and the reply decoder builds only the rows it keeps.
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -86,11 +93,45 @@ void PutSchema(std::string* out, const Schema& schema);
 
 // --- Reader ---------------------------------------------------------------
 
+/// A row's PutValue encodings after ByteReader::CheckRow walked and checked
+/// them. Only the reader makes one, so Build reads the bytes without
+/// checking them again; it views the reader's buffer, which must outlive it.
+class CheckedRow {
+ public:
+  /// The row's values, with one reservation.
+  Row Build() const;
+
+  /// The int at the column CheckRow was asked to locate; nullopt when that
+  /// column holds another type, or when none was asked for.
+  std::optional<int64_t> LocatedInt() const {
+    if (located_ == nullptr ||
+        *located_ != static_cast<char>(ValueType::kInt)) {
+      return std::nullopt;
+    }
+    return static_cast<int64_t>(LoadU64(located_ + 1));
+  }
+
+ private:
+  friend class ByteReader;
+  CheckedRow(const char* begin, uint64_t count, const char* located)
+      : begin_(begin), count_(count), located_(located) {}
+
+  /// Builds the checked encoding at `*p` and steps past it.
+  static Value BuildValue(const char** p);
+
+  const char* begin_;
+  uint64_t count_;
+  const char* located_;  ///< the located column's encoding, or null
+};
+
 /// Sequential decoder over a byte buffer. Every accessor bounds-checks and
 /// returns Corruption on truncated or malformed input; `context` names the
 /// medium ("snapshot", "wire frame") in error messages.
 class ByteReader {
  public:
+  /// CheckRow's `locate` when no column is to be located.
+  static constexpr uint64_t kNoColumn = ~uint64_t{0};
+
   explicit ByteReader(std::string_view bytes, const char* context = "buffer")
       : bytes_(bytes), context_(context) {}
 
@@ -111,22 +152,22 @@ class ByteReader {
     return v;
   }
   Result<std::string> String();
+  /// One PutValue encoding: the row reader with a row of one.
   Result<Value> ReadValue();
-  /// Checks one PutValue encoding exactly as ReadValue does, without
-  /// building the value.
-  Status SkipValue() {
-    MOPE_ASSIGN_OR_RETURN(const uint8_t tag, Byte());
-    if (tag > static_cast<uint8_t>(ValueType::kString)) return UnknownTag();
-    uint64_t len = 8;
-    if (tag == static_cast<uint8_t>(ValueType::kString)) {
-      MOPE_ASSIGN_OR_RETURN(len, U64());
-      if (len > remaining()) return StringOutOfBounds();
-    } else if (remaining() < 8) {
-      return Truncated();
-    }
-    pos_ += len;
-    return Status::OK();
+
+  /// The row reader. One pointer walk checks `count` PutValue encodings —
+  /// each tag is a ValueType, its 8 bytes are present, a string's length
+  /// fits in what remains — and consumes them. When `locate` < count, the
+  /// result's LocatedInt reads that column. Any malformed byte is
+  /// Corruption, and nothing is allocated however large `count` claims to
+  /// be: a row's capacity is reserved only by Build, after the walk.
+  Result<CheckedRow> CheckRow(uint64_t count, uint64_t locate = kNoColumn);
+  /// CheckRow, then Build.
+  Result<Row> ReadRow(uint64_t count) {
+    MOPE_ASSIGN_OR_RETURN(const CheckedRow row, CheckRow(count));
+    return row.Build();
   }
+
   /// `count` PutColumns entries of known types and distinct names; the
   /// caller bounds `count`.
   Result<Schema> ReadColumns(uint64_t count);
@@ -135,8 +176,6 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
-  /// Bytes consumed so far.
-  size_t position() const { return pos_; }
 
  private:
   Status Truncated() const {

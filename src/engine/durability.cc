@@ -51,13 +51,10 @@ Status ApplyRecord(std::string_view payload, Catalog* catalog) {
         break;
       }
       case kOpInsert: {
+        // The count is the record's claim: ReadRow checks it against the
+        // bytes before reserving anything.
         MOPE_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-        Row row;
-        row.reserve(table->schema().num_columns());
-        for (uint64_t i = 0; i < n; ++i) {
-          MOPE_ASSIGN_OR_RETURN(Value v, reader.ReadValue());
-          row.push_back(std::move(v));
-        }
+        MOPE_ASSIGN_OR_RETURN(Row row, reader.ReadRow(n));
         MOPE_RETURN_NOT_OK(table->Insert(std::move(row)).status());
         break;
       }

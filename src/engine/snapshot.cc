@@ -69,12 +69,7 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
                           catalog.CreateTable(name, std::move(schema)));
     MOPE_ASSIGN_OR_RETURN(uint64_t num_rows, reader.U64());
     for (uint64_t r = 0; r < num_rows; ++r) {
-      Row row;
-      row.reserve(num_columns);
-      for (size_t c = 0; c < num_columns; ++c) {
-        MOPE_ASSIGN_OR_RETURN(Value v, reader.ReadValue());
-        row.push_back(std::move(v));
-      }
+      MOPE_ASSIGN_OR_RETURN(Row row, reader.ReadRow(num_columns));
       MOPE_RETURN_NOT_OK(table->Insert(std::move(row)).status());
     }
     // Indexes are rebuilt from the restored rows.

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -23,16 +24,6 @@ constexpr uint64_t kMaxRangesPerBatch = 1u << 20;
 /// A reply row's fixed part: u64 row id + u32 value count.
 constexpr size_t kReplyRowHeaderBytes = 12;
 
-Result<engine::Row> ReadRow(ByteReader* reader, uint32_t num_values) {
-  engine::Row row;
-  row.reserve(num_values);
-  for (uint32_t c = 0; c < num_values; ++c) {
-    MOPE_ASSIGN_OR_RETURN(engine::Value v, reader->ReadValue());
-    row.push_back(std::move(v));
-  }
-  return row;
-}
-
 Result<ModularInterval> ReadInterval(ByteReader* reader) {
   MOPE_ASSIGN_OR_RETURN(uint64_t start, reader->U64());
   MOPE_ASSIGN_OR_RETURN(uint64_t length, reader->U64());
@@ -44,12 +35,6 @@ Result<ModularInterval> ReadInterval(ByteReader* reader) {
   }
   return ModularInterval(start, length, domain);
 }
-
-}  // namespace
-
-uint32_t Crc32(std::string_view bytes) { return mope::Crc32(bytes); }
-
-namespace {
 
 size_t TraceIdBytes(uint64_t trace_id) {
   return trace_id != 0 ? kTraceIdBytes : 0;
@@ -341,9 +326,12 @@ std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
   return out;
 }
 
-Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
-                                       const RowFilter* filter,
-                                       RowsWithIds* rows) {
+namespace {
+
+/// DecodeRangeBatchReply, except that on an error `*rows` may hold some of
+/// the reply's rows.
+Result<uint64_t> DecodeReplyRows(std::string_view payload,
+                                 const RowFilter* filter, RowsWithIds* rows) {
   ByteReader reader(payload, "wire frame");
   MOPE_ASSIGN_OR_RETURN(const uint64_t count, reader.U64());
   // Each row costs at least kReplyRowHeaderBytes on the wire; a count
@@ -358,39 +346,40 @@ Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
     if (num_values > engine::kMaxColumns) {
       return Status::Corruption("implausible column count in batch reply");
     }
-    engine::Row row;
     if (filter == nullptr) {
-      MOPE_ASSIGN_OR_RETURN(row, ReadRow(&reader, num_values));
+      MOPE_ASSIGN_OR_RETURN(engine::Row row, reader.ReadRow(num_values));
       rows->emplace_back(rid, std::move(row));
       continue;
     }
-    // A first pass checks the row's bytes and reads its key; only a kept
-    // row is read again, to be built.
     if (filter->key_column >= num_values) {
       return Status::Corruption("batch reply row lacks the key column");
     }
-    const size_t row_at = reader.position();
-    uint64_t key = 0;
-    for (uint32_t c = 0; c < num_values; ++c) {
-      if (c != filter->key_column) {
-        MOPE_RETURN_NOT_OK(reader.SkipValue());
-        continue;
-      }
-      MOPE_ASSIGN_OR_RETURN(const uint8_t tag, reader.Byte());
-      if (tag != static_cast<uint8_t>(engine::ValueType::kInt)) {
-        return Status::Corruption("non-int key column in batch reply");
-      }
-      MOPE_ASSIGN_OR_RETURN(key, reader.U64());
+    // The row reader's walk checks every byte and finds the key; only a
+    // kept row is built.
+    MOPE_ASSIGN_OR_RETURN(const engine::CheckedRow row,
+                          reader.CheckRow(num_values, filter->key_column));
+    const std::optional<int64_t> key = row.LocatedInt();
+    if (!key.has_value()) {
+      return Status::Corruption("non-int key column in batch reply");
     }
-    if (!filter->keep.Contains(key)) continue;
-    ByteReader kept(payload.substr(row_at, reader.position() - row_at),
-                    "wire frame");
-    MOPE_ASSIGN_OR_RETURN(row, ReadRow(&kept, num_values));
-    rows->emplace_back(rid, std::move(row));
+    if (filter->keep.Contains(static_cast<uint64_t>(*key))) {
+      rows->emplace_back(rid, row.Build());
+    }
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after batch reply");
   }
+  return count;
+}
+
+}  // namespace
+
+Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
+                                       const RowFilter* filter,
+                                       RowsWithIds* rows) {
+  const size_t before = rows->size();
+  Result<uint64_t> count = DecodeReplyRows(payload, filter, rows);
+  if (!count.ok()) rows->erase(rows->begin() + before, rows->end());
   return count;
 }
 

@@ -44,8 +44,11 @@
 /// straight from table storage into the reply frame behind reserved header
 /// bytes (BeginFrame / PutReplyRow / FinishFrame), ParseFrame validates a
 /// frame and hands out views of its payload and profile, and the client's
-/// decoder checks every payload byte but builds only the rows a RowFilter
-/// keeps.
+/// decoder reads every row through the codec's one row reader
+/// (engine::ByteReader::CheckRow), whose single walk checks the row's bytes
+/// and finds its key, then builds only the rows a RowFilter keeps. The
+/// frame CRC (common/crc32.h), computed once on each side, folds the
+/// payload by carry-less multiplication where the host supports it.
 ///
 /// Decoders never trust the peer: magic/version/flags/reserved/length/CRC
 /// are all checked before a payload byte is looked at, every payload field
@@ -119,9 +122,6 @@ struct Frame {
   std::string profile;  ///< StatsReply-encoded; meaningful iff has_profile.
   std::string payload;
 };
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-uint32_t Crc32(std::string_view bytes);
 
 /// Starts a frame in `*out`, replacing its contents: reserves the fixed
 /// header and, when `trace_id` is nonzero, writes the trace-id extension.
@@ -206,12 +206,13 @@ struct RowFilter {
 };
 
 /// The range-batch reply decoder. One pass checks every byte — the row-count
-/// bound, each value's tag and string length, each row's column-count bound,
-/// trailing bytes — so any malformed byte, in a row kept or dropped, is
-/// Corruption and nothing is returned. With a `filter`, only the rows it
-/// keeps are built and appended to `*rows`, and a row lacking the key column
-/// or holding a non-int there is Corruption; without one every row is
-/// built. Returns the number of rows the reply carried.
+/// bound, each row's column-count bound, each value's tag and string length
+/// (engine::ByteReader::CheckRow), trailing bytes — so any malformed byte,
+/// in a row kept or dropped, is Corruption and `*rows` is left as it was.
+/// With a `filter`, only the rows it keeps are built and appended to
+/// `*rows`, and a row lacking the key column or holding a non-int there is
+/// Corruption; without one every row is built. Returns the number of rows
+/// the reply carried.
 Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
                                        const RowFilter* filter,
                                        RowsWithIds* rows);

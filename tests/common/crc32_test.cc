@@ -75,5 +75,84 @@ TEST(Crc32Test, ContinueAtEverySplitEqualsOneShot) {
   }
 }
 
+// --- Each path on its own ------------------------------------------------
+
+/// The two paths behind Crc32Continue, reached directly, so that each is
+/// checked on every host that has it, whichever one the host would pick.
+struct CrcPath {
+  const char* name;
+  uint32_t (*continue_crc)(uint32_t, std::string_view);
+  bool (*available)();
+};
+
+bool Always() { return true; }
+
+const CrcPath kPaths[] = {
+    {"Portable", internal::Crc32ContinuePortable, Always},
+    {"Pclmul", internal::Crc32ContinuePclmul, internal::Crc32PclmulSupported},
+};
+
+class Crc32PathTest : public ::testing::TestWithParam<CrcPath> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available()) {
+      GTEST_SKIP() << "this host has no PCLMULQDQ/SSE4.1";
+    }
+  }
+  /// Crc32 through this path: Crc32Continue(0, b) == Crc32(b).
+  uint32_t Crc(std::string_view bytes) const {
+    return GetParam().continue_crc(0, bytes);
+  }
+  uint32_t Continue(uint32_t crc, std::string_view bytes) const {
+    return GetParam().continue_crc(crc, bytes);
+  }
+};
+
+TEST_P(Crc32PathTest, KnownAnswer) {
+  // IEEE 802.3 check value for "123456789".
+  EXPECT_EQ(Crc("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc(""), 0u);
+}
+
+TEST_P(Crc32PathTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(20261019);
+  const std::string buffer = RandomBytes(&rng, 1024 + 16);
+  // Lengths 0..1024 cover inputs below the 64-byte folding threshold, one
+  // to fifteen 64-byte steps, every 16-byte remainder and every byte tail;
+  // offsets 0..15 put the 16-byte loads at every alignment.
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view bytes =
+          std::string_view(buffer).substr(offset, len);
+      ASSERT_EQ(Crc(bytes), ReferenceCrc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_P(Crc32PathTest, MatchesBytewiseReferenceOnAReplySizedBuffer) {
+  Rng rng(8);
+  const std::string buffer = RandomBytes(&rng, 1430000);
+  EXPECT_EQ(Crc(buffer), ReferenceCrc32(buffer));
+}
+
+TEST_P(Crc32PathTest, ContinueAtEverySplitEqualsOneShot) {
+  Rng rng(301);
+  const std::string buffer = RandomBytes(&rng, 300);
+  const uint32_t whole = ReferenceCrc32(buffer);
+  ASSERT_EQ(Crc(buffer), whole);
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const std::string_view bytes(buffer);
+    EXPECT_EQ(Continue(Crc(bytes.substr(0, split)), bytes.substr(split)),
+              whole)
+        << "split at " << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, Crc32PathTest, ::testing::ValuesIn(kPaths),
+                         [](const ::testing::TestParamInfo<CrcPath>& info) {
+                           return std::string(info.param.name);
+                         });
+
 }  // namespace
 }  // namespace mope

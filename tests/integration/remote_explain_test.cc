@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "engine/codec.h"
 #include "net/remote_connection.h"
 #include "net/server.h"
@@ -232,7 +233,7 @@ TEST(RemoteExplainTest, V1PeerAgainstLiveDaemonRoundTripsByteIdentically) {
   request.push_back('\0');  // flags
   request.push_back('\0');  // reserved
   engine::PutU32(&request, static_cast<uint32_t>(payload.size()));
-  engine::PutU32(&request, net::Crc32(payload));
+  engine::PutU32(&request, Crc32(payload));
   request += payload;
   ASSERT_TRUE((*conn)->Write(request.data(), request.size()).ok());
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "common/crc32.h"
 #include "engine/codec.h"
 #include "engine/server.h"
 #include "net/dispatcher.h"

@@ -286,6 +286,7 @@ TEST(ReplyDecoderTest, EveryFlippedOrCutPayloadByteKeepsTheDecodersInStep) {
     if (!full.ok()) {
       EXPECT_TRUE(full.status().IsCorruption()) << "mutant " << m;
       EXPECT_TRUE(shipped.status().IsCorruption()) << "mutant " << m;
+      EXPECT_TRUE(kept.empty()) << "mutant " << m;
       continue;
     }
     // A decodable mutant can still hold a row the filter rejects (a key
@@ -298,6 +299,7 @@ TEST(ReplyDecoderTest, EveryFlippedOrCutPayloadByteKeepsTheDecodersInStep) {
     }
     if (!keyed) {
       EXPECT_TRUE(shipped.status().IsCorruption()) << "mutant " << m;
+      EXPECT_TRUE(kept.empty()) << "mutant " << m;
       continue;
     }
     ASSERT_TRUE(shipped.ok()) << "mutant " << m << ": " << shipped.status();

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "engine/codec.h"
 #include "engine/server.h"
 #include "net/dispatcher.h"

@@ -113,6 +113,15 @@ Machine-enforces the correctness conventions that code review used to carry:
                          Anything else needs a reviewed
                          `// invariant-ok: R14 <reason>`.
 
+  R15 isa-specific        x86 intrinsic headers (<immintrin.h>,
+                         <x86intrin.h>, <wmmintrin.h>), per-function
+                         `__attribute__((target(...)))` and
+                         `__builtin_cpu_supports` are banned in src/ outside
+                         src/common/crc32.cc. CPU-specific code lives in the
+                         one file that keeps a portable twin of it and has a
+                         test comparing the two on every host; anywhere else
+                         it needs `// invariant-ok: R15 <reason>`.
+
 A line may opt out with a trailing `// invariant-ok: <reason>` comment; the
 reason is mandatory and greppable. Exit status: 0 clean, 1 violations,
 2 usage error.
@@ -281,6 +290,16 @@ RULES = [
         "active obs::Trace; other per-thread state needs invariant-ok",
         includes=("src/",),
         excludes=("src/obs/trace.cc", "src/common/thread_annotations.cc"),
+    ),
+    Rule(
+        "isa-specific",
+        r"#\s*include\s*<(?:immintrin|x86intrin|wmmintrin)\.h>|"
+        r"__attribute__\s*\(\s*\(\s*target\s*\(|__builtin_cpu_supports\b",
+        "CPU-specific code outside src/common/crc32.cc: keep it beside a "
+        "portable twin and a test comparing the two, or justify it with "
+        "invariant-ok",
+        includes=("src/",),
+        excludes=("src/common/crc32.cc",),
     ),
     Rule(
         "auditor-ciphertext-only",

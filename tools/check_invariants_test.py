@@ -601,6 +601,45 @@ class NoFalsePositives(unittest.TestCase):
         )
         self.assertNotIn("thread-local", rule_ids(v))
 
+    def test_isa_specific_outside_crc_caught(self) -> None:
+        v = run_on_tree(
+            {"src/engine/scan.cc":
+                 "#include <immintrin.h>\n"
+                 "__attribute__((target(\"avx2\"))) void Scan();\n"
+                 "bool fast = __builtin_cpu_supports(\"avx2\");\n"}
+        )
+        self.assertEqual(
+            sum("[isa-specific]" in x for x in v), 3, "\n".join(v)
+        )
+
+    def test_isa_specific_other_intrinsic_headers_caught(self) -> None:
+        for header in ("x86intrin.h", "wmmintrin.h"):
+            v = run_on_tree({"src/net/fold.cc": f"#include <{header}>\n"})
+            self.assertIn("isa-specific", rule_ids(v), header)
+
+    def test_isa_specific_allowed_in_crc32(self) -> None:
+        v = run_on_tree(
+            {"src/common/crc32.cc":
+                 "#include <immintrin.h>\n"
+                 "__attribute__((target(\"pclmul,sse4.1\"))) void Fold();\n"
+                 "bool ok = __builtin_cpu_supports(\"pclmul\");\n"}
+        )
+        self.assertNotIn("isa-specific", rule_ids(v))
+
+    def test_isa_specific_rule_scoped_to_src(self) -> None:
+        v = run_on_tree(
+            {"bench/bench_simd.cc": "#include <immintrin.h>\n"}
+        )
+        self.assertNotIn("isa-specific", rule_ids(v))
+
+    def test_isa_specific_escape_comment(self) -> None:
+        v = run_on_tree(
+            {"src/crypto/aes.cc":
+                 "#include <wmmintrin.h>  "
+                 "// invariant-ok: R15 AES-NI beside its portable twin\n"}
+        )
+        self.assertNotIn("isa-specific", rule_ids(v))
+
     def test_real_repo_is_clean(self) -> None:
         root = Path(__file__).resolve().parent.parent
         violations = []
