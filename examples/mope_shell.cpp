@@ -42,7 +42,6 @@
 #include "obs/leakage.h"
 #include "obs/timeseries.h"
 #include "obs/trace_export.h"
-#include "proxy/connection_registry.h"
 #include "proxy/sql_session.h"
 #include "workload/tpch.h"
 
@@ -169,15 +168,15 @@ int main(int argc, char** argv) {
     status = system.LoadTable("lineitem", data.lineitem_schema, data.lineitem,
                               spec);
   } else {
-    net::RegisterTcpScheme();
-    auto conn = proxy::MakeConnection("tcp://" + connect);
-    if (!conn.ok()) {
+    auto options = net::RemoteOptionsFor(connect);
+    if (!options.ok()) {
       std::fprintf(stderr, "cannot connect: %s\n",
-                   conn.status().ToString().c_str());
+                   options.status().ToString().c_str());
       return 1;
     }
-    status = system.AttachRemoteTable("lineitem", spec,
-                                      std::move(conn).value());
+    status = system.AttachRemoteTable(
+        "lineitem", spec,
+        std::make_unique<net::RemoteConnection>(std::move(options).value()));
   }
   if (!status.ok()) {
     std::fprintf(stderr, "boot failed: %s\n", status.ToString().c_str());

@@ -131,7 +131,6 @@ inline constexpr int kServerAcceptQueue = 30; ///< net::TcpServer::queue_mutex_
 inline constexpr int kDispatcher = 40;        ///< net::WireDispatcher::mutex_
 inline constexpr int kLeakageAuditor = 50;    ///< obs::LeakageAuditor::mutex_
 inline constexpr int kStorageWal = 54;        ///< storage::Wal::mutex_
-inline constexpr int kConnectionRegistry = 60;///< proxy scheme registry
 inline constexpr int kFlightRecorder = 71;    ///< obs::FlightRecorder::mutex_
 inline constexpr int kTimeSeriesSampler = 72; ///< obs::TimeSeriesSampler::mutex_
 inline constexpr int kAlertEngine = 73;       ///< obs::AlertEngine::mutex_

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "engine/executor.h"
+
 namespace mope::engine {
 
 DbServer::DbServer()
@@ -137,16 +139,6 @@ Result<uint64_t> DbServer::CountRangeBatch(
   MOPE_RETURN_NOT_OK(VisitRangeBatch(table, column, ranges,
                                      [&count](RowId, const Row&) { ++count; }));
   return count;
-}
-
-Result<std::vector<Row>> DbServer::ExecutePlan(Operator* plan) {
-  MOPE_ASSIGN_OR_RETURN(std::vector<Row> rows, Collect(plan));
-  batches_received_->Increment();
-  rows_returned_->Increment(rows.size());
-  // Profiled plans contribute per-operator-type latency/row distributions
-  // to this server's /metrics; unprofiled ones skip out immediately.
-  FoldOpStatsIntoRegistry(plan, metrics_.get());
-  return rows;
 }
 
 }  // namespace mope::engine

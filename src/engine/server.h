@@ -28,7 +28,6 @@
 #include "common/interval.h"
 #include "common/status.h"
 #include "engine/durability.h"
-#include "engine/executor.h"
 #include "engine/table.h"
 #include "obs/leakage.h"
 #include "obs/registry.h"
@@ -109,9 +108,6 @@ class DbServer {
   Result<uint64_t> CountRangeBatch(const std::string& table,
                                    const std::string& column,
                                    const std::vector<ModularInterval>& ranges);
-
-  /// Runs an arbitrary operator tree (the SQL path uses this).
-  Result<std::vector<Row>> ExecutePlan(Operator* plan);
 
   /// This server's metrics registry: the `engine.*` counters backing
   /// stats(), plus whatever the network layer (`net.server.*`) contributes.

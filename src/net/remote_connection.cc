@@ -7,7 +7,6 @@
 
 #include "net/inmem.h"
 #include "obs/trace.h"
-#include "proxy/connection_registry.h"
 
 namespace mope::net {
 
@@ -232,38 +231,17 @@ uint64_t RemoteConnection::connects() const {
   return connect_count_.load(std::memory_order_relaxed);
 }
 
-void RegisterTcpScheme(const RemoteOptions& defaults) {
-  proxy::RegisterConnectionScheme(
-      "tcp",
-      [defaults](const std::string& address)
-          -> Result<std::unique_ptr<proxy::ServerConnection>> {
-        const size_t colon = address.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == address.size()) {
-          return Status::InvalidArgument(
-              "tcp:// address must look like host:port, got '" + address +
-              "'");
-        }
-        uint64_t port = 0;
-        for (size_t i = colon + 1; i < address.size(); ++i) {
-          const char c = address[i];
-          if (c < '0' || c > '9') {
-            return Status::InvalidArgument("bad port in tcp:// address '" +
-                                           address + "'");
-          }
-          port = port * 10 + static_cast<uint64_t>(c - '0');
-          if (port > 65535) {
-            return Status::InvalidArgument("port out of range in '" +
-                                           address + "'");
-          }
-        }
-        RemoteOptions options = defaults;
-        options.host = address.substr(0, colon);
-        options.port = static_cast<uint16_t>(port);
-        options.transport_factory = nullptr;  // rebuilt from host/port
-        return std::unique_ptr<proxy::ServerConnection>(
-            std::make_unique<RemoteConnection>(std::move(options)));
-      });
+Result<RemoteOptions> RemoteOptionsFor(std::string_view host_port,
+                                       RemoteOptions defaults) {
+  const size_t colon = host_port.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) {
+    return Status::InvalidArgument("address must look like host:port, got '" +
+                                   std::string(host_port) + "'");
+  }
+  MOPE_ASSIGN_OR_RETURN(defaults.port, ParsePort(host_port.substr(colon + 1)));
+  defaults.host = std::string(host_port.substr(0, colon));
+  defaults.transport_factory = nullptr;  // rebuilt from host and port
+  return defaults;
 }
 
 std::unique_ptr<proxy::ServerConnection> MakeLoopbackWireConnection(

@@ -9,7 +9,7 @@
 /// proxy location-transparent: the same Proxy code runs against an embedded
 /// engine, a daemon on localhost, or a server across a network.
 ///
-/// Failure policy, in one place:
+/// Failure policy, in one place (nothing above this class retries):
 ///   - transient errors (kUnavailable: timeouts, resets, mid-reply EOF) are
 ///     retried up to max_retries times with capped exponential backoff,
 ///     reconnecting each time — every request is an idempotent read, so a
@@ -94,8 +94,7 @@ class RemoteConnection final : public proxy::ServerConnection {
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchServerStats()
       override;
 
-  /// Transport-level retry attempts this connection performed so far (the
-  /// proxy's own retries_performed() counts on top of these).
+  /// Retry attempts this connection performed so far.
   uint64_t retries() const;
   /// This connection's successful (re)connects: 0 until first use.
   uint64_t connects() const;
@@ -133,12 +132,12 @@ class RemoteConnection final : public proxy::ServerConnection {
   obs::ExpHistogram* roundtrip_ns_;
 };
 
-/// Installs the "tcp" scheme into the proxy's connection registry, so
-/// proxy::MakeConnection("tcp://host:port") yields a RemoteConnection with
-/// the given defaults for everything but host and port. Idempotent;
-/// thread-safe. Call once at startup from anything that accepts connection
-/// strings (the shell's --connect flag, tools).
-void RegisterTcpScheme(const RemoteOptions& defaults = RemoteOptions());
+/// `defaults` aimed at a "host:port" address over TCP: the host is
+/// everything before the last ':' and must not be empty, the port is
+/// ParsePort's. The transport factory is cleared, so a RemoteConnection
+/// built from the result dials that address. InvalidArgument otherwise.
+Result<RemoteOptions> RemoteOptionsFor(std::string_view host_port,
+                                       RemoteOptions defaults = {});
 
 /// A ServerConnection that routes every request through the complete wire
 /// path — encode, frame, CRC, dispatch, decode — against an in-process

@@ -105,6 +105,23 @@ Result<bool> SocketTransport::Poll(int timeout_ms) {
   return PollFd(fd_, POLLIN, timeout_ms);
 }
 
+Result<uint16_t> ParsePort(std::string_view text) {
+  if (text.empty()) return Status::InvalidArgument("empty port");
+  uint32_t port = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("port must be digits only, got '" +
+                                     std::string(text) + "'");
+    }
+    port = port * 10 + static_cast<uint32_t>(c - '0');
+    if (port > 65535) {
+      return Status::InvalidArgument("port out of range: '" +
+                                     std::string(text) + "'");
+    }
+  }
+  return static_cast<uint16_t>(port);
+}
+
 Result<std::unique_ptr<SocketTransport>> ConnectTcp(
     const std::string& host, uint16_t port, const SocketOptions& options) {
   MOPE_ASSIGN_OR_RETURN(sockaddr_in addr, ResolveIpv4(host, port));

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "net/transport.h"
@@ -55,6 +56,11 @@ class SocketTransport final : public Transport {
   int fd_;
   SocketOptions options_;
 };
+
+/// Parses a TCP port: ASCII digits only, at most 65535. No sign, no
+/// whitespace; an empty string is InvalidArgument. The one port syntax of
+/// the tree, for command-line flags and "host:port" strings alike.
+Result<uint16_t> ParsePort(std::string_view text);
 
 /// Connects to host:port within the connect deadline.
 Result<std::unique_ptr<SocketTransport>> ConnectTcp(const std::string& host,

@@ -455,9 +455,9 @@ std::string EncodeStatsReply(const StatsReply& stats) {
 Result<StatsReply> DecodeStatsReply(std::string_view payload) {
   ByteReader reader(payload, "wire frame");
   MOPE_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
-  // Each entry costs at least 12 bytes (4-byte name length + 8-byte value);
+  // Each entry costs at least 16 bytes (8-byte name length + 8-byte value);
   // a larger count cannot be satisfied by the remaining payload.
-  if (count > reader.remaining() / 12) {
+  if (count > reader.remaining() / 16) {
     return Status::Corruption("implausible entry count in stats reply");
   }
   StatsReply stats;

@@ -9,8 +9,8 @@
 /// thread claims a slot on its first Record and keeps it). Recording is
 /// lock-free and allocation-free — every entry field is an atomic written
 /// relaxed, sequenced by a per-entry seqlock-style generation — so the hooks
-/// in Trace::StartSpan/EndSpan and Logger::Emit may record while holding the
-/// trace (70) or log-sink (75) mutexes without ordering concerns, and a
+/// in Trace::StartSpan/EndSpan and Logger::Emit may record under any lock,
+/// the log-sink (75) mutex included, without ordering concerns, and a
 /// recording thread can never block another.
 ///
 /// Two paths get the rings onto disk:

@@ -30,8 +30,8 @@
 ///
 /// The logger's sink rank (75) sits above every engine/storage/net mutex and
 /// below only the metrics registry, so it is legal to log while holding the
-/// dispatcher (40), auditor (50), pool (52), or WAL (54) locks — and the
-/// logger itself may bump drop counters in a registry.
+/// dispatcher (40), auditor (50) or WAL (54) locks — and the logger itself
+/// may bump drop counters in a registry.
 ///
 /// Linter rule R11 makes this the only place (outside usage-help text in
 /// tools/) allowed to call fprintf-family output functions.

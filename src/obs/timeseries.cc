@@ -133,7 +133,8 @@ void TimeSeriesSampler::RunLoop() {
       SampleOnce();
       next_due_ns = now + options_.sample_period_ns;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(  // invariant-ok: R16 stop-flag poll
+        std::chrono::milliseconds(5));
   }
 }
 

@@ -32,10 +32,10 @@
 /// snapshots in through Ingest() instead of sampling a local registry.
 ///
 /// Locking: the sampler's mutex ranks at lock_rank::kTimeSeriesSampler (72),
-/// above the trace mutex and below the alert engine (73) — SampleOnce()
-/// pushes each fresh snapshot into an attached AlertEngine while holding its
-/// own lock, and the engine logs (kLogSink, 75) and reads the registry (80),
-/// so the whole chain 72 -> 73 -> 75 -> 80 is strictly increasing.
+/// below the alert engine (73) — SampleOnce() pushes each fresh snapshot
+/// into an attached AlertEngine while holding its own lock, and the engine
+/// logs (kLogSink, 75) and reads the registry (80), so the whole chain
+/// 72 -> 73 -> 75 -> 80 is strictly increasing.
 
 #include <atomic>
 #include <cstdint>

@@ -43,7 +43,6 @@ Proxy::Proxy(const ProxyConfig& config, ope::MopeScheme mope,
   server_requests_ = registry->GetCounter("proxy.server_requests");
   rows_received_ = registry->GetCounter("proxy.rows_received");
   rows_returned_ = registry->GetCounter("proxy.rows_returned");
-  retries_ = registry->GetCounter("proxy.retries");
   batch_queries_hist_ = registry->GetHistogram("proxy.batch_queries");
   mix_fakes_per_real_ =
       registry->GetGauge("proxy.mix.fakes_per_real_milli");
@@ -80,40 +79,10 @@ void Proxy::UpdateMixHealthLocked() {
   }
 }
 
-Result<std::unique_ptr<Proxy>> Proxy::Create(const ProxyConfig& config,
-                                             const ope::MopeKey& key,
-                                             const ope::OpeParams& params,
-                                             engine::DbServer* server,
-                                             const dist::Distribution* known_q) {
-  if (server == nullptr) {
-    return Status::InvalidArgument("proxy needs a server");
-  }
-  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, params));
-  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme mope,
-                        ope::MopeScheme::Create(params, key, config.registry));
-
-  auto proxy = std::unique_ptr<Proxy>(
-      new Proxy(config, std::move(mope),
-                std::make_unique<DirectConnection>(server), server));
-
-  // Resolve the key column up front so result filtering is cheap.
-  MOPE_ASSIGN_OR_RETURN(engine::Schema schema,
-                        proxy->connection_->GetSchema(config.table));
-  MOPE_ASSIGN_OR_RETURN(proxy->key_column_index_,
-                        schema.IndexOf(config.column));
-  if (schema.column(proxy->key_column_index_).type !=
-      engine::ValueType::kInt) {
-    return Status::InvalidArgument("encrypted key column must be int");
-  }
-
-  MOPE_RETURN_NOT_OK(proxy->SetupAlgorithm(known_q));
-  return proxy;
-}
-
 Result<std::unique_ptr<Proxy>> Proxy::Create(
     const ProxyConfig& config, const ope::MopeKey& key,
     const ope::OpeParams& params, std::unique_ptr<ServerConnection> connection,
-    const dist::Distribution* known_q) {
+    const dist::Distribution* known_q, engine::DbServer* maintenance) {
   if (connection == nullptr) {
     return Status::InvalidArgument("proxy needs a server connection");
   }
@@ -121,8 +90,9 @@ Result<std::unique_ptr<Proxy>> Proxy::Create(
   MOPE_ASSIGN_OR_RETURN(ope::MopeScheme mope,
                         ope::MopeScheme::Create(params, key, config.registry));
 
-  auto proxy = std::unique_ptr<Proxy>(
-      new Proxy(config, std::move(mope), std::move(connection), nullptr));
+  auto proxy = std::unique_ptr<Proxy>(new Proxy(
+      config, std::move(mope), std::move(connection), maintenance));
+  // Resolve the key column up front so result filtering is cheap.
   MOPE_ASSIGN_OR_RETURN(engine::Schema schema,
                         proxy->connection_->GetSchema(config.table));
   MOPE_ASSIGN_OR_RETURN(proxy->key_column_index_,
@@ -172,23 +142,6 @@ Status Proxy::SetupAlgorithm(const dist::Distribution* known_q) {
     }
   }
   return Status::OK();
-}
-
-Result<uint64_t> Proxy::SendBatch(
-    const std::vector<ModularInterval>& cipher_ranges,
-    const ModularInterval& keep,
-    std::vector<std::pair<engine::RowId, engine::Row>>* kept) {
-  uint32_t attempt = 0;
-  while (true) {
-    kept->clear();  // nothing of a failed attempt is used
-    auto shipped = connection_->FetchRangeBatch(
-        config_.table, config_.column, cipher_ranges, key_column_index_, keep,
-        kept);
-    if (shipped.ok() || attempt >= config_.max_retries) return shipped;
-    ++attempt;
-    ++retries_performed_;
-    retries_->Increment();
-  }
 }
 
 Result<uint64_t> Proxy::RotateKey(mope::BitSource* entropy) {
@@ -284,8 +237,14 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
             cr.first, cr.last, mope_.range()));
       }
     }
-    MOPE_ASSIGN_OR_RETURN(const uint64_t shipped,
-                          SendBatch(cipher_ranges, want_cipher_iv, &rows));
+    // Each batch is sent once; only the connection retries (transient
+    // transport errors, DESIGN §5b).
+    rows.clear();
+    MOPE_ASSIGN_OR_RETURN(
+        const uint64_t shipped,
+        connection_->FetchRangeBatch(config_.table, config_.column,
+                                     cipher_ranges, key_column_index_,
+                                     want_cipher_iv, &rows));
     ++response.server_requests;
     ++response.clock_ticks;
     response.rows_received += shipped;

@@ -55,7 +55,6 @@ struct ProxyConfig {
   uint64_t period = 0;      ///< ρ for the periodic modes (divides domain).
   size_t batch_size = 1;    ///< Ranges OR-ed per server request (Fig. 15).
   uint64_t rng_seed = 42;   ///< Seed for coins/fakes/permutation.
-  uint32_t max_retries = 0; ///< Per-request retries on transient server errors.
 
   /// Metrics sink for the proxy.* counter family. Null means the process
   /// global obs::Registry(). MopeSystem passes its own registry so the
@@ -84,23 +83,18 @@ struct QueryResponse {
 
 class Proxy {
  public:
-  /// Builds a proxy over an embedded server's table. For the non-adaptive
-  /// modes `known_q` must provide the query-start distribution; adaptive
-  /// modes ignore it and learn from the stream.
-  static Result<std::unique_ptr<Proxy>> Create(
-      const ProxyConfig& config, const ope::MopeKey& key,
-      const ope::OpeParams& params, engine::DbServer* server,
-      const dist::Distribution* known_q = nullptr);
-
-  /// Builds a proxy over an arbitrary server connection (e.g. a failure-
-  /// injecting test double, or a remote transport). Key rotation is not
-  /// available through this form — it needs maintenance access to the
-  /// embedded server.
+  /// Builds a proxy that queries the server through `connection` (a
+  /// DirectConnection to an embedded engine, a RemoteConnection, or a test
+  /// double). For the non-adaptive modes `known_q` must provide the
+  /// query-start distribution; adaptive modes ignore it and learn from the
+  /// stream. `maintenance` is the embedded server that holds the table, or
+  /// null; without it RotateKey is NotSupported.
   static Result<std::unique_ptr<Proxy>> Create(
       const ProxyConfig& config, const ope::MopeKey& key,
       const ope::OpeParams& params,
       std::unique_ptr<ServerConnection> connection,
-      const dist::Distribution* known_q = nullptr);
+      const dist::Distribution* known_q = nullptr,
+      engine::DbServer* maintenance = nullptr);
 
   /// Executes a client range query end to end.
   Result<QueryResponse> ExecuteRange(const query::RangeQuery& q)
@@ -145,12 +139,6 @@ class Proxy {
     return totals_;
   }
 
-  /// Transient-failure retries performed so far.
-  uint64_t retries_performed() const MOPE_EXCLUDES(mutex_) {
-    const MutexLock lock(&mutex_);
-    return retries_performed_;
-  }
-
   /// Metrics snapshot of the server this proxy fronts, fetched through the
   /// connection (a wire round trip for remote servers, a direct registry
   /// read for embedded ones). NotSupported for connections without a stats
@@ -169,15 +157,6 @@ class Proxy {
   /// the proxy is visible to any other thread.
   Status SetupAlgorithm(const dist::Distribution* known_q);
 
-  /// Sends one batch, retrying up to config_.max_retries times; `*kept`
-  /// gets the shipped rows whose key ciphertext lies in `keep`. Returns the
-  /// number of rows shipped.
-  Result<uint64_t> SendBatch(
-      const std::vector<ModularInterval>& cipher_ranges,
-      const ModularInterval& keep,
-      std::vector<std::pair<engine::RowId, engine::Row>>* kept)
-      MOPE_REQUIRES(mutex_);
-
   ProxyConfig config_;
   /// Serializes client requests (Fig. 4: many clients). Lowest rank in the
   /// tree — the outermost lock of the whole query path.
@@ -186,7 +165,7 @@ class Proxy {
   /// Const after Create; the pointee serializes itself (RemoteConnection's
   /// own lock), which is what lets FetchServerStats bypass the proxy lock.
   std::unique_ptr<ServerConnection> connection_;
-  /// Maintenance access; null for custom connections. Pointer const after
+  /// Maintenance access; null unless Create got one. Pointer const after
   /// construction; the engine underneath is only touched under the proxy
   /// lock (RotateKey's column rewrite).
   engine::DbServer* server_ MOPE_PT_GUARDED_BY(mutex_);
@@ -196,7 +175,6 @@ class Proxy {
   std::unique_ptr<query::QueryAlgorithm> algorithm_ MOPE_PT_GUARDED_BY(mutex_);
   size_t key_column_index_ = 0;  ///< Const after Create.
   QueryResponse totals_ MOPE_GUARDED_BY(mutex_);
-  uint64_t retries_performed_ MOPE_GUARDED_BY(mutex_) = 0;
 
   /// Refreshes the proxy.mix.* health gauges after a batch.
   void UpdateMixHealthLocked() MOPE_REQUIRES(mutex_);
@@ -209,7 +187,6 @@ class Proxy {
   obs::Counter* server_requests_ = nullptr;
   obs::Counter* rows_received_ = nullptr;
   obs::Counter* rows_returned_ = nullptr;
-  obs::Counter* retries_ = nullptr;
   obs::ExpHistogram* batch_queries_hist_ = nullptr;
 
   // proxy.mix.* — client-side mix health (obs/leakage.h's counterpart on the

@@ -5,6 +5,21 @@ namespace mope::proxy {
 MopeSystem::MopeSystem(uint64_t seed)
     : metrics_(std::make_unique<obs::MetricsRegistry>()), rng_(seed) {}
 
+ProxyConfig MopeSystem::NextProxyConfig(const std::string& table,
+                                        const EncryptedColumnSpec& spec) {
+  ProxyConfig config;
+  config.table = table;
+  config.column = spec.column;
+  config.domain = spec.domain;
+  config.k = spec.k;
+  config.mode = spec.mode;
+  config.period = spec.period;
+  config.batch_size = spec.batch_size;
+  config.rng_seed = rng_.NextWord();
+  config.registry = metrics_.get();
+  return config;
+}
+
 Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
                              const std::vector<engine::Row>& rows,
                              const EncryptedColumnSpec& spec,
@@ -56,19 +71,13 @@ Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
     return load;
   }
 
-  ProxyConfig config;
-  config.table = name;
-  config.column = spec.column;
-  config.domain = spec.domain;
-  config.k = spec.k;
-  config.mode = spec.mode;
-  config.period = spec.period;
-  config.batch_size = spec.batch_size;
-  config.rng_seed = rng_.NextWord();
-  config.registry = metrics_.get();
+  const ProxyConfig config = NextProxyConfig(name, spec);
   auto proxy = [&]() -> Result<std::unique_ptr<Proxy>> {
+    // Only a proxy on the embedded engine itself may rotate keys.
     if (!connection_factory_) {
-      return Proxy::Create(config, key, params, &server_, known_q);
+      return Proxy::Create(config, key, params,
+                           std::make_unique<DirectConnection>(&server_),
+                           known_q, &server_);
     }
     MOPE_ASSIGN_OR_RETURN(std::unique_ptr<ServerConnection> connection,
                           connection_factory_());
@@ -104,17 +113,7 @@ Status MopeSystem::AttachRemoteTable(const std::string& name,
   // Same draw order as LoadTable: key first, proxy seed second.
   const ope::OpeParams params{spec.domain, ope::SuggestRange(spec.domain)};
   const ope::MopeKey key = ope::MopeKey::Generate(spec.domain, &rng_);
-
-  ProxyConfig config;
-  config.table = name;
-  config.column = spec.column;
-  config.domain = spec.domain;
-  config.k = spec.k;
-  config.mode = spec.mode;
-  config.period = spec.period;
-  config.batch_size = spec.batch_size;
-  config.rng_seed = rng_.NextWord();
-  config.registry = metrics_.get();
+  const ProxyConfig config = NextProxyConfig(name, spec);
   MOPE_ASSIGN_OR_RETURN(
       std::unique_ptr<Proxy> proxy,
       Proxy::Create(config, key, params, std::move(connection), known_q));

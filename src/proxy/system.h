@@ -110,6 +110,12 @@ class MopeSystem {
                             obs::LeakageAuditConfig overrides = {});
 
  private:
+  /// `spec` as a ProxyConfig for `table`, with a proxy seed drawn from
+  /// rng_. Callers draw the table's key first: that order is what lets a
+  /// same-seed system re-derive both.
+  ProxyConfig NextProxyConfig(const std::string& table,
+                              const EncryptedColumnSpec& spec);
+
   engine::DbServer server_;
   /// Heap-held so MopeSystem stays movable (a registry owns a mutex).
   std::unique_ptr<obs::MetricsRegistry> metrics_;

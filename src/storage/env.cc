@@ -29,61 +29,6 @@ std::string DirOf(const std::string& path) {
 // POSIX implementation.
 // ---------------------------------------------------------------------------
 
-class PosixRandomAccessFile : public RandomAccessFile {
- public:
-  PosixRandomAccessFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  ~PosixRandomAccessFile() override { ::close(fd_); }
-
-  Status Read(uint64_t offset, size_t n, std::string* out) override {
-    out->resize(n);
-    size_t done = 0;
-    while (done < n) {
-      const ssize_t got = ::pread(fd_, out->data() + done, n - done,
-                                  static_cast<off_t>(offset + done));
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(Errno("pread", path_));
-      }
-      if (got == 0) {
-        return Status::OutOfRange("read past EOF in '" + path_ + "'");
-      }
-      done += static_cast<size_t>(got);
-    }
-    return Status::OK();
-  }
-
-  Status Write(uint64_t offset, std::string_view data) override {
-    size_t done = 0;
-    while (done < data.size()) {
-      const ssize_t put = ::pwrite(fd_, data.data() + done,
-                                   data.size() - done,
-                                   static_cast<off_t>(offset + done));
-      if (put < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(Errno("pwrite", path_));
-      }
-      done += static_cast<size_t>(put);
-    }
-    return Status::OK();
-  }
-
-  Status Sync() override {
-    if (::fsync(fd_) != 0) return Status::Internal(Errno("fsync", path_));
-    return Status::OK();
-  }
-
-  Result<uint64_t> Size() override {
-    struct stat st{};
-    if (::fstat(fd_, &st) != 0) return Status::Internal(Errno("fstat", path_));
-    return static_cast<uint64_t>(st.st_size);
-  }
-
- private:
-  int fd_;
-  std::string path_;
-};
-
 class PosixAppendFile : public AppendFile {
  public:
   PosixAppendFile(int fd, std::string path)
@@ -122,14 +67,6 @@ class PosixAppendFile : public AppendFile {
 
 class PosixEnv : public Env {
  public:
-  Result<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
-      const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) return Status::Internal(Errno("open", path));
-    return std::unique_ptr<RandomAccessFile>(
-        new PosixRandomAccessFile(fd, path));
-  }
-
   Result<std::unique_ptr<AppendFile>> OpenAppend(const std::string& path,
                                                  bool truncate) override {
     const int flags =
@@ -236,48 +173,8 @@ Env* Env::Posix() {
 // In-memory implementation.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Shared by both in-memory handle types; the env owns the FileState map,
-/// handles keep the state alive (a removed file stays usable through open
-/// handles, POSIX-style).
-}  // namespace
-
-class InMemRandomAccessFile : public RandomAccessFile {
- public:
-  InMemRandomAccessFile(std::shared_ptr<InMemEnv::FileState> state,
-                        InMemEnv* env)
-      : state_(std::move(state)), env_(env) {}
-
-  Status Read(uint64_t offset, size_t n, std::string* out) override {
-    if (offset + n > state_->data.size()) {
-      return Status::OutOfRange("read past EOF (in-memory)");
-    }
-    out->assign(state_->data, offset, n);
-    return Status::OK();
-  }
-
-  Status Write(uint64_t offset, std::string_view data) override {
-    if (offset + data.size() > state_->data.size()) {
-      state_->data.resize(offset + data.size(), '\0');
-    }
-    state_->data.replace(offset, data.size(), data);
-    return Status::OK();
-  }
-
-  Status Sync() override {
-    state_->synced_data = state_->data;
-    ++env_->sync_count_;
-    return Status::OK();
-  }
-
-  Result<uint64_t> Size() override { return state_->data.size(); }
-
- private:
-  std::shared_ptr<InMemEnv::FileState> state_;
-  InMemEnv* env_;
-};
-
+/// The env owns the FileState map; a handle keeps its file's state alive,
+/// so a removed file stays usable through open handles, POSIX-style.
 class InMemAppendFile : public AppendFile {
  public:
   InMemAppendFile(std::shared_ptr<InMemEnv::FileState> state, InMemEnv* env)
@@ -300,14 +197,6 @@ class InMemAppendFile : public AppendFile {
   std::shared_ptr<InMemEnv::FileState> state_;
   InMemEnv* env_;
 };
-
-Result<std::unique_ptr<RandomAccessFile>> InMemEnv::OpenRandomAccess(
-    const std::string& path) {
-  auto& state = files_[path];
-  if (state == nullptr) state = std::make_shared<FileState>();
-  return std::unique_ptr<RandomAccessFile>(
-      new InMemRandomAccessFile(state, this));
-}
 
 Result<std::unique_ptr<AppendFile>> InMemEnv::OpenAppend(
     const std::string& path, bool truncate) {
@@ -382,36 +271,6 @@ Status FaultyEnv::AdmitSync() {
   return Status::OK();
 }
 
-class FaultyRandomAccessFile : public RandomAccessFile {
- public:
-  FaultyRandomAccessFile(std::unique_ptr<RandomAccessFile> base,
-                         FaultyEnv* env)
-      : base_(std::move(base)), env_(env) {}
-
-  Status Read(uint64_t offset, size_t n, std::string* out) override {
-    return base_->Read(offset, n, out);
-  }
-
-  Status Write(uint64_t offset, std::string_view data) override {
-    MOPE_ASSIGN_OR_RETURN(size_t admitted, env_->AdmitWrite(data.size()));
-    if (admitted >= data.size()) return base_->Write(offset, data);
-    // Torn write: a prefix reaches the medium, then the failure surfaces.
-    MOPE_RETURN_NOT_OK(base_->Write(offset, data.substr(0, admitted)));
-    return Status::Internal("injected: torn write");
-  }
-
-  Status Sync() override {
-    MOPE_RETURN_NOT_OK(env_->AdmitSync());
-    return base_->Sync();
-  }
-
-  Result<uint64_t> Size() override { return base_->Size(); }
-
- private:
-  std::unique_ptr<RandomAccessFile> base_;
-  FaultyEnv* env_;
-};
-
 class FaultyAppendFile : public AppendFile {
  public:
   FaultyAppendFile(std::unique_ptr<AppendFile> base, FaultyEnv* env)
@@ -435,14 +294,6 @@ class FaultyAppendFile : public AppendFile {
   std::unique_ptr<AppendFile> base_;
   FaultyEnv* env_;
 };
-
-Result<std::unique_ptr<RandomAccessFile>> FaultyEnv::OpenRandomAccess(
-    const std::string& path) {
-  MOPE_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> base,
-                        base_->OpenRandomAccess(path));
-  return std::unique_ptr<RandomAccessFile>(
-      new FaultyRandomAccessFile(std::move(base), this));
-}
 
 Result<std::unique_ptr<AppendFile>> FaultyEnv::OpenAppend(
     const std::string& path, bool truncate) {

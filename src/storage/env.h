@@ -8,7 +8,7 @@
 /// outside this directory — does file I/O through this interface instead of
 /// raw open/fstream calls. Three implementations:
 ///
-///   - Env::Posix(): the real thing (pread/pwrite/fsync/rename).
+///   - Env::Posix(): the real thing (append/fsync/rename).
 ///   - InMemEnv: a deterministic in-memory file system for tests. It tracks,
 ///     per file, which bytes have been fsync'd, so SimulateCrash() models a
 ///     kill -9 / power cut exactly: every file reverts to its last-synced
@@ -34,8 +34,11 @@
 
 namespace mope::storage {
 
-/// Random-access file handle. Offsets are absolute; writes
-/// past the current size extend the file.
+/// Random-access file handle. Offsets are absolute; writes past the current
+/// size extend the file. Nothing in src/ opens one and no Env here
+/// implements Env::OpenRandomAccess. Both stay only because
+/// perfbench/seams.{h,cc} overrides them; drop them at the next change to
+/// perfbench/ (ROADMAP, benchmark debt).
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
@@ -64,9 +67,12 @@ class Env {
  public:
   virtual ~Env() = default;
 
-  /// Opens (creating if absent) a random-access read/write file.
+  /// Opens (creating if absent) a random-access read/write file. No Env
+  /// in src/ has them (see RandomAccessFile): NotSupported.
   virtual Result<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
-      const std::string& path) = 0;
+      const std::string& path) {
+    return Status::NotSupported("no random-access files in '" + path + "'");
+  }
 
   /// Opens a file for appending; `truncate` discards existing contents.
   virtual Result<std::unique_ptr<AppendFile>> OpenAppend(
@@ -94,15 +100,13 @@ class Env {
 };
 
 // ---------------------------------------------------------------------------
-// In-memory environment (tests). Not thread-safe: storage-layer callers are
-// serialized by the BufferPool/Wal locks above it, and tests are
-// single-threaded by construction.
+// In-memory environment (tests). Not thread-safe: its storage-layer callers
+// are serialized by the Wal lock and the durable catalog's write
+// serialization above it, and tests are single-threaded by construction.
 // ---------------------------------------------------------------------------
 
 class InMemEnv : public Env {
  public:
-  Result<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
-      const std::string& path) override;
   Result<std::unique_ptr<AppendFile>> OpenAppend(const std::string& path,
                                                  bool truncate) override;
   Result<std::string> ReadFile(const std::string& path) override;
@@ -121,7 +125,6 @@ class InMemEnv : public Env {
   uint64_t sync_count() const { return sync_count_; }
 
  private:
-  friend class InMemRandomAccessFile;
   friend class InMemAppendFile;
 
   struct FileState {
@@ -142,7 +145,7 @@ class InMemEnv : public Env {
 class FaultyEnv : public Env {
  public:
   struct Faults {
-    /// After this many successful data writes (Write/Append calls), the
+    /// After this many successful data writes (Append/WriteFileAtomic), the
     /// next one fails — and every one after it (the disk stays dead, like
     /// a crashed machine). Negative: never.
     int fail_after_writes = -1;
@@ -161,8 +164,6 @@ class FaultyEnv : public Env {
   void set_faults(const Faults& faults) { faults_ = faults; }
   int writes_issued() const { return writes_issued_; }
 
-  Result<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
-      const std::string& path) override;
   Result<std::unique_ptr<AppendFile>> OpenAppend(const std::string& path,
                                                  bool truncate) override;
   Result<std::string> ReadFile(const std::string& path) override;
@@ -173,7 +174,6 @@ class FaultyEnv : public Env {
   Status CreateDir(const std::string& path) override;
 
  private:
-  friend class FaultyRandomAccessFile;
   friend class FaultyAppendFile;
 
   /// Returns the number of bytes of `n` that may be written (n = all, a

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -84,6 +85,12 @@ struct CrcPath {
   uint32_t (*continue_crc)(uint32_t, std::string_view);
   bool (*available)();
 };
+
+/// gtest writes a parameter into each listed test name, and so into the
+/// name ctest registers. Left to itself it prints this struct's bytes, and
+/// the pointers among them move with every process's load address; the
+/// name alone keeps the listed names the same from one run to the next.
+void PrintTo(const CrcPath& path, std::ostream* os) { *os << path.name; }
 
 bool Always() { return true; }
 

@@ -4,7 +4,9 @@
 /// records whose count is far beyond what their bytes hold and check that
 /// reading one is Corruption with no allocation larger than the record, and
 /// that replaying one is Corruption with no allocation larger than
-/// replaying the same record with an honest count makes. This binary
+/// replaying the same record with an honest count makes. A stats reply
+/// (every profiled wire reply carries one) likewise may not reserve entries
+/// its bytes cannot hold. This binary
 /// replaces the global operator new to record the largest single request;
 /// it is separate from mope_tests so that the replacement does not hide
 /// new/delete mismatches from the sanitizers across the whole suite.
@@ -18,8 +20,10 @@
 #include <string>
 #include <utility>
 
+#include "common/coding.h"
 #include "engine/codec.h"
 #include "engine/durability.h"
+#include "net/wire.h"
 #include "obs/registry.h"
 #include "storage/env.h"
 
@@ -127,3 +131,30 @@ TEST(ReplayAllocTest, HostileInsertCountReplaysAsCorruption) {
 
 }  // namespace
 }  // namespace mope::engine
+
+namespace mope::net {
+namespace {
+
+TEST(StatsReplyAllocTest, ClaimedEntryCountCannotOutgrowTheBytes) {
+  // 1 MiB of the smallest entries: an empty name (its 8-byte length) and
+  // an 8-byte value, 16 bytes each.
+  constexpr uint32_t kEntries = 65536;
+  const std::string honest =
+      EncodeStatsReply(StatsReply(kEntries, {std::string(), 1}));
+  TakeLargestAllocation();
+  ASSERT_TRUE(DecodeStatsReply(honest).ok());
+  const size_t honest_largest = TakeLargestAllocation();
+
+  // The same bytes claiming one entry per 12 of them: a bound that assumed
+  // a 4-byte name length would let this count size the entry vector.
+  std::string hostile = honest;
+  StoreU32(hostile.data(), static_cast<uint32_t>((hostile.size() - 4) / 12));
+  TakeLargestAllocation();
+  const Status status = DecodeStatsReply(hostile).status();
+  const size_t largest = TakeLargestAllocation();
+  EXPECT_TRUE(status.IsCorruption()) << status;
+  EXPECT_LE(largest, honest_largest);
+}
+
+}  // namespace
+}  // namespace mope::net

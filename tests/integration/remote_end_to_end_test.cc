@@ -16,7 +16,6 @@
 #include "engine/snapshot.h"
 #include "net/remote_connection.h"
 #include "net/server.h"
-#include "proxy/connection_registry.h"
 #include "proxy/system.h"
 
 namespace mope {
@@ -176,15 +175,15 @@ TEST(RemoteEndToEndTest, ConnectionStringPathWorks) {
   auto daemon = net::TcpServer::Start(owner.server(), net::TcpServerOptions{});
   ASSERT_TRUE(daemon.ok());
 
-  net::RegisterTcpScheme();
-  auto conn = proxy::MakeConnection("tcp://127.0.0.1:" +
-                                    std::to_string((*daemon)->port()));
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto options = net::RemoteOptionsFor("127.0.0.1:" +
+                                      std::to_string((*daemon)->port()));
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
 
   proxy::MopeSystem remote(kSeed);
   ASSERT_TRUE(remote
                   .AttachRemoteTable("sales", MakeSpec(),
-                                     std::move(conn).value())
+                                     std::make_unique<net::RemoteConnection>(
+                                         std::move(options).value()))
                   .ok());
   auto response = remote.Query("sales", "day", {10, 16});
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -193,16 +192,27 @@ TEST(RemoteEndToEndTest, ConnectionStringPathWorks) {
 }
 
 TEST(RemoteEndToEndTest, ConnectionStringErrors) {
-  EXPECT_TRUE(proxy::MakeConnection("garbage").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      proxy::MakeConnection("nope://x:1").status().IsNotFound());
-  net::RegisterTcpScheme();
-  EXPECT_TRUE(proxy::MakeConnection("tcp://hostonly")
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(proxy::MakeConnection("tcp://h:99999")
-                  .status()
-                  .IsInvalidArgument());
+  for (const char* bad : {"garbage", "hostonly", "h:99999", "h:", ":80",
+                          "h:+80", "h: 80", "h:65536", "h:80 ", "h:-1"}) {
+    EXPECT_TRUE(net::RemoteOptionsFor(bad).status().IsInvalidArgument())
+        << bad;
+  }
+  // The host is everything before the last ':'; everything else in the
+  // defaults carries over, except a transport factory, which is cleared.
+  net::RemoteOptions defaults;
+  defaults.max_retries = 7;
+  defaults.transport_factory = [] {
+    return Result<std::unique_ptr<net::Transport>>(
+        Status::Internal("not used"));
+  };
+  auto options = net::RemoteOptionsFor("a:b:65535", defaults);
+  ASSERT_TRUE(options.ok()) << options.status();
+  EXPECT_EQ(options->host, "a:b");
+  EXPECT_EQ(options->port, 65535);
+  EXPECT_EQ(options->max_retries, 7u);
+  EXPECT_FALSE(options->transport_factory);
+  ASSERT_TRUE(net::RemoteOptionsFor("127.0.0.1:0").ok());
+  EXPECT_EQ(net::RemoteOptionsFor("127.0.0.1:0")->port, 0);
 }
 
 TEST(RemoteEndToEndTest, MismatchedSeedDecryptsNothingUseful) {

@@ -293,5 +293,81 @@ TEST(FaultTest, EncryptedQueriesSucceedOverFlakyWire) {
   EXPECT_EQ(got, (std::set<int64_t>{10, 11, 12, 13}));
 }
 
+// --- One retry policy: the connection's --------------------------------------
+
+/// Bytes of the schema reply for table "data"(key int), the first reply
+/// on a proxy's connection: the range reply starts right after it.
+uint64_t SchemaReplyBytes() {
+  return EncodeFrame(MessageType::kSchemaReply,
+                     EncodeSchemaReply(Schema({Column{"key", ValueType::kInt}})))
+      .size();
+}
+
+/// Loads "data" (the encryptions of 0..63) into `system` behind a
+/// passthrough proxy whose RemoteConnection (max_retries 3) runs on `net`
+/// and counts into `client`.
+Status LoadOverFlakyWire(proxy::MopeSystem* system,
+                         std::shared_ptr<FlakyNet> net,
+                         obs::MetricsRegistry* client) {
+  system->set_connection_factory(
+      [net, client]() -> Result<std::unique_ptr<proxy::ServerConnection>> {
+        RemoteOptions options = net->Options(3);
+        options.registry = client;
+        return std::unique_ptr<proxy::ServerConnection>(
+            std::make_unique<RemoteConnection>(std::move(options)));
+      });
+  std::vector<engine::Row> rows;
+  for (int64_t v = 0; v < 64; ++v) rows.push_back({v});
+  proxy::EncryptedColumnSpec spec;
+  spec.column = "key";
+  spec.domain = 64;
+  spec.k = 4;
+  spec.mode = proxy::QueryMode::kPassthrough;
+  return system->LoadTable("data", Schema({Column{"key", ValueType::kInt}}),
+                           rows, spec);
+}
+
+TEST(OneRetryPolicyTest, CorruptedReplyReachesTheServerOnce) {
+  // A reply that fails its CRC is not weather: neither the connection nor
+  // the proxy above it may re-send the request.
+  proxy::MopeSystem system(/*seed=*/123);
+  obs::MetricsRegistry client;
+  auto net = std::make_shared<FlakyNet>(
+      system.server(),
+      std::vector<FaultSpec>{
+          {FaultKind::kCorrupt, SchemaReplyBytes() + kFrameHeaderBytes + 2}});
+  ASSERT_TRUE(LoadOverFlakyWire(&system, net, &client).ok());
+  obs::Counter* range_requests =
+      system.server()->metrics()->GetCounter("server.requests.range_batch");
+  ASSERT_EQ(range_requests->Value(), 0u);
+
+  auto response = system.Query("data", "key", {10, 13});
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsCorruption()) << response.status();
+  EXPECT_EQ(range_requests->Value(), 1u);
+  EXPECT_EQ(client.GetCounter("net.client.retries")->Value(), 0u);
+}
+
+TEST(OneRetryPolicyTest, DroppedRequestSucceedsThroughTheConnectionRetry) {
+  // The stream dies right after the schema reply, so the range request is
+  // written into a dead connection and never reaches the server. The
+  // connection reconnects and re-sends it once; the proxy sends it once.
+  proxy::MopeSystem system(/*seed=*/123);
+  obs::MetricsRegistry client;
+  auto net = std::make_shared<FlakyNet>(
+      system.server(),
+      std::vector<FaultSpec>{{FaultKind::kDisconnect, SchemaReplyBytes()}});
+  ASSERT_TRUE(LoadOverFlakyWire(&system, net, &client).ok());
+  obs::Counter* range_requests =
+      system.server()->metrics()->GetCounter("server.requests.range_batch");
+
+  auto response = system.Query("data", "key", {10, 13});
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->rows.size(), 4u);
+  EXPECT_EQ(range_requests->Value(), 1u);
+  EXPECT_EQ(client.GetCounter("net.client.retries")->Value(), 1u);
+  EXPECT_EQ(client.GetCounter("net.client.connects")->Value(), 2u);
+}
+
 }  // namespace
 }  // namespace mope::net

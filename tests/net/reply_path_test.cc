@@ -8,12 +8,15 @@
 /// byte, in a kept row or a dropped one, ever aborts the client or yields
 /// rows that differ from what the server sent; and a reply row without an
 /// int key column, which no honest server produces, is Corruption at the
-/// proxy, never a crash.
+/// proxy, never a crash. The same byte sweep covers the protocol's other
+/// decoders: every cut is Corruption, and every flip is Corruption or a
+/// message that re-encodes to exactly the flipped bytes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -147,6 +150,31 @@ net::RowsWithIds ReferenceRows() {
 
 const RowFilter kReferenceFilter{1, ModularInterval(100, 300, 1000)};
 
+/// Calls `check(mutated, what)` for `bytes` with each byte in turn XOR-ed
+/// with 0x01 and with 0xFF.
+void ForEachFlip(
+    const std::string& bytes,
+    const std::function<void(const std::string&, const std::string&)>& check) {
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (const char mask : {'\x01', '\xFF'}) {
+      std::string mutated = bytes;
+      mutated[i] ^= mask;
+      check(mutated, "byte " + std::to_string(i) + " ^ " +
+                         std::to_string(static_cast<uint8_t>(mask)));
+    }
+  }
+}
+
+/// Calls `check(prefix, what)` for every proper prefix of `bytes`, the empty
+/// one included.
+void ForEachCut(
+    const std::string& bytes,
+    const std::function<void(const std::string&, const std::string&)>& check) {
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    check(bytes.substr(0, len), "cut at " + std::to_string(len));
+  }
+}
+
 /// Serves a fixed byte stream to every read and accepts every write: the
 /// reply of a server that sends exactly these bytes.
 class ScriptedTransport final : public Transport {
@@ -212,18 +240,91 @@ TEST(ReplyDecoderTest, EveryFlippedOrCutFrameByteIsAnErrorOrTheExactRows) {
   const std::string frame = EncodeFrame(MessageType::kRangeBatchReply,
                                         EncodeRangeBatchReply(ReferenceRows()));
   ExpectCorruptionOrReference(frame, "intact frame");
-  for (size_t i = 0; i < frame.size(); ++i) {
-    for (const char mask : {'\x01', '\xFF'}) {
-      std::string mutated = frame;
-      mutated[i] ^= mask;
-      ExpectCorruptionOrReference(
-          mutated, "byte " + std::to_string(i) + " ^ " +
-                       std::to_string(static_cast<uint8_t>(mask)));
-    }
+  ForEachFlip(frame, ExpectCorruptionOrReference);
+  ForEachCut(frame, ExpectCorruptionOrReference);
+}
+
+/// One of the protocol's other messages: its bytes, and a decode followed
+/// by a re-encode of what was decoded.
+struct SweptMessage {
+  const char* name;
+  std::string bytes;
+  std::function<Result<std::string>(std::string_view)> reencode;
+};
+
+std::vector<SweptMessage> SweptMessages() {
+  const RangeBatchRequest request{
+      "lineitem", "l_shipdate",
+      {ModularInterval(10, 5, 100), ModularInterval(95, 10, 100)}};
+  const Schema schema({Column{"key", ValueType::kInt},
+                       Column{"price", ValueType::kDouble},
+                       Column{"tag", ValueType::kString}});
+  return {
+      {"range-batch request", EncodeRangeBatchRequest(request),
+       [](std::string_view bytes) -> Result<std::string> {
+         MOPE_ASSIGN_OR_RETURN(const RangeBatchRequest decoded,
+                               DecodeRangeBatchRequest(bytes));
+         return EncodeRangeBatchRequest(decoded);
+       }},
+      {"count reply", EncodeCountBatchReply(0x0102030405),
+       [](std::string_view bytes) -> Result<std::string> {
+         MOPE_ASSIGN_OR_RETURN(const uint64_t count,
+                               DecodeCountBatchReply(bytes));
+         return EncodeCountBatchReply(count);
+       }},
+      {"schema request", EncodeSchemaRequest("lineitem"),
+       [](std::string_view bytes) -> Result<std::string> {
+         MOPE_ASSIGN_OR_RETURN(const std::string table,
+                               DecodeSchemaRequest(bytes));
+         return EncodeSchemaRequest(table);
+       }},
+      {"schema reply", EncodeSchemaReply(schema),
+       [](std::string_view bytes) -> Result<std::string> {
+         MOPE_ASSIGN_OR_RETURN(const Schema decoded, DecodeSchemaReply(bytes));
+         return EncodeSchemaReply(decoded);
+       }},
+      {"stats reply",
+       EncodeStatsReply({{"engine.rows_returned", 7}, {"net.x", 1ull << 40}}),
+       [](std::string_view bytes) -> Result<std::string> {
+         MOPE_ASSIGN_OR_RETURN(const StatsReply stats,
+                               DecodeStatsReply(bytes));
+         return EncodeStatsReply(stats);
+       }},
+      {"status reply", EncodeStatusReply(Status::NotFound("no table 'x'")),
+       [](std::string_view bytes) -> Result<std::string> {
+         Status carried;
+         MOPE_RETURN_NOT_OK(DecodeStatusReply(bytes, &carried));
+         return EncodeStatusReply(carried);
+       }},
+  };
+}
+
+TEST(WireDecoderSweepTest, EveryFlipIsCorruptionOrReencodesExactly) {
+  for (const SweptMessage& message : SweptMessages()) {
+    const Result<std::string> intact = message.reencode(message.bytes);
+    ASSERT_TRUE(intact.ok()) << message.name << ": " << intact.status();
+    ASSERT_EQ(*intact, message.bytes) << message.name;
+    ForEachFlip(message.bytes, [&message](const std::string& mutated,
+                                          const std::string& what) {
+      const Result<std::string> again = message.reencode(mutated);
+      if (again.ok()) {
+        EXPECT_EQ(*again, mutated) << message.name << ", " << what;
+      } else {
+        EXPECT_TRUE(again.status().IsCorruption())
+            << message.name << ", " << what << ": " << again.status();
+      }
+    });
   }
-  for (size_t len = 0; len < frame.size(); ++len) {
-    ExpectCorruptionOrReference(frame.substr(0, len),
-                                "cut at " + std::to_string(len));
+}
+
+TEST(WireDecoderSweepTest, EveryCutIsCorruption) {
+  for (const SweptMessage& message : SweptMessages()) {
+    ForEachCut(message.bytes, [&message](const std::string& prefix,
+                                         const std::string& what) {
+      const Status status = message.reencode(prefix).status();
+      EXPECT_TRUE(status.IsCorruption())
+          << message.name << ", " << what << ": " << status;
+    });
   }
 }
 
@@ -267,27 +368,15 @@ TEST(ReplyReadTest, ClaimedPayloadLengthDoesNotSizeTheRead) {
 /// Corruption, or decodes — and then the filtered decode still equals the
 /// full decode followed by the filter.
 TEST(ReplyDecoderTest, EveryFlippedOrCutPayloadByteKeepsTheDecodersInStep) {
-  const std::string payload = EncodeRangeBatchReply(ReferenceRows());
-  std::vector<std::string> mutants;
-  for (size_t i = 0; i < payload.size(); ++i) {
-    for (const char mask : {'\x01', '\xFF'}) {
-      mutants.push_back(payload);
-      mutants.back()[i] ^= mask;
-    }
-  }
-  for (size_t len = 0; len < payload.size(); ++len) {
-    mutants.push_back(payload.substr(0, len));
-  }
-  for (size_t m = 0; m < mutants.size(); ++m) {
-    auto full = DecodeRangeBatchReply(mutants[m]);
+  const auto check = [](const std::string& mutant, const std::string& what) {
+    auto full = DecodeRangeBatchReply(mutant);
     net::RowsWithIds kept;
-    auto shipped =
-        DecodeRangeBatchReply(mutants[m], &kReferenceFilter, &kept);
+    auto shipped = DecodeRangeBatchReply(mutant, &kReferenceFilter, &kept);
     if (!full.ok()) {
-      EXPECT_TRUE(full.status().IsCorruption()) << "mutant " << m;
-      EXPECT_TRUE(shipped.status().IsCorruption()) << "mutant " << m;
-      EXPECT_TRUE(kept.empty()) << "mutant " << m;
-      continue;
+      EXPECT_TRUE(full.status().IsCorruption()) << what;
+      EXPECT_TRUE(shipped.status().IsCorruption()) << what;
+      EXPECT_TRUE(kept.empty()) << what;
+      return;
     }
     // A decodable mutant can still hold a row the filter rejects (a key
     // column that is no longer an int): then only the filtered decode fails.
@@ -298,14 +387,17 @@ TEST(ReplyDecoderTest, EveryFlippedOrCutPayloadByteKeepsTheDecodersInStep) {
                   row[kReferenceFilter.key_column]);
     }
     if (!keyed) {
-      EXPECT_TRUE(shipped.status().IsCorruption()) << "mutant " << m;
-      EXPECT_TRUE(kept.empty()) << "mutant " << m;
-      continue;
+      EXPECT_TRUE(shipped.status().IsCorruption()) << what;
+      EXPECT_TRUE(kept.empty()) << what;
+      return;
     }
-    ASSERT_TRUE(shipped.ok()) << "mutant " << m << ": " << shipped.status();
-    EXPECT_EQ(*shipped, full->size()) << "mutant " << m;
-    EXPECT_EQ(kept, FilterRows(*full, kReferenceFilter)) << "mutant " << m;
-  }
+    ASSERT_TRUE(shipped.ok()) << what << ": " << shipped.status();
+    EXPECT_EQ(*shipped, full->size()) << what;
+    EXPECT_EQ(kept, FilterRows(*full, kReferenceFilter)) << what;
+  };
+  const std::string payload = EncodeRangeBatchReply(ReferenceRows());
+  ForEachFlip(payload, check);
+  ForEachCut(payload, check);
 }
 
 // --- Golden: the dispatcher's frame from table storage --------------------

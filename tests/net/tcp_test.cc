@@ -193,6 +193,18 @@ TEST(TcpTest, DnsNamesOtherThanLocalhostAreRejected) {
   EXPECT_TRUE(conn.status().IsInvalidArgument());
 }
 
+TEST(ParsePortTest, DigitsOnlyUpTo65535) {
+  // mope_serverd's --port and --http-port and every "host:port" string
+  // share this parser; strtoul would accept the signed and padded forms.
+  for (const char* bad : {"", "+5", " 5", "5 ", "-1", "0x10", "65536",
+                          "99999", "18446744073709551621"}) {
+    EXPECT_TRUE(ParsePort(bad).status().IsInvalidArgument()) << bad;
+  }
+  EXPECT_EQ(ParsePort("0").value(), 0);
+  EXPECT_EQ(ParsePort("05811").value(), 5811);
+  EXPECT_EQ(ParsePort("65535").value(), 65535);
+}
+
 TEST(TcpTest, ConcurrentClientsSeeConsistentData) {
   engine::DbServer db = MakeServer();
   TcpServerOptions options;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "proxy/proxy.h"
 
 namespace mope::proxy {
@@ -16,8 +18,8 @@ using engine::ValueType;
 
 constexpr uint64_t kDomain = 64;
 
-/// Test double: fails the first `failures` requests with a transient error,
-/// then delegates to the real server.
+/// Test double: fails the first `failures` range requests, then delegates
+/// to the real server.
 class FlakyConnection final : public ServerConnection {
  public:
   FlakyConnection(DbServer* server, int failures)
@@ -63,14 +65,13 @@ struct Fixture {
     EXPECT_TRUE((*table)->CreateIndex("key").ok());
   }
 
-  ProxyConfig Config(uint32_t retries) const {
+  ProxyConfig Config() const {
     ProxyConfig config;
     config.table = "data";
     config.column = "key";
     config.domain = kDomain;
     config.k = 4;
     config.mode = QueryMode::kPassthrough;
-    config.max_retries = retries;
     return config;
   }
 
@@ -92,41 +93,21 @@ TEST(ConnectionTest, DirectConnectionDelegates) {
   EXPECT_EQ(rows->size(), kDomain);
 }
 
-TEST(ConnectionTest, ProxyRetriesTransientFailures) {
-  Fixture fx;
-  auto flaky = std::make_unique<FlakyConnection>(&fx.server, 2);
-  FlakyConnection* flaky_raw = flaky.get();
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/3), fx.key, fx.params,
-                             std::move(flaky));
-  ASSERT_TRUE(proxy.ok()) << proxy.status();
-  auto resp = (*proxy)->ExecuteRange({10, 13});
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->rows.size(), 4u);
-  EXPECT_EQ((*proxy)->retries_performed(), 2u);
-  EXPECT_EQ(flaky_raw->requests(), 3);  // 2 failures + 1 success
-}
-
-TEST(ConnectionTest, ProxyGivesUpAfterMaxRetries) {
-  Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/1), fx.key, fx.params,
-                             std::make_unique<FlakyConnection>(&fx.server, 5));
-  ASSERT_TRUE(proxy.ok());
-  auto resp = (*proxy)->ExecuteRange({10, 13});
-  EXPECT_TRUE(resp.status().IsInternal());
-  EXPECT_EQ((*proxy)->retries_performed(), 1u);
-}
-
 TEST(ConnectionTest, ZeroRetriesFailsImmediately) {
+  // The proxy never re-sends a batch (retries belong to the connection): a
+  // failed request fails the query after exactly one request.
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/0), fx.key, fx.params,
-                             std::make_unique<FlakyConnection>(&fx.server, 1));
+  auto flaky = std::make_unique<FlakyConnection>(&fx.server, 1);
+  FlakyConnection* flaky_raw = flaky.get();
+  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params, std::move(flaky));
   ASSERT_TRUE(proxy.ok());
   EXPECT_FALSE((*proxy)->ExecuteRange({10, 13}).ok());
+  EXPECT_EQ(flaky_raw->requests(), 1);
 }
 
 TEST(ConnectionTest, RotationUnavailableOverCustomConnection) {
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(0), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params,
                              std::make_unique<FlakyConnection>(&fx.server, 0));
   ASSERT_TRUE(proxy.ok());
   Rng rng(1);
@@ -134,16 +115,21 @@ TEST(ConnectionTest, RotationUnavailableOverCustomConnection) {
 }
 
 TEST(ConnectionTest, RetriedBatchesDoNotDuplicateRows) {
-  // A batch that fails after partially... (our failures are all-or-nothing,
-  // but a retry after a *successful* send must not double rows; the seen-set
-  // dedup guards both cases). Exercise retries with overlapping queries.
+  // A query its caller re-sends after a failure returns each row once, and
+  // so do overlapping pieces: [58, 63] with k = 4 is [58, 61] and the tail
+  // piece shifted back to [60, 63], so rows 60 and 61 are shipped twice.
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/5), fx.key, fx.params,
-                             std::make_unique<FlakyConnection>(&fx.server, 3));
+  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params,
+                             std::make_unique<FlakyConnection>(&fx.server, 1));
   ASSERT_TRUE(proxy.ok());
-  auto resp = (*proxy)->ExecuteRange({0, 15});
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->rows.size(), 16u);
+  ASSERT_FALSE((*proxy)->ExecuteRange({58, 63}).ok());
+  auto resp = (*proxy)->ExecuteRange({58, 63});
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->rows_received, 8u);
+  std::set<int64_t> keys;
+  for (const Row& row : resp->rows) keys.insert(std::get<int64_t>(row[0]));
+  EXPECT_EQ(resp->rows.size(), 6u);
+  EXPECT_EQ(keys, (std::set<int64_t>{58, 59, 60, 61, 62, 63}));
 }
 
 }  // namespace

@@ -25,19 +25,6 @@ TEST(InMemEnvTest, AppendAndReadBack) {
   EXPECT_EQ(*size, 11u);
 }
 
-TEST(InMemEnvTest, RandomAccessReadWrite) {
-  InMemEnv env;
-  auto file = env.OpenRandomAccess("/pages");
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->Write(0, "aaaa").ok());
-  ASSERT_TRUE((*file)->Write(8, "bbbb").ok());  // hole is zero-filled
-  std::string out;
-  ASSERT_TRUE((*file)->Read(8, 4, &out).ok());
-  EXPECT_EQ(out, "bbbb");
-  // Reading past EOF is an error, never silent padding.
-  EXPECT_TRUE((*file)->Read(10, 4, &out).IsOutOfRange());
-}
-
 TEST(InMemEnvTest, CrashRevertsToSyncedContents) {
   InMemEnv env;
   auto file = env.OpenAppend("/log", false);

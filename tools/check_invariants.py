@@ -122,6 +122,15 @@ Machine-enforces the correctness conventions that code review used to carry:
                          test comparing the two on every host; anywhere else
                          it needs `// invariant-ok: R15 <reason>`.
 
+  R16 retry-policy        `max_retries` and `sleep_for(` are banned in src/
+                         outside src/net/remote_connection.{h,cc}.
+                         RemoteConnection is the one retry policy: it retries
+                         only transient errors, with backoff and a fresh
+                         transport. A second retry or backoff loop above it
+                         re-sends what it deliberately never re-sends
+                         (Corruption, server answers). Anything else needs
+                         `// invariant-ok: R16 <reason>`.
+
 A line may opt out with a trailing `// invariant-ok: <reason>` comment; the
 reason is mandatory and greppable. Exit status: 0 clean, 1 violations,
 2 usage error.
@@ -300,6 +309,15 @@ RULES = [
         "invariant-ok",
         includes=("src/",),
         excludes=("src/common/crc32.cc",),
+    ),
+    Rule(
+        "retry-policy",
+        r"\bmax_retries\b|\bsleep_for\s*\(",
+        "retry or backoff outside src/net/remote_connection.*: "
+        "RemoteConnection is the one retry policy; anything else needs "
+        "invariant-ok",
+        includes=("src/",),
+        excludes=("src/net/remote_connection.",),
     ),
     Rule(
         "auditor-ciphertext-only",

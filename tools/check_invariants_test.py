@@ -640,6 +640,41 @@ class NoFalsePositives(unittest.TestCase):
         )
         self.assertNotIn("isa-specific", rule_ids(v))
 
+    def test_retry_policy_outside_remote_connection_caught(self) -> None:
+        # A second retry loop above the connection (what the proxy had).
+        v = run_on_tree(
+            {"src/proxy/proxy.cc":
+                 "  if (attempt >= config_.max_retries) return shipped;\n"
+                 "  std::this_thread::sleep_for(backoff);\n"}
+        )
+        self.assertEqual(
+            sum("[retry-policy]" in x for x in v), 2, "\n".join(v)
+        )
+
+    def test_retry_policy_allowed_in_remote_connection(self) -> None:
+        v = run_on_tree(
+            {"src/net/remote_connection.h": "  uint32_t max_retries = 3;\n",
+             "src/net/remote_connection.cc":
+                 "  std::this_thread::sleep_for(backoff);\n"}
+        )
+        self.assertNotIn("retry-policy", rule_ids(v))
+
+    def test_retry_policy_rule_scoped_to_src(self) -> None:
+        v = run_on_tree(
+            {"tests/net/fault_test.cc": "  options.max_retries = 0;\n",
+             "bench/bench_wire.cc": "  options.max_retries = 0;\n"}
+        )
+        self.assertNotIn("retry-policy", rule_ids(v))
+
+    def test_retry_policy_escape_comment(self) -> None:
+        v = run_on_tree(
+            {"src/obs/sampler.cc":
+                 "    std::this_thread::sleep_for(  "
+                 "// invariant-ok: R16 stop-flag poll\n"
+                 "        std::chrono::milliseconds(5));\n"}
+        )
+        self.assertNotIn("retry-policy", rule_ids(v))
+
     def test_real_repo_is_clean(self) -> None:
         root = Path(__file__).resolve().parent.parent
         violations = []

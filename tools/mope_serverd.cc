@@ -59,7 +59,6 @@
 /// SIGINT/SIGTERM shut down gracefully: in-flight requests complete,
 /// replies flush, then the daemon logs its traffic counters and exits.
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +74,7 @@
 #include "engine/snapshot.h"
 #include "net/http_exposition.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "obs/alerts.h"
 #include "obs/flight_recorder.h"
 #include "obs/leakage.h"
@@ -102,21 +102,6 @@ void HandleFatalSignal(int signo) {
   }
   std::signal(signo, SIG_DFL);
   std::raise(signo);
-}
-
-/// Strict port parse mirroring RegisterTcpScheme: digits only, in
-/// [0, 65535]. atoi would silently wrap 70000 to a different port and turn
-/// garbage into 0 (ephemeral).
-bool ParsePort(const char* raw, uint16_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (raw[0] == '\0' || *end != '\0' || raw[0] == '-' || errno != 0 ||
-      value > 65535) {
-    return false;
-  }
-  *out = static_cast<uint16_t>(value);
-  return true;
 }
 
 void PrintUsage(const char* argv0) {
@@ -247,20 +232,26 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
+      // Strict, unlike atoi, which would wrap 70000 to another port and
+      // turn garbage into 0 (ephemeral).
       const char* raw = next();
-      if (!ParsePort(raw, &options.port)) {
+      const Result<uint16_t> port = net::ParsePort(raw);
+      if (!port.ok()) {
         FlagError("--port must be an integer in [0, 65535], got '%s'\n", raw);
         return 2;
       }
+      options.port = *port;
     } else if (arg == "--workers") {
       options.num_workers = std::atoi(next());
     } else if (arg == "--http-port") {
       const char* raw = next();
-      if (!ParsePort(raw, &http_port)) {
+      const Result<uint16_t> port = net::ParsePort(raw);
+      if (!port.ok()) {
         FlagError("--http-port must be an integer in [0, 65535], got '%s'\n",
                   raw);
         return 2;
       }
+      http_port = *port;
       http_enabled = true;
     } else if (arg == "--slow-query-ms") {
       slow_query_ms = std::atof(next());
