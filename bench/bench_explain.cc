@@ -83,15 +83,15 @@ std::unique_ptr<engine::Operator> ScanFilterAgg(const engine::Table* table) {
                                                std::move(aggs));
 }
 
-/// The same row work as ScanFilterAgg with no operator framework: copy each
-/// row into a reused buffer (SeqScanOp feeding the volcano loop's row
+/// The same row work as ScanFilterAgg with no operator framework: decode
+/// each row into a reused buffer (SeqScanOp feeding the volcano loop's row
 /// slot), filter it, count survivors.
 uint64_t RawScanFilterAgg(const engine::Table* table) {
   uint64_t count = 0;
   const uint64_t n = table->row_count();
   engine::Row row;
   for (uint64_t id = 0; id < n; ++id) {
-    row = table->row(id);
+    table->ReadRow(id, &row);
     if (std::get<int64_t>(row[0]) % 3 == 0) ++count;
   }
   return count;

@@ -73,7 +73,33 @@ Result<CheckedRow> ByteReader::CheckRow(uint64_t count, uint64_t locate) {
     }
   }
   pos_ = static_cast<size_t>(p - bytes_.data());
-  return CheckedRow(begin, count, located);
+  return CheckedRow(begin, p, count, located);
+}
+
+namespace {
+
+/// The size of the checked encoding at `p`.
+size_t EncodingSize(const char* p) {
+  return *p == static_cast<char>(ValueType::kString)
+             ? 9 + static_cast<size_t>(LoadU64(p + 1))
+             : 9;
+}
+
+}  // namespace
+
+std::string_view CheckedRow::LocatedValue() const {
+  if (located_ == nullptr) return std::string_view();
+  return std::string_view(located_, EncodingSize(located_));
+}
+
+std::optional<size_t> CheckedRow::FirstTypeMismatch(
+    const Schema& schema) const {
+  const char* p = begin_;
+  for (size_t c = 0; c < count_; ++c) {
+    if (*p != static_cast<char>(schema.column(c).type)) return c;
+    p += EncodingSize(p);
+  }
+  return std::nullopt;
 }
 
 Value CheckedRow::BuildValue(const char** p) {
@@ -95,10 +121,32 @@ Value CheckedRow::BuildValue(const char** p) {
 
 Row CheckedRow::Build() const {
   Row row;
-  row.reserve(count_);
-  const char* p = begin_;
-  for (uint64_t c = 0; c < count_; ++c) row.push_back(BuildValue(&p));
+  BuildInto(&row);
   return row;
+}
+
+void CheckedRow::BuildInto(Row* out) const {
+  out->resize(count_);
+  const char* p = begin_;
+  for (Value& v : *out) {
+    if (*p != static_cast<char>(ValueType::kString)) {
+      v = BuildValue(&p);
+      continue;
+    }
+    auto* s = std::get_if<std::string>(&v);
+    if (s == nullptr) s = &v.emplace<std::string>();
+    const uint64_t len = LoadU64(p + 1);
+    s->assign(p + 9, len);
+    p += 9 + len;
+  }
+}
+
+CheckedRow CheckStoredRow(std::string_view bytes, uint64_t count,
+                          uint64_t locate) {
+  ByteReader reader(bytes, "table row");
+  const Result<CheckedRow> row = reader.CheckRow(count, locate);
+  MOPE_CHECK(row.ok() && reader.AtEnd(), "stored rows are checked");
+  return *row;
 }
 
 Result<Schema> ByteReader::ReadSchema() {

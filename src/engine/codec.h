@@ -4,20 +4,22 @@
 /// \file codec.h
 /// Little-endian binary encoding of the engine's value types.
 ///
-/// One codec, three consumers: the catalog snapshot format
-/// (engine/snapshot.h), the storage engine's WAL records
-/// (engine/durability.h) and the client/server wire protocol (net/wire.h)
-/// serialize `Value`s, `Row`s and `Schema`s through these helpers, so a row
-/// laid down in a snapshot, in the log and on the wire is byte-identical.
+/// One codec, four places a row lives: engine::Table stores each row as its
+/// PutValue encodings, and the catalog snapshot format (engine/snapshot.h),
+/// the storage engine's WAL records (engine/durability.h) and the
+/// client/server wire protocol (net/wire.h) copy those bytes, so a row is
+/// byte-identical in memory, in a snapshot, in the log and on the wire.
 /// Writers are infallible appends; the reader returns Corruption for every
 /// malformed input (truncation, bad tags, out-of-bounds lengths) — it never
 /// aborts, because every consumer decodes bytes from untrusted media.
 ///
 /// Rows are read by one row reader, ByteReader::CheckRow: a single pointer
 /// walk checks a row's encodings and yields a CheckedRow, which builds the
-/// values without checking them again. ReadRow is the two together; the
-/// snapshot loader, WAL replay and the range-batch reply decoder all read
-/// rows through it, and the reply decoder builds only the rows it keeps.
+/// values without checking them again, or hands its checked bytes on. The
+/// snapshot loader and WAL replay append those bytes to a table without
+/// building the row (Table::InsertChecked); the range-batch reply decoder
+/// builds only the rows it keeps; a table decodes its stored rows through
+/// the same reader.
 
 #include <cstdint>
 #include <cstring>
@@ -100,6 +102,10 @@ class CheckedRow {
  public:
   /// The row's values, with one reservation.
   Row Build() const;
+  /// Builds the row into `*out`, reusing its storage: a value that keeps its
+  /// type is overwritten in place, so refilling a row of the same width
+  /// allocates nothing unless a string outgrows its capacity.
+  void BuildInto(Row* out) const;
 
   /// The int at the column CheckRow was asked to locate; nullopt when that
   /// column holds another type, or when none was asked for.
@@ -110,16 +116,32 @@ class CheckedRow {
     }
     return static_cast<int64_t>(LoadU64(located_ + 1));
   }
+  /// The located column's whole PutValue encoding; empty when none was
+  /// asked for.
+  std::string_view LocatedValue() const;
+
+  /// The checked bytes: count() PutValue encodings.
+  std::string_view bytes() const {
+    return std::string_view(begin_, static_cast<size_t>(end_ - begin_));
+  }
+  uint64_t count() const { return count_; }
+
+  /// The first column whose value's type is not `schema`'s type for it;
+  /// nullopt when every value matches. Precondition: count() ==
+  /// schema.num_columns().
+  std::optional<size_t> FirstTypeMismatch(const Schema& schema) const;
 
  private:
   friend class ByteReader;
-  CheckedRow(const char* begin, uint64_t count, const char* located)
-      : begin_(begin), count_(count), located_(located) {}
+  CheckedRow(const char* begin, const char* end, uint64_t count,
+             const char* located)
+      : begin_(begin), end_(end), count_(count), located_(located) {}
 
   /// Builds the checked encoding at `*p` and steps past it.
   static Value BuildValue(const char** p);
 
   const char* begin_;
+  const char* end_;
   uint64_t count_;
   const char* located_;  ///< the located column's encoding, or null
 };
@@ -188,6 +210,12 @@ class ByteReader {
   size_t pos_ = 0;
   const char* context_;
 };
+
+/// CheckRow over a row's stored bytes (Table::row_bytes), which were
+/// checked when they were stored: MOPE_CHECKs that they still hold exactly
+/// `count` encodings.
+CheckedRow CheckStoredRow(std::string_view bytes, uint64_t count,
+                          uint64_t locate = ByteReader::kNoColumn);
 
 }  // namespace mope::engine
 

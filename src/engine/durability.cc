@@ -51,11 +51,12 @@ Status ApplyRecord(std::string_view payload, Catalog* catalog) {
         break;
       }
       case kOpInsert: {
-        // The count is the record's claim: ReadRow checks it against the
-        // bytes before reserving anything.
+        // The count is the record's claim: CheckRow checks it against the
+        // bytes before anything is reserved, and the checked bytes are
+        // appended without building a row.
         MOPE_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-        MOPE_ASSIGN_OR_RETURN(Row row, reader.ReadRow(n));
-        MOPE_RETURN_NOT_OK(table->Insert(std::move(row)).status());
+        MOPE_ASSIGN_OR_RETURN(const CheckedRow row, reader.CheckRow(n));
+        MOPE_RETURN_NOT_OK(table->InsertChecked(row).status());
         break;
       }
       case kOpUpdateValue: {
@@ -82,10 +83,11 @@ class DurableCatalog::TableLog : public TableDurabilityHooks {
   TableLog(DurableCatalog* owner, std::string name)
       : owner_(owner), name_(std::move(name)) {}
 
-  Status OnInsert(RowId /*id*/, const Row& row) override {
+  Status OnInsert(RowId /*id*/, uint64_t count,
+                  std::string_view values) override {
     std::string record = RecordHeader(kOpInsert, name_);
-    PutU64(&record, row.size());
-    for (const Value& v : row) PutValue(&record, v);
+    PutU64(&record, count);
+    record.append(values);
     return owner_->Log(record);
   }
 

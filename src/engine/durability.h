@@ -14,15 +14,17 @@
 ///     CatalogDurabilityHooks): each mutation is appended to the WAL as one
 ///     logical record *before* the in-memory apply — create table, drop
 ///     table, create index, insert row, update value — with values in the
-///     engine/codec.h encoding. Nothing else is written until the next
-///     checkpoint.
+///     engine/codec.h encoding. An insert record is its header, the value
+///     count and a copy of the row's bytes as the table stores them.
+///     Nothing else is written until the next checkpoint.
 ///   - A checkpoint hands the engine/snapshot.h image of the whole catalog
 ///     to storage::StorageEngine::Checkpoint, which writes it atomically
 ///     and truncates the WAL. Its cost is O(rows).
 ///   - Recovery inverts the flow: DeserializeCatalog the image (rows
 ///     first, then each index built once), then replay the WAL tail through
 ///     the public Catalog/Table API before the hooks are installed, so
-///     Table's own validation checks every record. A record that fails is
+///     Table's own validation checks every record. Both append each row's
+///     checked bytes (Table::InsertChecked) without building a Row. A record that fails is
 ///     Corruption naming its LSN. Whenever the log held anything past the
 ///     checkpoint, recovery ends with a checkpoint. A crash costs one
 ///     replay and one index build, never a re-encryption: everything on

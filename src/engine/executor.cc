@@ -84,7 +84,7 @@ Status SeqScanOp::OpenImpl() {
 
 Result<bool> SeqScanOp::NextImpl(Row* out) {
   if (next_ >= table_->row_count()) return false;
-  *out = table_->row(next_++);
+  table_->ReadRow(next_++, out);
   return true;
 }
 
@@ -120,7 +120,7 @@ Status IndexRangeScanOp::OpenImpl() {
 
 Result<bool> IndexRangeScanOp::NextImpl(Row* out) {
   if (next_ >= row_ids_.size()) return false;
-  *out = table_->row(row_ids_[next_++]);
+  table_->ReadRow(row_ids_[next_++], out);
   return true;
 }
 

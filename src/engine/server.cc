@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "engine/codec.h"
 #include "engine/executor.h"
 
 namespace mope::engine {
@@ -96,7 +97,7 @@ Status DbServer::EnableLeakageAudit(const obs::LeakageAuditConfig& config) {
 Status DbServer::VisitRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges,
-    const std::function<void(RowId, const Row&)>& visit) {
+    const std::function<void(RowId, uint64_t, std::string_view)>& visit) {
   const Table* tbl = nullptr;
   const BPlusTree* index = nullptr;
   MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
@@ -111,7 +112,10 @@ Status DbServer::VisitRangeBatch(
     BPlusTree::ScanStats sweep_stats;
     const size_t visited = index->ScanRange(
         seg.lo, seg.hi,
-        [&visit, tbl](uint64_t, uint64_t rid) { visit(rid, tbl->row(rid)); },
+        // Two captures: the std::function stores them without allocating.
+        [&visit, tbl](uint64_t, uint64_t rid) {
+          visit(rid, tbl->schema().num_columns(), tbl->row_bytes(rid));
+        },
         &sweep_stats);
     rows += visited;
     entries_visited_->Increment(visited);
@@ -128,7 +132,9 @@ Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
   std::vector<std::pair<RowId, Row>> rows;
   MOPE_RETURN_NOT_OK(VisitRangeBatch(
       table, column, ranges,
-      [&rows](RowId rid, const Row& row) { rows.emplace_back(rid, row); }));
+      [&rows](RowId rid, uint64_t num_columns, std::string_view row) {
+        rows.emplace_back(rid, CheckStoredRow(row, num_columns).Build());
+      }));
   return rows;
 }
 
@@ -136,8 +142,9 @@ Result<uint64_t> DbServer::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
   uint64_t count = 0;
-  MOPE_RETURN_NOT_OK(VisitRangeBatch(table, column, ranges,
-                                     [&count](RowId, const Row&) { ++count; }));
+  MOPE_RETURN_NOT_OK(VisitRangeBatch(
+      table, column, ranges,
+      [&count](RowId, uint64_t, std::string_view) { ++count; }));
   return count;
 }
 

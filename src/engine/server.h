@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -87,17 +88,19 @@ class DbServer {
   /// Executes one batch of ciphertext range predicates (each an interval on
   /// the ciphertext space, wrapping allowed) against the index on `column`
   /// of `table`. All ranges in the batch share a single coalesced sweep,
-  /// which hands each qualifying row to `visit` exactly once, in place, with
-  /// its stable row id (DBMSes expose this as ctid/rowid). The row reference
-  /// is valid only during the call. This is the one sweep behind every
-  /// batch entry point below and behind the wire dispatcher, which encodes
-  /// each visited row straight into its reply.
+  /// which hands each qualifying row to `visit` exactly once, with its
+  /// stable row id (DBMSes expose this as ctid/rowid), the table's column
+  /// count and the row's stored bytes (Table::row_bytes), valid only during
+  /// the call. This is the one sweep behind every batch entry point below
+  /// and behind the wire dispatcher, which copies each visited row's bytes
+  /// into its reply.
   Status VisitRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges,
-      const std::function<void(RowId, const Row&)>& visit);
+      const std::function<void(RowId, uint64_t num_columns,
+                               std::string_view row)>& visit);
 
-  /// VisitRangeBatch, copying each row out with its id; the proxy uses the
+  /// VisitRangeBatch, decoding each row with its id; the proxy uses the
   /// ids to deduplicate rows that multiple overlapping requests returned.
   Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatchWithIds(
       const std::string& table, const std::string& column,

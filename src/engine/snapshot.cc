@@ -34,10 +34,9 @@ Result<std::string> SerializeCatalog(const Catalog& catalog) {
     PutU64(&out, index_count);
     out.append(indexed);
 
+    // The row section is the table's arena: every row's stored bytes.
     PutU64(&out, table->row_count());
-    for (RowId r = 0; r < table->row_count(); ++r) {
-      for (const Value& v : table->row(r)) PutValue(&out, v);
-    }
+    out.append(table->arena());
   }
   return out;
 }
@@ -50,18 +49,34 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
   ByteReader reader(std::string_view(bytes).substr(sizeof(kMagic)),
                     "snapshot");
 
+  // SerializeCatalog writes tables in name order and each table's indexes
+  // in column order; anything else is not an image it wrote, so every image
+  // this accepts re-serializes to exactly its bytes.
   Catalog catalog;
+  std::string previous_name;
   MOPE_ASSIGN_OR_RETURN(uint64_t num_tables, reader.U64());
   for (uint64_t t = 0; t < num_tables; ++t) {
     MOPE_ASSIGN_OR_RETURN(std::string name, reader.String());
+    if (t > 0 && name <= previous_name) {
+      return Status::Corruption("snapshot tables out of order");
+    }
+    previous_name = name;
 
     MOPE_ASSIGN_OR_RETURN(Schema schema, reader.ReadSchema());
     const size_t num_columns = schema.num_columns();
 
     MOPE_ASSIGN_OR_RETURN(uint64_t index_count, reader.U64());
     std::vector<std::string> indexed;
+    size_t next_column = 0;  // indexes come in column order, no repeats
     for (uint64_t i = 0; i < index_count; ++i) {
       MOPE_ASSIGN_OR_RETURN(std::string col, reader.String());
+      const Result<size_t> c = schema.IndexOf(col);
+      if (!c.ok() || *c < next_column ||
+          schema.column(*c).type != ValueType::kInt) {
+        return Status::Corruption("snapshot index list is not the int "
+                                  "columns of its table, in order");
+      }
+      next_column = *c + 1;
       indexed.push_back(std::move(col));
     }
 
@@ -69,8 +84,10 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
                           catalog.CreateTable(name, std::move(schema)));
     MOPE_ASSIGN_OR_RETURN(uint64_t num_rows, reader.U64());
     for (uint64_t r = 0; r < num_rows; ++r) {
-      MOPE_ASSIGN_OR_RETURN(Row row, reader.ReadRow(num_columns));
-      MOPE_RETURN_NOT_OK(table->Insert(std::move(row)).status());
+      // Checked bytes are appended as they are; no row is built.
+      MOPE_ASSIGN_OR_RETURN(const CheckedRow row,
+                            reader.CheckRow(num_columns));
+      MOPE_RETURN_NOT_OK(table->InsertChecked(row).status());
     }
     // Indexes are rebuilt from the restored rows.
     for (const std::string& col : indexed) {
@@ -88,8 +105,12 @@ Status ImportCatalog(const Catalog& src, Catalog* dst) {
     MOPE_ASSIGN_OR_RETURN(const Table* table, src.GetTable(name));
     MOPE_ASSIGN_OR_RETURN(Table * copy,
                           dst->CreateTable(name, table->schema()));
+    const size_t num_columns = table->schema().num_columns();
     for (RowId r = 0; r < table->row_count(); ++r) {
-      MOPE_RETURN_NOT_OK(copy->Insert(table->row(r)).status());
+      ByteReader reader(table->row_bytes(r), "table row");
+      MOPE_ASSIGN_OR_RETURN(const CheckedRow row,
+                            reader.CheckRow(num_columns));
+      MOPE_RETURN_NOT_OK(copy->InsertChecked(row).status());
     }
     for (const Column& col : table->schema().columns()) {
       if (table->HasIndex(col.name)) {

@@ -10,9 +10,11 @@
 /// restore it on restart without involving the proxy or any keys.
 ///
 /// Format (little-endian): magic "MOPESNP1", table count, then per table:
-/// name, schema, indexed-column list, row count, and length-prefixed typed
-/// values. Indexes are rebuilt on load (cheaper than serializing tree
-/// pages, and validates the data on the way in).
+/// name, schema, indexed-column list, row count, and the rows' PutValue
+/// encodings: the table's arena, copied as it is. Loading checks each row
+/// (CheckRow, then its types against the schema) and appends its bytes
+/// without building it. Indexes are rebuilt on load (cheaper than
+/// serializing tree pages, and validates the data on the way in).
 
 #include <string>
 
@@ -41,9 +43,10 @@ Result<Catalog> LoadCatalog(const std::string& path);
 Result<Catalog> LoadCatalog(const std::string& path, storage::Env* env);
 
 /// Replays every table of `src` into `dst` through the public mutation API
-/// (CreateTable / Insert / CreateIndex), so durability hooks installed on
-/// `dst` observe each row — this is how a snapshot is imported into a
-/// storage-backed server. Fails if `dst` already has a clashing table name.
+/// (CreateTable / InsertChecked / CreateIndex), so durability hooks
+/// installed on `dst` observe each row — this is how a snapshot is imported
+/// into a storage-backed server. Fails if `dst` already has a clashing
+/// table name.
 Status ImportCatalog(const Catalog& src, Catalog* dst);
 
 }  // namespace mope::engine

@@ -1,6 +1,11 @@
 #include "engine/table.h"
 
+#include <cstring>
+#include <new>
+#include <optional>
 #include <utility>
+
+#include "engine/codec.h"
 
 namespace mope::engine {
 
@@ -52,35 +57,125 @@ Status Schema::Validate(const Row& row) const {
   return Status::OK();
 }
 
-Result<RowId> Table::Insert(Row row) {
+char* Table::Arena::Append(size_t n) {
+  const size_t at = size_;
+  const size_t need = size_ + n;
+  if (need > capacity_) {
+    const size_t capacity = need + need / 16;
+    char* grown = static_cast<char*>(std::realloc(data_, capacity));
+    if (grown == nullptr) throw std::bad_alloc();
+    data_ = grown;
+    capacity_ = capacity;
+  }
+  size_ = need;
+  return data_ + at;
+}
+
+char* Table::Arena::Splice(size_t at, size_t old_size, size_t n) {
+  const size_t tail = size_ - at - old_size;
+  if (n > old_size) {
+    Append(n - old_size);
+  } else {
+    size_ -= old_size - n;
+  }
+  std::memmove(data_ + at + n, data_ + at + old_size, tail);
+  return data_ + at;
+}
+
+namespace {
+
+Status NegativeIndexedValue() {
+  return Status::InvalidArgument("indexed column value must be >= 0");
+}
+
+}  // namespace
+
+Result<RowId> Table::Insert(const Row& row) {
   MOPE_RETURN_NOT_OK(schema_.Validate(row));
-  // Validate every indexed column before touching any index: failing after a
+  size_t size = 0;
+  for (const Value& v : row) size += EncodedSize(v);
+  const size_t at = arena_.size();
+  char* p = arena_.Append(size);
+  for (const Value& v : row) p = WriteValue(p, v);
+  return Commit(at);
+}
+
+Result<RowId> Table::InsertChecked(const CheckedRow& row) {
+  if (row.count() != schema_.num_columns()) {
+    return Status::InvalidArgument(
+        "row has " + std::to_string(row.count()) + " values, schema expects " +
+        std::to_string(schema_.num_columns()));
+  }
+  if (const std::optional<size_t> c = row.FirstTypeMismatch(schema_)) {
+    return Status::InvalidArgument("type mismatch in column '" +
+                                   schema_.column(*c).name + "'");
+  }
+  const size_t at = arena_.size();
+  const std::string_view bytes = row.bytes();
+  if (!bytes.empty()) {
+    std::memcpy(arena_.Append(bytes.size()), bytes.data(), bytes.size());
+  }
+  return Commit(at);
+}
+
+Result<RowId> Table::Commit(size_t at) {
+  const std::string_view bytes(arena_.data() + at, arena_.size() - at);
+  // Check every indexed column before touching any index: failing after a
   // partial index update would leave a dangling entry for a RowId that the
   // next successful insert then reuses.
   for (const auto& [col, index] : indexes_) {
-    if (std::get<int64_t>(row[col]) < 0) {
-      return Status::InvalidArgument("indexed column value must be >= 0");
+    if (IntAt(bytes, col) < 0) {
+      arena_.Truncate(at);
+      return NegativeIndexedValue();
     }
   }
-  const RowId id = rows_.size();
+  const RowId id = offsets_.size();
   if (hooks_ != nullptr) {
     // Write-ahead: the row reaches the log before memory.
-    MOPE_RETURN_NOT_OK(hooks_->OnInsert(id, row));
+    const Status logged = hooks_->OnInsert(id, schema_.num_columns(), bytes);
+    if (!logged.ok()) {
+      arena_.Truncate(at);
+      return logged;
+    }
   }
   for (auto& [col, index] : indexes_) {
-    index->Insert(static_cast<uint64_t>(std::get<int64_t>(row[col])), id);
+    index->Insert(static_cast<uint64_t>(IntAt(bytes, col)), id);
   }
-  rows_.push_back(std::move(row));
+  // The offsets grow by an eighth, not by doubling, so a loaded table keeps
+  // at most an eighth more heap for them than they use.
+  if (offsets_.size() == offsets_.capacity()) {
+    offsets_.reserve(offsets_.size() + offsets_.size() / 8 + 1);
+  }
+  offsets_.push_back(at);
   return id;
 }
 
-const Row& Table::row(RowId id) const {
-  MOPE_CHECK(id < rows_.size(), "row id out of range");
-  return rows_[id];
+int64_t Table::IntAt(std::string_view row, size_t column) const {
+  const std::optional<int64_t> value =
+      CheckStoredRow(row, schema_.num_columns(), column).LocatedInt();
+  MOPE_CHECK(value.has_value(), "int column holds an int");
+  return *value;
 }
 
-Status Table::UpdateValue(RowId id, size_t column, Value value) {
-  if (id >= rows_.size()) {
+std::string_view Table::row_bytes(RowId id) const {
+  MOPE_CHECK(id < offsets_.size(), "row id out of range");
+  const size_t end =
+      id + 1 < offsets_.size() ? offsets_[id + 1] : arena_.size();
+  return std::string_view(arena_.data() + offsets_[id], end - offsets_[id]);
+}
+
+void Table::ReadRow(RowId id, Row* out) const {
+  CheckStoredRow(row_bytes(id), schema_.num_columns()).BuildInto(out);
+}
+
+Row Table::row(RowId id) const {
+  Row out;
+  ReadRow(id, &out);
+  return out;
+}
+
+Status Table::UpdateValue(RowId id, size_t column, const Value& value) {
+  if (id >= offsets_.size()) {
     return Status::OutOfRange("row id out of range");
   }
   if (column >= schema_.num_columns()) {
@@ -92,20 +187,34 @@ Status Table::UpdateValue(RowId id, size_t column, Value value) {
   }
   const auto it = indexes_.find(column);
   if (it != indexes_.end() && std::get<int64_t>(value) < 0) {
-    return Status::InvalidArgument("indexed column value must be >= 0");
+    return NegativeIndexedValue();
   }
   if (hooks_ != nullptr) {
     MOPE_RETURN_NOT_OK(hooks_->OnUpdateValue(id, column, value));
   }
+  const CheckedRow stored =
+      CheckStoredRow(row_bytes(id), schema_.num_columns(), column);
+  const std::string_view old = stored.LocatedValue();
   if (it != indexes_.end()) {
     const int64_t new_key = std::get<int64_t>(value);
-    const int64_t old_key = std::get<int64_t>(rows_[id][column]);
+    const int64_t old_key = *stored.LocatedInt();
     if (!it->second->Erase(static_cast<uint64_t>(old_key), id)) {
       return Status::Internal("index entry missing during update");
     }
     it->second->Insert(static_cast<uint64_t>(new_key), id);
   }
-  rows_[id][column] = std::move(value);
+  const size_t at = static_cast<size_t>(old.data() - arena_.data());
+  const size_t old_size = old.size();
+  const size_t new_size = EncodedSize(value);
+  if (new_size == old_size) {
+    WriteValue(arena_.data() + at, value);
+    return Status::OK();
+  }
+  // A width change moves the arena's tail and every later row's start.
+  WriteValue(arena_.Splice(at, old_size, new_size), value);
+  for (RowId r = id + 1; r < offsets_.size(); ++r) {
+    offsets_[r] = offsets_[r] - old_size + new_size;
+  }
   return Status::OK();
 }
 
@@ -120,19 +229,18 @@ Status Table::CreateIndex(const std::string& column_name) {
   // Validate every existing row before the hook fires: a durable
   // create-index record must never describe an index the build then
   // abandons halfway.
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    if (std::get<int64_t>(rows_[id][col]) < 0) {
-      return Status::InvalidArgument("indexed column value must be >= 0");
-    }
+  std::vector<uint64_t> keys;
+  keys.reserve(offsets_.size());
+  for (RowId id = 0; id < offsets_.size(); ++id) {
+    const int64_t key = IntAt(row_bytes(id), col);
+    if (key < 0) return NegativeIndexedValue();
+    keys.push_back(static_cast<uint64_t>(key));
   }
   if (hooks_ != nullptr) {
     MOPE_RETURN_NOT_OK(hooks_->OnCreateIndex(col));
   }
   auto index = std::make_unique<BPlusTree>();
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    index->Insert(static_cast<uint64_t>(std::get<int64_t>(rows_[id][col])),
-                  id);
-  }
+  for (RowId id = 0; id < keys.size(); ++id) index->Insert(keys[id], id);
   indexes_[col] = std::move(index);
   return Status::OK();
 }

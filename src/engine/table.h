@@ -8,11 +8,27 @@
 /// stores ciphertext columns (uint64) for every attribute that supports
 /// range predicates, plus ordinary columns for everything else; the engine
 /// is agnostic — it just stores and indexes values.
+///
+/// A table stores each row as its codec bytes (engine/codec.h): one byte
+/// arena holds every row's PutValue encodings in RowId order, and one
+/// offset per row says where it starts (a row ends where the next begins).
+/// A reply row, a WAL insert record and a snapshot row are each a copy of
+/// those bytes; a Row is decoded only when a reader asks for one. A
+/// lineitem row costs 81 bytes of arena plus its 8-byte offset, where a
+/// `vector<Value>` costs about 400 bytes of heap.
+///
+/// Widths: UpdateValue overwrites a value of the same encoded width in
+/// place. Every int and double encodes to 9 bytes, so MOPE key rotation
+/// never moves a row. A string of another length shifts the arena's tail
+/// and every later row's offset, O(table bytes) per update; in src/ only
+/// WAL replay of a string update does that.
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -34,7 +50,7 @@ std::string ValueToString(const Value& v);
 /// A row: one Value per schema column.
 using Row = std::vector<Value>;
 
-/// Row identifier: dense index into the table's row vector.
+/// Row identifier: dense index into the table's rows.
 using RowId = uint64_t;
 
 struct Column {
@@ -73,13 +89,18 @@ class TableDurabilityHooks {
  public:
   virtual ~TableDurabilityHooks() = default;
 
-  /// `id` is the RowId the row is about to receive.
-  virtual Status OnInsert(RowId id, const Row& row) = 0;
+  /// `id` is the RowId the row is about to receive; `values` are its
+  /// `count` PutValue encodings, exactly as the table stores them.
+  virtual Status OnInsert(RowId id, uint64_t count,
+                          std::string_view values) = 0;
   virtual Status OnUpdateValue(RowId id, size_t column, const Value& value) = 0;
   virtual Status OnCreateIndex(size_t column) = 0;
 };
 
-/// An in-memory row-store table with optional secondary indexes.
+class CheckedRow;  // engine/codec.h
+
+/// An in-memory row-store table with optional secondary indexes; rows live
+/// in a byte arena (see the file comment).
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -90,17 +111,37 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  uint64_t row_count() const { return rows_.size(); }
+  uint64_t row_count() const { return offsets_.size(); }
 
-  /// Validates and appends a row; maintains all indexes. Returns the RowId.
-  Result<RowId> Insert(Row row);
+  /// Validates a row, encodes it once at the arena's tail, hands those
+  /// bytes to the durability hook, then updates the indexes. Returns the
+  /// RowId. A hook failure truncates the tail again: nothing is applied.
+  Result<RowId> Insert(const Row& row);
 
-  /// Row access. Precondition: id < row_count().
-  const Row& row(RowId id) const;
+  /// Insert for a row the codec's reader has already checked (snapshot
+  /// load, WAL replay): its bytes are appended as they are, and no Row is
+  /// built. InvalidArgument, as from Insert, when its value count or a
+  /// value's type disagrees with the schema or an indexed int is negative.
+  /// `row` must not view this table's own arena, which the append may move.
+  Result<RowId> InsertChecked(const CheckedRow& row);
+
+  /// Row `id`, decoded. Precondition: id < row_count().
+  Row row(RowId id) const;
+  /// Decodes row `id` into `*out`, reusing its storage (see
+  /// CheckedRow::BuildInto). Precondition: id < row_count().
+  void ReadRow(RowId id, Row* out) const;
+  /// Row `id`'s stored bytes: schema().num_columns() PutValue encodings,
+  /// valid until the table is next mutated. Precondition: id < row_count().
+  std::string_view row_bytes(RowId id) const;
+  /// Every row's bytes, in RowId order (a snapshot's row section).
+  std::string_view arena() const {
+    return std::string_view(arena_.data(), arena_.size());
+  }
 
   /// Replaces one cell, keeping any index on that column consistent (used
-  /// by MOPE key rotation, which rewrites the whole ciphertext column).
-  Status UpdateValue(RowId id, size_t column, Value value);
+  /// by MOPE key rotation, which rewrites the whole ciphertext column). See
+  /// the file comment for when a row moves.
+  Status UpdateValue(RowId id, size_t column, const Value& value);
 
   /// Creates a B+-tree index over an int column. Fails on non-int columns
   /// or negative stored values (MOPE ciphertexts are always non-negative).
@@ -116,9 +157,45 @@ class Table {
   void set_durability_hooks(TableDurabilityHooks* hooks) { hooks_ = hooks; }
 
  private:
+  /// The int a checked row holds at `column`.
+  int64_t IntAt(std::string_view row, size_t column) const;
+  /// Completes an insert whose bytes were just appended at `at`: the
+  /// indexed-int check, the hook, the indexes, the offset. On failure the
+  /// arena is truncated back to `at`.
+  Result<RowId> Commit(size_t at);
+
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
+  /// A byte buffer grown with realloc by a sixteenth of its size. glibc
+  /// grows a large block by remapping its pages (mremap), so growing copies
+  /// nothing and faults in only the new pages, and a loaded table keeps at
+  /// most a sixteenth more heap than its bytes.
+  class Arena {
+   public:
+    Arena() = default;
+    Arena(const Arena&) = delete;
+    Arena& operator=(const Arena&) = delete;
+    ~Arena() { std::free(data_); }
+
+    char* data() { return data_; }
+    const char* data() const { return data_; }
+    size_t size() const { return size_; }
+    /// Appends `n` bytes for the caller to fill; returns where they start.
+    char* Append(size_t n);
+    /// Drops the bytes from `size` on.
+    void Truncate(size_t size) { size_ = size; }
+    /// Replaces the `old_size` bytes at `at` with `n` bytes for the caller
+    /// to fill, moving the bytes behind them; returns where they start.
+    char* Splice(size_t at, size_t old_size, size_t n);
+
+   private:
+    char* data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+  };
+
+  Arena arena_;                    ///< Every row's bytes, in RowId order.
+  std::vector<uint64_t> offsets_;  ///< Where each row starts in arena_.
   // column index -> B+-tree over that column's int values.
   std::map<size_t, std::unique_ptr<BPlusTree>> indexes_;
   TableDurabilityHooks* hooks_ = nullptr;

@@ -62,6 +62,12 @@ std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                      profile != nullptr, EncodeProfile(profile));
 }
 
+/// Puts `frame` in `*reply` by copying it, so the buffer `*reply` is
+/// reused rather than replaced by `frame`'s.
+void SetReply(std::string* reply, const std::string& frame) {
+  reply->assign(frame.data(), frame.size());
+}
+
 /// Marks a completed dispatch in the crash flight recorder and persists the
 /// black box if it has new entries. Called outside the dispatch mutex: a
 /// kill -9 right after this point leaves a black box whose last event names
@@ -97,7 +103,8 @@ WireDispatcher::WireDispatcher(engine::DbServer* server,
 }
 
 Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
-                                                     size_t* consumed) {
+                                                     size_t* consumed,
+                                                     std::string reuse) {
   size_t frame_size = 0;
   MOPE_ASSIGN_OR_RETURN(const FrameView frame, ParseFrame(bytes, &frame_size));
   if (consumed != nullptr) *consumed = frame_size;
@@ -127,13 +134,12 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
   }
   const obs::ScopedTraceActivation activation(trace ? &*trace : nullptr);
   const uint64_t start_ns = clock_->NowNanos();
-  std::string reply;
   {
     const obs::ScopedSpan span("server.handle");
     const MutexLock lock(&mutex_);
-    MOPE_ASSIGN_OR_RETURN(
-        reply, HandleFrameLocked(frame, profiled ? &*trace : nullptr));
-    server_->AddTransferBytes(frame_size, reply.size());
+    MOPE_RETURN_NOT_OK(
+        HandleFrameLocked(frame, profiled ? &*trace : nullptr, &reuse));
+    server_->AddTransferBytes(frame_size, reuse.size());
   }
   frames_served_->Increment();
   const uint64_t elapsed_ns = clock_->NowNanos() - start_ns;
@@ -145,7 +151,7 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
   // The server-side trace id (== frame.trace_id when the client sent one),
   // so the done-marker joins the span events already in the ring.
   RecordDispatchDone(trace ? trace->trace_id() : frame.trace_id);
-  return reply;
+  return reuse;
 }
 
 void WireDispatcher::EmitQueryLog(const FrameView& frame, uint64_t elapsed_ns,
@@ -229,50 +235,58 @@ Result<engine::Schema> WireDispatcher::LookupSchemaLocked(
   return tbl->schema();
 }
 
-std::string WireDispatcher::RangeBatchReplyLocked(
-    const RangeBatchRequest& request, uint64_t trace_id,
-    const obs::Trace* profile) {
-  // Each row goes straight from table storage into the frame, behind the
+void WireDispatcher::RangeBatchReplyLocked(const RangeBatchRequest& request,
+                                           uint64_t trace_id,
+                                           const obs::Trace* profile,
+                                           std::string* reply) {
+  // Each row is copied from table storage into the frame, behind the
   // reserved header and the row count, which are filled in after the sweep.
-  std::string frame;
-  BeginFrame(&frame, trace_id);
-  const size_t payload_at = frame.size();
-  engine::PutU64(&frame, 0);
+  // The buffer is the session's: once it has held the largest reply, the
+  // appends below never grow it.
+  BeginFrame(reply, trace_id);
+  const size_t payload_at = reply->size();
+  engine::PutU64(reply, 0);
   uint64_t rows = 0;
   const Status swept = server_->VisitRangeBatch(
       request.table, request.column, request.ranges,
-      [&frame, &rows](engine::RowId rid, const engine::Row& row) {
-        PutReplyRow(&frame, rid, row);
+      [reply, &rows](engine::RowId rid, uint64_t num_columns,
+                     std::string_view row) {
+        PutReplyRow(reply, rid, num_columns, row);
         ++rows;
       });
   // The profile is taken right after the engine call: a periodic
   // checkpoint that fires afterwards is a server policy cost, left out of
   // the query's profile (it shows up in the dispatch latency, the query log
-  // and the slow-query trace instead).
-  if (!swept.ok()) return StatusFrame(swept, trace_id, profile);
-  const size_t payload_size = frame.size() - payload_at;
+  // and the slow-query trace instead). A failed or over-cap sweep replaces
+  // the buffer rather than reusing it, so the rows it swept (possibly far
+  // beyond the cap) are not kept.
+  if (!swept.ok()) {
+    *reply = StatusFrame(swept, trace_id, profile);
+    return;
+  }
+  const size_t payload_size = reply->size() - payload_at;
   if (payload_size > options_.max_reply_payload_bytes) {
-    return StatusFrame(
+    *reply = StatusFrame(
         TooLarge(payload_size, options_.max_reply_payload_bytes), trace_id,
         profile);
+    return;
   }
-  StoreU64(frame.data() + payload_at, rows);
-  FinishFrame(&frame, MessageType::kRangeBatchReply, trace_id,
+  StoreU64(reply->data() + payload_at, rows);
+  FinishFrame(reply, MessageType::kRangeBatchReply, trace_id,
               profile != nullptr, EncodeProfile(profile));
-  return frame;
 }
 
-Result<std::string> WireDispatcher::HandleFrameLocked(
-    const FrameView& frame, const obs::Trace* profile) {
+Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
+                                         const obs::Trace* profile,
+                                         std::string* reply) {
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRangeBatchRequest: {
       requests_range_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      std::string reply =
-          RangeBatchReplyLocked(*request, frame.trace_id, profile);
+      RangeBatchReplyLocked(*request, frame.trace_id, profile, reply);
       MaybeCheckpointLocked(frame);
-      return reply;
+      return Status::OK();
     }
     case MessageType::kCountBatchRequest: {
       requests_count_batch_->Increment();
@@ -280,12 +294,13 @@ Result<std::string> WireDispatcher::HandleFrameLocked(
       if (!request.ok()) return request.status();
       const Result<uint64_t> count = server_->CountRangeBatch(
           request->table, request->column, request->ranges);
-      std::string reply = ReplyOrStatus(
-          count, MessageType::kCountBatchReply,
-          [](uint64_t c) { return EncodeCountBatchReply(c); },
-          options_.max_reply_payload_bytes, frame.trace_id, profile);
+      SetReply(reply, ReplyOrStatus(
+                          count, MessageType::kCountBatchReply,
+                          [](uint64_t c) { return EncodeCountBatchReply(c); },
+                          options_.max_reply_payload_bytes, frame.trace_id,
+                          profile));
       MaybeCheckpointLocked(frame);
-      return reply;
+      return Status::OK();
     }
     case MessageType::kSchemaRequest: {
       requests_schema_->Increment();
@@ -295,11 +310,13 @@ Result<std::string> WireDispatcher::HandleFrameLocked(
       // safety analysis treats a lambda as a separate function, so guarded
       // accesses inside one would not see the lock held here.
       const Result<engine::Schema> schema = LookupSchemaLocked(*table);
-      return ReplyOrStatus(schema, MessageType::kSchemaReply,
-                           [](const engine::Schema& s) {
-                             return EncodeSchemaReply(s);
-                           },
-                           options_.max_reply_payload_bytes, frame.trace_id);
+      SetReply(reply, ReplyOrStatus(schema, MessageType::kSchemaReply,
+                                    [](const engine::Schema& s) {
+                                      return EncodeSchemaReply(s);
+                                    },
+                                    options_.max_reply_payload_bytes,
+                                    frame.trace_id));
+      return Status::OK();
     }
     case MessageType::kStatsRequest: {
       requests_stats_->Increment();
@@ -308,11 +325,15 @@ Result<std::string> WireDispatcher::HandleFrameLocked(
       }
       // The snapshot covers everything credited to this server: engine.*
       // counters, wire bytes, and the net.server.* mirrors.
-      return ReplyOrStatus(
-          Result<StatsReply>(server_->metrics()->Snapshot()),
-          MessageType::kStatsReply,
-          [](const StatsReply& stats) { return EncodeStatsReply(stats); },
-          options_.max_reply_payload_bytes, frame.trace_id);
+      SetReply(reply,
+               ReplyOrStatus(
+                   Result<StatsReply>(server_->metrics()->Snapshot()),
+                   MessageType::kStatsReply,
+                   [](const StatsReply& stats) {
+                     return EncodeStatsReply(stats);
+                   },
+                   options_.max_reply_payload_bytes, frame.trace_id));
+      return Status::OK();
     }
     case MessageType::kRangeBatchReply:
     case MessageType::kCountBatchReply:
@@ -321,16 +342,18 @@ Result<std::string> WireDispatcher::HandleFrameLocked(
     case MessageType::kStatusReply:
       // A client sending us reply types is confused but the framing is
       // sound: answer, don't hang up.
-      return EncodeFrame(MessageType::kStatusReply,
-                         EncodeStatusReply(Status::InvalidArgument(
-                             "reply message type in a request frame")),
-                         frame.trace_id);
+      SetReply(reply, EncodeFrame(MessageType::kStatusReply,
+                                  EncodeStatusReply(Status::InvalidArgument(
+                                      "reply message type in a request frame")),
+                                  frame.trace_id));
+      return Status::OK();
   }
-  return EncodeFrame(MessageType::kStatusReply,
-                     EncodeStatusReply(Status::InvalidArgument(
-                         "unknown message type " +
-                         std::to_string(frame.type))),
-                     frame.trace_id);
+  SetReply(reply, EncodeFrame(MessageType::kStatusReply,
+                              EncodeStatusReply(Status::InvalidArgument(
+                                  "unknown message type " +
+                                  std::to_string(frame.type))),
+                              frame.trace_id));
+  return Status::OK();
 }
 
 }  // namespace mope::net

@@ -89,10 +89,18 @@ class WireDispatcher {
 
   /// Handles the complete frame at the front of `bytes` and returns the
   /// encoded reply frame; `*consumed` is set to the request frame's size.
+  /// The reply is written into `reuse`'s buffer: a session that hands each
+  /// reply back once it is sent keeps one buffer for its whole life, at the
+  /// size of its largest reply, and allocates nothing per reply. (Fresh
+  /// buffers are the trap: glibc hands a buffer of a megabyte or more back
+  /// to the kernel when it is freed, so every reply would fault its pages
+  /// in again.) A failed or over-cap range sweep answers in a fresh status
+  /// frame, so the rows it swept are not kept. On an error `reuse` is gone.
   /// Thread-safe: the whole request (decode, engine call, encode, stats) runs
   /// under the dispatch mutex.
   Result<std::string> HandleFrameBytes(std::string_view bytes,
-                                       size_t* consumed);
+                                       size_t* consumed,
+                                       std::string reuse = {});
 
   /// Requests answered so far (including ones answered with a StatusReply).
   uint64_t frames_served() const { return frames_served_->Value(); }
@@ -103,15 +111,15 @@ class WireDispatcher {
   /// trace's counters as they stand after the engine call, plus its id, as
   /// the wire profile extension. Non-data-bearing requests never carry one:
   /// the embedded path does not attribute them either.
-  Result<std::string> HandleFrameLocked(const FrameView& frame,
-                                        const obs::Trace* profile)
-      MOPE_REQUIRES(mutex_);
-  /// The reply frame to a range batch, its rows encoded straight from table
-  /// storage; a failed sweep or an over-cap result is a kStatusReply frame.
-  std::string RangeBatchReplyLocked(const RangeBatchRequest& request,
-                                    uint64_t trace_id,
-                                    const obs::Trace* profile)
-      MOPE_REQUIRES(mutex_);
+  /// Writes the reply frame into `*reply`, keeping its capacity.
+  Status HandleFrameLocked(const FrameView& frame, const obs::Trace* profile,
+                           std::string* reply) MOPE_REQUIRES(mutex_);
+  /// Writes the reply frame to a range batch into `*reply`: each row is its
+  /// header plus a copy of its stored bytes; a failed sweep or an over-cap
+  /// result is a kStatusReply frame.
+  void RangeBatchReplyLocked(const RangeBatchRequest& request,
+                             uint64_t trace_id, const obs::Trace* profile,
+                             std::string* reply) MOPE_REQUIRES(mutex_);
   /// Catalog lookup for a schema request (split out so the capability
   /// analysis sees the engine access inside the dispatch critical section).
   Result<engine::Schema> LookupSchemaLocked(const std::string& table) const

@@ -24,10 +24,9 @@ class InProcessChannel::ClientTransport final : public Transport {
     reply_.copy(buf, n, reply_pos_);
     reply_pos_ += n;
     if (reply_pos_ == reply_.size()) {
-      // Every reply byte has been read: free the buffer now (a swap, since
-      // clear() and assigning an empty string keep the capacity), so a
-      // connection holds only the replies still in flight.
-      std::string().swap(reply_);
+      // Every reply byte has been read. The buffer keeps its capacity for
+      // the next reply: the connection's one retained reply buffer.
+      reply_.clear();
       reply_pos_ = 0;
     }
     return n;
@@ -44,11 +43,17 @@ class InProcessChannel::ClientTransport final : public Transport {
  private:
   /// Serves every complete request currently buffered, queueing replies in
   /// order (a pipelined client gets pipelined replies). A reply to an idle
-  /// channel is moved in, not copied.
+  /// channel is written into the retained reply buffer; one queued behind
+  /// unread bytes is appended to them.
   Status Pump() {
     size_t consumed = 0;
     while (pending_.size() >= kFrameHeaderBytes) {
-      auto reply = dispatcher_->HandleFrameBytes(pending_, &consumed);
+      // An idle channel lends the dispatcher its emptied buffer (exchange
+      // leaves reply_ empty, whatever the call returns).
+      const bool idle = reply_.empty();
+      auto reply = dispatcher_->HandleFrameBytes(
+          pending_, &consumed,
+          idle ? std::exchange(reply_, std::string()) : std::string());
       if (!reply.ok()) {
         // Incomplete frame: wait for more bytes. Anything else poisons the
         // stream, exactly as a server session closing the connection would.
@@ -57,7 +62,7 @@ class InProcessChannel::ClientTransport final : public Transport {
         return reply.status();
       }
       pending_.erase(0, consumed);
-      if (reply_.empty()) {
+      if (idle) {
         reply_ = std::move(reply).value();
       } else {
         reply_.append(*reply);
@@ -103,21 +108,13 @@ Result<size_t> FaultInjectingTransport::Read(char* buf, size_t max) {
 }
 
 Status FaultInjectingTransport::Write(const char* data, size_t n) {
-  switch (spec_.kind) {
-    case FaultKind::kDropWrite:
-      if (!fired_) {
-        fired_ = true;
-        return Status::OK();  // accepted, never delivered
-      }
-      break;
-    case FaultKind::kFailWrite:
-      if (!fired_) {
-        fired_ = true;
-        return Status::Unavailable("injected fault: connection reset");
-      }
-      break;
-    default:
-      break;
+  if (writes_++ == spec_.arg) {
+    if (spec_.kind == FaultKind::kDropWrite) {
+      return Status::OK();  // accepted, never delivered
+    }
+    if (spec_.kind == FaultKind::kFailWrite) {
+      return Status::Unavailable("injected fault: connection reset");
+    }
   }
   return inner_->Write(data, n);
 }

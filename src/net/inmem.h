@@ -51,8 +51,10 @@ class InProcessChannel {
 /// Which misbehavior to inject, in terms of observable network failures.
 enum class FaultKind : uint8_t {
   kNone = 0,
-  kDropWrite,    ///< Swallow written bytes: the request never arrives.
-  kFailWrite,    ///< Write returns Unavailable (send on a reset connection).
+  kDropWrite,    ///< Swallow write number `arg` (0-based): that request
+                 ///< never arrives.
+  kFailWrite,    ///< Write number `arg` (0-based) returns Unavailable (send
+                 ///< on a reset connection).
   kTimeoutRead,  ///< Read returns Unavailable (deadline expired).
   kTruncate,     ///< Deliver only the first `arg` reply bytes, then EOF.
   kCorrupt,      ///< XOR 0xFF into delivered byte number `arg` (0-based).
@@ -61,7 +63,8 @@ enum class FaultKind : uint8_t {
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kNone;
-  /// Byte position/count parameter for kTruncate / kCorrupt / kDisconnect.
+  /// Byte position/count for kTruncate / kCorrupt / kDisconnect; the index
+  /// of the faulted write for kDropWrite / kFailWrite.
   uint64_t arg = 0;
 };
 
@@ -82,7 +85,8 @@ class FaultInjectingTransport final : public Transport {
   std::unique_ptr<Transport> inner_;
   FaultSpec spec_;
   uint64_t bytes_delivered_ = 0;
-  bool fired_ = false;  ///< One-shot faults (drop/fail/timeout) spent?
+  uint64_t writes_ = 0;  ///< Writes seen so far.
+  bool fired_ = false;   ///< The one-shot read timeout spent?
 };
 
 }  // namespace mope::net

@@ -41,7 +41,7 @@ Status MergeProfile(std::string_view section, obs::Trace* trace) {
 
 /// Reads one reply frame into `*raw` and validates it in place.
 Result<FrameView> ReadReply(Transport* transport, std::string* raw) {
-  MOPE_ASSIGN_OR_RETURN(*raw, ReadFrameBytes(transport));
+  MOPE_RETURN_NOT_OK(ReadFrameBytes(transport, raw));
   return ParseFrame(*raw, nullptr);
 }
 
@@ -88,9 +88,10 @@ void RemoteConnection::DisconnectLocked() {
   }
 }
 
-Result<std::string_view> RemoteConnection::RoundTrip(
-    MessageType request_type, std::string payload, MessageType expected_reply,
-    std::string* reply) {
+template <typename Decode>
+std::invoke_result_t<const Decode&, std::string_view>
+RemoteConnection::RoundTrip(MessageType request_type, std::string payload,
+                            MessageType expected_reply, const Decode& decode) {
   // One span per application-level round trip (retries included): in a query
   // trace, N of these under one segment shows the real/fake batch fan-out.
   const obs::ScopedSpan span("net.roundtrip");
@@ -133,7 +134,7 @@ Result<std::string_view> RemoteConnection::RoundTrip(
       if (IsTransient(last)) continue;
       return last;
     }
-    auto frame = ReadReply(transport_.get(), reply);
+    auto frame = ReadReply(transport_.get(), &reply_);
     if (!frame.ok()) {
       // The stream is in an unknown state either way; a fresh connection is
       // the only sane base for a retry.
@@ -142,7 +143,7 @@ Result<std::string_view> RemoteConnection::RoundTrip(
       if (IsTransient(last)) continue;
       return last;  // Corruption and friends: fail fast
     }
-    bytes_received_->Increment(reply->size());
+    bytes_received_->Increment(reply_.size());
     if (want_profile && frame->has_profile) {
       const Status merged = MergeProfile(frame->profile, trace);
       if (!merged.ok()) {
@@ -161,7 +162,7 @@ Result<std::string_view> RemoteConnection::RoundTrip(
                                 std::to_string(frame->type));
     }
     roundtrip_ns_->Observe(clock_->NowNanos() - start_ns);
-    return frame->payload;
+    return decode(frame->payload);
   }
   return last;
 }
@@ -170,57 +171,48 @@ Result<std::vector<std::pair<engine::RowId, engine::Row>>>
 RemoteConnection::ExecuteRangeBatch(const std::string& table,
                                     const std::string& column,
                                     const std::vector<ModularInterval>& ranges) {
-  std::string reply;
-  MOPE_ASSIGN_OR_RETURN(
-      const std::string_view payload,
-      RoundTrip(MessageType::kRangeBatchRequest,
-                EncodeRangeBatchRequest({table, column, ranges}),
-                MessageType::kRangeBatchReply, &reply));
-  return DecodeRangeBatchReply(payload);
+  return RoundTrip(
+      MessageType::kRangeBatchRequest,
+      EncodeRangeBatchRequest({table, column, ranges}),
+      MessageType::kRangeBatchReply,
+      [](std::string_view payload) { return DecodeRangeBatchReply(payload); });
 }
 
 Result<uint64_t> RemoteConnection::FetchRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges, size_t key_column,
     const ModularInterval& keep, RowsWithIds* kept) {
-  std::string reply;
-  MOPE_ASSIGN_OR_RETURN(
-      const std::string_view payload,
-      RoundTrip(MessageType::kRangeBatchRequest,
-                EncodeRangeBatchRequest({table, column, ranges}),
-                MessageType::kRangeBatchReply, &reply));
   const RowFilter filter{key_column, keep};
-  return DecodeRangeBatchReply(payload, &filter, kept);
+  return RoundTrip(MessageType::kRangeBatchRequest,
+                   EncodeRangeBatchRequest({table, column, ranges}),
+                   MessageType::kRangeBatchReply,
+                   [&filter, kept](std::string_view payload) {
+                     return DecodeRangeBatchReply(payload, &filter, kept);
+                   });
 }
 
 Result<uint64_t> RemoteConnection::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
-  std::string reply;
-  MOPE_ASSIGN_OR_RETURN(
-      const std::string_view payload,
-      RoundTrip(MessageType::kCountBatchRequest,
-                EncodeRangeBatchRequest({table, column, ranges}),
-                MessageType::kCountBatchReply, &reply));
-  return DecodeCountBatchReply(payload);
+  return RoundTrip(
+      MessageType::kCountBatchRequest,
+      EncodeRangeBatchRequest({table, column, ranges}),
+      MessageType::kCountBatchReply,
+      [](std::string_view payload) { return DecodeCountBatchReply(payload); });
 }
 
 Result<engine::Schema> RemoteConnection::GetSchema(const std::string& table) {
-  std::string reply;
-  MOPE_ASSIGN_OR_RETURN(const std::string_view payload,
-                        RoundTrip(MessageType::kSchemaRequest,
-                                  EncodeSchemaRequest(table),
-                                  MessageType::kSchemaReply, &reply));
-  return DecodeSchemaReply(payload);
+  return RoundTrip(
+      MessageType::kSchemaRequest, EncodeSchemaRequest(table),
+      MessageType::kSchemaReply,
+      [](std::string_view payload) { return DecodeSchemaReply(payload); });
 }
 
 Result<std::vector<std::pair<std::string, uint64_t>>>
 RemoteConnection::FetchServerStats() {
-  std::string reply;
-  MOPE_ASSIGN_OR_RETURN(const std::string_view payload,
-                        RoundTrip(MessageType::kStatsRequest, std::string(),
-                                  MessageType::kStatsReply, &reply));
-  return DecodeStatsReply(payload);
+  return RoundTrip(
+      MessageType::kStatsRequest, std::string(), MessageType::kStatsReply,
+      [](std::string_view payload) { return DecodeStatsReply(payload); });
 }
 
 uint64_t RemoteConnection::retries() const {

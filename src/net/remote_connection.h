@@ -31,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -100,12 +101,13 @@ class RemoteConnection final : public proxy::ServerConnection {
   uint64_t connects() const;
 
  private:
-  /// Sends one request and returns the payload of its `expected_reply`,
-  /// which views `*reply`, the reply frame's bytes.
-  Result<std::string_view> RoundTrip(MessageType request_type,
-                                     std::string payload,
-                                     MessageType expected_reply,
-                                     std::string* reply) MOPE_EXCLUDES(mutex_);
+  /// Sends one request and returns `decode(payload)` for the payload of its
+  /// `expected_reply`. The payload views reply_, which the next request
+  /// overwrites, so `decode` runs under the connection's lock.
+  template <typename Decode>
+  std::invoke_result_t<const Decode&, std::string_view> RoundTrip(
+      MessageType request_type, std::string payload,
+      MessageType expected_reply, const Decode& decode) MOPE_EXCLUDES(mutex_);
   Status EnsureConnectedLocked() MOPE_REQUIRES(mutex_);
   void DisconnectLocked() MOPE_REQUIRES(mutex_);
 
@@ -114,6 +116,10 @@ class RemoteConnection final : public proxy::ServerConnection {
   mutable Mutex mutex_{
       lock_rank::kClientConnection};  ///< One in-flight request per connection.
   std::unique_ptr<Transport> transport_ MOPE_GUARDED_BY(mutex_);
+  /// The receive buffer: every reply frame is read into it, so it stays at
+  /// the largest reply's size for the connection's life and a reply costs
+  /// no allocation once it has grown.
+  std::string reply_ MOPE_GUARDED_BY(mutex_);
   // Registry counters (atomic targets), deliberately *not* annotated with the
   // connection mutex: mutex_ is held across retry backoff sleeps (up to
   // seconds), and stats readers — retries()/connects() below, and any

@@ -15,6 +15,11 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(engine::DbServer* server,
   if (options.num_workers < 1) {
     return Status::InvalidArgument("daemon needs at least one worker");
   }
+  if (options.num_workers > kMaxWorkers) {
+    return Status::InvalidArgument(
+        "daemon takes at most " + std::to_string(kMaxWorkers) +
+        " workers, got " + std::to_string(options.num_workers));
+  }
   MOPE_ASSIGN_OR_RETURN(std::unique_ptr<TcpListener> listener,
                         TcpListener::Bind(options.host, options.port));
   auto daemon = std::unique_ptr<TcpServer>(
@@ -106,6 +111,9 @@ void TcpServer::WorkerLoop() {
 
 void TcpServer::ServeSession(SocketTransport* session) {
   std::string buffer;
+  // One reply buffer for the session's life: each reply is written into
+  // the previous one's storage (WireDispatcher::HandleFrameBytes).
+  std::string reply;
   int idle_ms = 0;
   while (!stopping_.load()) {
     // Block in short slices so shutdown is never stuck behind an idle client.
@@ -130,13 +138,15 @@ void TcpServer::ServeSession(SocketTransport* session) {
     // Serve every complete frame in the buffer (clients may pipeline).
     while (buffer.size() >= kFrameHeaderBytes) {
       size_t consumed = 0;
-      auto reply = dispatcher_.HandleFrameBytes(buffer, &consumed);
-      if (!reply.ok()) {
-        if (reply.status().IsUnavailable()) break;  // incomplete: read more
+      auto framed =
+          dispatcher_.HandleFrameBytes(buffer, &consumed, std::move(reply));
+      if (!framed.ok()) {
+        if (framed.status().IsUnavailable()) break;  // incomplete: read more
         return;  // framing violation: this stream cannot be trusted
       }
+      reply = std::move(framed).value();
       buffer.erase(0, consumed);
-      if (!session->Write(reply->data(), reply->size()).ok()) return;
+      if (!session->Write(reply.data(), reply.size()).ok()) return;
     }
   }
 }

@@ -57,9 +57,14 @@ struct TcpServerOptions {
 
 class TcpServer {
  public:
+  /// The most workers Start accepts: each is an OS thread, so a mistyped
+  /// count must be an error, not thousands of threads.
+  static constexpr int kMaxWorkers = 256;
+
   /// Binds, spawns the listener and worker threads, and starts serving
   /// `server` (which must outlive the TcpServer and must not be mutated
-  /// concurrently except through this daemon).
+  /// concurrently except through this daemon). InvalidArgument, before
+  /// anything binds or starts, unless 1 <= num_workers <= kMaxWorkers.
   static Result<std::unique_ptr<TcpServer>> Start(engine::DbServer* server,
                                                   TcpServerOptions options);
 

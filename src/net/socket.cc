@@ -10,6 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string>
+
+#include "common/parse.h"
+
 namespace mope::net {
 
 namespace {
@@ -106,20 +110,13 @@ Result<bool> SocketTransport::Poll(int timeout_ms) {
 }
 
 Result<uint16_t> ParsePort(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("empty port");
-  uint32_t port = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("port must be digits only, got '" +
-                                     std::string(text) + "'");
-    }
-    port = port * 10 + static_cast<uint32_t>(c - '0');
-    if (port > 65535) {
-      return Status::InvalidArgument("port out of range: '" +
-                                     std::string(text) + "'");
-    }
+  const Result<uint64_t> port = ParseUnsigned(text);
+  if (!port.ok() || *port > 65535) {
+    return Status::InvalidArgument(
+        "port must be decimal digits, at most 65535, got '" +
+        std::string(text) + "'");
   }
-  return static_cast<uint16_t>(port);
+  return static_cast<uint16_t>(*port);
 }
 
 Result<std::unique_ptr<SocketTransport>> ConnectTcp(

@@ -57,9 +57,9 @@ class SocketTransport final : public Transport {
   SocketOptions options_;
 };
 
-/// Parses a TCP port: ASCII digits only, at most 65535. No sign, no
-/// whitespace; an empty string is InvalidArgument. The one port syntax of
-/// the tree, for command-line flags and "host:port" strings alike.
+/// Parses a TCP port: ParseUnsigned's decimal form (common/parse.h), at
+/// most 65535; anything else is InvalidArgument. The one port syntax of the
+/// tree, for command-line flags and "host:port" strings alike.
 Result<uint16_t> ParsePort(std::string_view text);
 
 /// Connects to host:port within the connect deadline.

@@ -221,11 +221,11 @@ Status ReadExact(Transport* transport, size_t n, std::string* out,
 
 }  // namespace
 
-Result<std::string> ReadFrameBytes(Transport* transport) {
-  std::string raw;
+Status ReadFrameBytes(Transport* transport, std::string* raw) {
+  raw->clear();
   MOPE_RETURN_NOT_OK(
-      ReadExact(transport, kFrameHeaderBytes, &raw, /*at_boundary=*/true));
-  MOPE_ASSIGN_OR_RETURN(const Header header, ParseHeader(raw.data()));
+      ReadExact(transport, kFrameHeaderBytes, raw, /*at_boundary=*/true));
+  MOPE_ASSIGN_OR_RETURN(const Header header, ParseHeader(raw->data()));
   // The flags say how many extension bytes precede the payload; the
   // profile extension is length-prefixed, so its prefix is read first.
   const size_t trace_ext =
@@ -233,21 +233,21 @@ Result<std::string> ReadFrameBytes(Transport* transport) {
   const bool has_profile = (header.flags & kFrameFlagHasProfile) != 0;
   const size_t fixed_ext =
       trace_ext + (has_profile ? kProfileLengthBytes : 0);
-  raw.reserve(kFrameHeaderBytes + fixed_ext + header.length);
   MOPE_RETURN_NOT_OK(
-      ReadExact(transport, fixed_ext, &raw, /*at_boundary=*/false));
+      ReadExact(transport, fixed_ext, raw, /*at_boundary=*/false));
   uint32_t profile_len = 0;
   if (has_profile) {
     MOPE_ASSIGN_OR_RETURN(
-        profile_len, ProfileLength(raw.data() + kFrameHeaderBytes + trace_ext));
+        profile_len,
+        ProfileLength(raw->data() + kFrameHeaderBytes + trace_ext));
   }
-  MOPE_RETURN_NOT_OK(ReadExact(transport, size_t{profile_len} + header.length,
-                               &raw, /*at_boundary=*/false));
-  return raw;
+  return ReadExact(transport, size_t{profile_len} + header.length, raw,
+                   /*at_boundary=*/false);
 }
 
 Result<Frame> ReadFrame(Transport* transport) {
-  MOPE_ASSIGN_OR_RETURN(std::string raw, ReadFrameBytes(transport));
+  std::string raw;
+  MOPE_RETURN_NOT_OK(ReadFrameBytes(transport, &raw));
   return DecodeFrame(raw, nullptr);
 }
 
@@ -307,16 +307,32 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload) {
   return request;
 }
 
+namespace {
+
+void StoreReplyRowHeader(char* p, engine::RowId rid, uint64_t num_values) {
+  StoreU64(p, rid);
+  StoreU32(p + 8, static_cast<uint32_t>(num_values));
+}
+
+}  // namespace
+
 void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row) {
   size_t size = kReplyRowHeaderBytes;
   for (const engine::Value& v : row) size += engine::EncodedSize(v);
   const size_t at = out->size();
   out->resize(at + size);
   char* p = out->data() + at;
-  StoreU64(p, rid);
-  StoreU32(p + 8, static_cast<uint32_t>(row.size()));
+  StoreReplyRowHeader(p, rid, row.size());
   p += kReplyRowHeaderBytes;
   for (const engine::Value& v : row) p = engine::WriteValue(p, v);
+}
+
+void PutReplyRow(std::string* out, engine::RowId rid, uint64_t num_values,
+                 std::string_view values) {
+  char header[kReplyRowHeaderBytes];
+  StoreReplyRowHeader(header, rid, num_values);
+  out->append(header, sizeof(header));
+  out->append(values);
 }
 
 std::string EncodeRangeBatchReply(const RowsWithIds& rows) {

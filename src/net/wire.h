@@ -40,11 +40,14 @@
 /// frame carrying the Status code and message.
 ///
 /// The range-batch reply is the bulk of all traffic, so its path copies as
-/// little as it can without changing a byte: the server writes each row
-/// straight from table storage into the reply frame behind reserved header
-/// bytes (BeginFrame / PutReplyRow / FinishFrame), ParseFrame validates a
-/// frame and hands out views of its payload and profile, and the client's
-/// decoder reads every row through the codec's one row reader
+/// little as it can without changing a byte: a table stores each row as its
+/// codec bytes, so the server copies them, one memcpy per row, into the
+/// reply frame behind reserved header bytes (BeginFrame / PutReplyRow /
+/// FinishFrame); each end of a connection keeps one reply buffer for its
+/// whole life, so a reply costs no allocation and no page fault once the
+/// buffer has held the largest; ParseFrame validates a frame and hands out
+/// views of its payload and profile, and the client's decoder reads every
+/// row through the codec's one row reader
 /// (engine::ByteReader::CheckRow), whose single walk checks the row's bytes
 /// and finds its key, then builds only the rows a RowFilter keeps. The
 /// frame CRC (common/crc32.h), computed once on each side, folds the
@@ -160,11 +163,14 @@ Result<FrameView> ParseFrame(std::string_view bytes, size_t* consumed);
 /// ParseFrame, then copies the profile and payload into an owning Frame.
 Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed);
 
-/// Reads one whole raw frame (header, extensions, payload) off a transport,
-/// straight into the returned buffer. The header is validated before any
-/// further byte is read. Unavailable on timeout or connection loss;
-/// Corruption as in ParseFrame.
-Result<std::string> ReadFrameBytes(Transport* transport);
+/// Reads one whole raw frame (header, extensions, payload) off a transport
+/// into `*raw`, replacing its contents but keeping its capacity, so a
+/// reader that passes the same buffer for every frame stops allocating once
+/// it has held the largest one. The header is validated before any further
+/// byte is read, and the buffer grows only with the bytes that arrive,
+/// never with the length the header claims. Unavailable on timeout or
+/// connection loss; Corruption as in ParseFrame.
+Status ReadFrameBytes(Transport* transport, std::string* raw);
 
 /// ReadFrameBytes + DecodeFrame.
 Result<Frame> ReadFrame(Transport* transport);
@@ -192,9 +198,12 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload);
 
 /// A range-batch reply payload is a u64 row count, then per row a u64 row
 /// id, a u32 value count and that many PutValue encodings. PutReplyRow
-/// appends one row: the only row writer, shared by EncodeRangeBatchReply and
-/// the dispatcher, which writes rows straight from table storage.
+/// appends one row: encoded from a Row (EncodeRangeBatchReply), or as its
+/// 12-byte header plus one copy of the row's stored bytes, which are
+/// already those encodings (the dispatcher, from engine::Table storage).
 void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row);
+void PutReplyRow(std::string* out, engine::RowId rid, uint64_t num_values,
+                 std::string_view values);
 
 std::string EncodeRangeBatchReply(const RowsWithIds& rows);
 

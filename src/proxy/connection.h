@@ -13,13 +13,16 @@
 /// in here without touching the proxy logic.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/interval.h"
 #include "common/status.h"
+#include "engine/codec.h"
 #include "engine/server.h"
 #include "engine/table.h"
 
@@ -107,7 +110,8 @@ class DirectConnection final : public ServerConnection {
     return server_->ExecuteRangeBatchWithIds(table, column, ranges);
   }
 
-  /// Copies only the kept rows out of table storage.
+  /// Reads each visited row's key from its stored bytes and builds only
+  /// the kept rows.
   Result<uint64_t> FetchRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges, size_t key_column,
@@ -117,13 +121,16 @@ class DirectConnection final : public ServerConnection {
     Status filtered;
     MOPE_RETURN_NOT_OK(server_->VisitRangeBatch(
         table, column, ranges,
-        [&](engine::RowId rid, const engine::Row& row) {
+        [&](engine::RowId rid, uint64_t num_columns, std::string_view bytes) {
           ++shipped;
-          Result<bool> in = KeyInRange(row, key_column, keep);
-          if (!in.ok()) {
-            filtered = in.status();
-          } else if (*in) {
-            kept->emplace_back(rid, row);
+          const engine::CheckedRow row =
+              engine::CheckStoredRow(bytes, num_columns, key_column);
+          const std::optional<int64_t> key = row.LocatedInt();
+          if (!key.has_value()) {
+            filtered =
+                Status::Corruption("range batch row lacks an int key column");
+          } else if (keep.Contains(static_cast<uint64_t>(*key))) {
+            kept->emplace_back(rid, row.Build());
           }
         }));
     MOPE_RETURN_NOT_OK(filtered);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 
+#include "engine/codec.h"
 #include "obs/trace.h"
 
 namespace mope::proxy {
@@ -157,11 +159,17 @@ Result<uint64_t> Proxy::RotateKey(mope::BitSource* entropy) {
 
   MOPE_ASSIGN_OR_RETURN(engine::Table * table,
                         server_->catalog()->GetTable(config_.table));
+  const uint64_t num_columns = table->schema().num_columns();
   for (engine::RowId rid = 0; rid < table->row_count(); ++rid) {
-    const int64_t old_cipher =
-        std::get<int64_t>(table->row(rid)[key_column_index_]);
+    // The key is read from the row's stored bytes; no row is built. The
+    // update below has the same width, so the row stays where it is.
+    const std::optional<int64_t> old_cipher =
+        engine::CheckStoredRow(table->row_bytes(rid), num_columns,
+                               key_column_index_)
+            .LocatedInt();
+    MOPE_CHECK(old_cipher.has_value(), "the MOPE column holds ints");
     MOPE_ASSIGN_OR_RETURN(uint64_t plain,
-                          mope_.Decrypt(static_cast<uint64_t>(old_cipher)));
+                          mope_.Decrypt(static_cast<uint64_t>(*old_cipher)));
     MOPE_ASSIGN_OR_RETURN(uint64_t new_cipher, new_scheme.Encrypt(plain));
     MOPE_RETURN_NOT_OK(table->UpdateValue(rid, key_column_index_,
                                           static_cast<int64_t>(new_cipher)));

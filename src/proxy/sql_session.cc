@@ -149,8 +149,8 @@ Status EncryptedSqlSession::BuildScratch(const sql::SelectStmt& stmt,
   MOPE_ASSIGN_OR_RETURN(
       engine::Table * local,
       scratch->CreateTable(stmt.from_table, std::move(server_schema)));
-  for (engine::Row& row : fetched) {
-    MOPE_RETURN_NOT_OK(local->Insert(std::move(row)).status());
+  for (const engine::Row& row : fetched) {
+    MOPE_RETURN_NOT_OK(local->Insert(row).status());
   }
   if (stmt.join.has_value()) {
     MOPE_ASSIGN_OR_RETURN(const engine::Table* aux,

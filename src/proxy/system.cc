@@ -51,8 +51,9 @@ Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
   // crash at any point during the load recovers to a queryable prefix.
   const Status load = [&]() -> Status {
     MOPE_RETURN_NOT_OK(table->CreateIndex(spec.column));
+    engine::Row encrypted;  // one buffer for every row: Insert copies it
     for (const engine::Row& row : rows) {
-      engine::Row encrypted = row;
+      encrypted = row;
       const int64_t plain = std::get<int64_t>(encrypted[enc_col]);
       if (plain < 0 || static_cast<uint64_t>(plain) >= spec.domain) {
         return Status::OutOfRange("value " + std::to_string(plain) +
@@ -62,7 +63,7 @@ Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
       MOPE_ASSIGN_OR_RETURN(uint64_t cipher,
                             scheme.Encrypt(static_cast<uint64_t>(plain)));
       encrypted[enc_col] = static_cast<int64_t>(cipher);
-      MOPE_RETURN_NOT_OK(table->Insert(std::move(encrypted)).status());
+      MOPE_RETURN_NOT_OK(table->Insert(encrypted).status());
     }
     return Status::OK();
   }();

@@ -593,5 +593,56 @@ TEST(DurableCatalogTest, FailedReplayNamesTheRecordLsn) {
       << durable.status();
 }
 
+/// Recovers a log holding "items" with its index on `c`, then `record`:
+/// the status replay gives it.
+Status ReplayAfterIndexedItems(const std::string& record) {
+  storage::InMemEnv env;
+  obs::MetricsRegistry metrics;
+  {
+    Catalog catalog;
+    auto durable = DurableCatalog::Open("/db", &catalog,
+                                        TestOptions(&env, &metrics));
+    EXPECT_TRUE(durable.ok());
+    auto table = catalog.CreateTable("items", ItemsSchema());
+    EXPECT_TRUE(table.ok());
+    EXPECT_TRUE((*table)->CreateIndex("c").ok());
+    EXPECT_TRUE((*durable)->storage()->Log(record).ok());
+  }
+  env.SimulateCrash();
+  Catalog recovered;
+  return DurableCatalog::Open("/db", &recovered, TestOptions(&env, &metrics))
+      .status();
+}
+
+/// A well-framed insert record for "items" carrying `values`.
+std::string InsertRecord(const Row& values) {
+  std::string record;
+  record.push_back(4);  // insert
+  PutString(&record, "items");
+  PutU64(&record, values.size());
+  for (const Value& v : values) PutValue(&record, v);
+  return record;
+}
+
+TEST(DurableCatalogTest, ReplayedRowTagOfTheWrongTypeIsCorruption) {
+  // Replay appends checked bytes without building the row; the table still
+  // checks each tag against its schema.
+  const Status status =
+      ReplayAfterIndexedItems(InsertRecord({1.5, std::string("x")}));
+  EXPECT_TRUE(status.IsCorruption()) << status;
+  EXPECT_NE(status.message().find("LSN 3"), std::string::npos) << status;
+  EXPECT_NE(status.message().find("type mismatch in column 'c'"),
+            std::string::npos)
+      << status;
+}
+
+TEST(DurableCatalogTest, ReplayedNegativeIndexedIntIsCorruption) {
+  const Status status = ReplayAfterIndexedItems(
+      InsertRecord({int64_t{-3}, std::string("x")}));
+  EXPECT_TRUE(status.IsCorruption()) << status;
+  EXPECT_NE(status.message().find("LSN 3"), std::string::npos) << status;
+  EXPECT_NE(status.message().find(">= 0"), std::string::npos) << status;
+}
+
 }  // namespace
 }  // namespace mope::engine

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+
+#include "common/coding.h"
+#include "tests/testing/byte_sweep.h"
 
 namespace mope::engine {
 namespace {
@@ -117,6 +121,110 @@ TEST(SnapshotTest, FileRoundTrip) {
   EXPECT_EQ((*restored->GetTable("items"))->row_count(), 200u);
   std::remove(path.c_str());
   EXPECT_TRUE(LoadCatalog(path).status().IsNotFound());
+}
+
+// --- The loader against hostile images ------------------------------------
+
+/// Two tables with int, double and string columns and one index: small
+/// enough to flip every byte of.
+Catalog MakeSmallCatalog() {
+  Catalog catalog;
+  auto items = catalog.CreateTable(
+      "items", Schema({Column{"k", ValueType::kInt},
+                       Column{"price", ValueType::kDouble},
+                       Column{"label", ValueType::kString}}));
+  EXPECT_TRUE(items.ok());
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE((*items)
+                    ->Insert({i * 3, 0.5 * static_cast<double>(i),
+                              std::string(static_cast<size_t>(i), 'r')})
+                    .ok());
+  }
+  EXPECT_TRUE((*items)->CreateIndex("k").ok());
+  auto notes = catalog.CreateTable(
+      "notes", Schema({Column{"note", ValueType::kString},
+                       Column{"n", ValueType::kInt}}));
+  EXPECT_TRUE(notes.ok());
+  EXPECT_TRUE((*notes)->Insert({std::string("a"), int64_t{-2}}).ok());
+  return catalog;
+}
+
+TEST(SnapshotFuzzTest, EveryFlippedOrCutByteIsAnErrorOrReencodesExactly) {
+  // Rows load as checked bytes without being built, so the loader's checks
+  // are all that stands between a hostile image and the table.
+  const auto image = SerializeCatalog(MakeSmallCatalog());
+  ASSERT_TRUE(image.ok());
+  const auto check = [](const std::string& mutant, const std::string& what) {
+    const Result<Catalog> loaded = DeserializeCatalog(mutant);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().IsCorruption() ||
+                  loaded.status().IsInvalidArgument())
+          << what << ": " << loaded.status();
+      return;
+    }
+    const auto again = SerializeCatalog(*loaded);
+    ASSERT_TRUE(again.ok()) << what;
+    EXPECT_EQ(*again, mutant) << what;
+  };
+  sweep::ForEachFlip(*image, check);
+  sweep::ForEachCut(*image, check);
+}
+
+/// An image of "t"(k int indexed, v double) holding the one row {5, 1.5},
+/// which is its last 18 bytes.
+std::string OneRowImage() {
+  Catalog catalog;
+  auto t = catalog.CreateTable("t", Schema({Column{"k", ValueType::kInt},
+                                            Column{"v", ValueType::kDouble}}));
+  EXPECT_TRUE(t.ok());
+  EXPECT_TRUE((*t)->Insert({int64_t{5}, 1.5}).ok());
+  EXPECT_TRUE((*t)->CreateIndex("k").ok());
+  const auto image = SerializeCatalog(catalog);
+  EXPECT_TRUE(image.ok());
+  return image.ok() ? *image : std::string();
+}
+
+TEST(SnapshotFuzzTest, RowTagOfTheWrongTypeIsInvalidArgument) {
+  std::string image = OneRowImage();
+  ASSERT_TRUE(DeserializeCatalog(image).ok());
+  const size_t k_tag = image.size() - 18;
+  ASSERT_EQ(image[k_tag], static_cast<char>(ValueType::kInt));
+  image[k_tag] = static_cast<char>(ValueType::kDouble);  // a valid tag
+  const Result<Catalog> loaded = DeserializeCatalog(image);
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+}
+
+TEST(SnapshotFuzzTest, NegativeIndexedIntIsInvalidArgument) {
+  std::string image = OneRowImage();
+  StoreU64(image.data() + image.size() - 17, static_cast<uint64_t>(-5));
+  const Result<Catalog> loaded = DeserializeCatalog(image);
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+}
+
+TEST(SnapshotFuzzTest, IndexListMustNameIntColumnsInOrder) {
+  // What SerializeCatalog never writes: tables out of name order, an index
+  // on an unknown or non-int column.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTable("a", Schema({Column{"x", ValueType::kInt}}))
+                  .ok());
+  ASSERT_TRUE(catalog.CreateTable("b", Schema({Column{"y", ValueType::kInt}}))
+                  .ok());
+  const auto image = SerializeCatalog(catalog);
+  ASSERT_TRUE(image.ok());
+  std::string swapped = *image;
+  const size_t a_name = swapped.find('a', 8 + 8 + 8);
+  const size_t b_name = swapped.find('b', a_name);
+  ASSERT_NE(b_name, std::string::npos);
+  std::swap(swapped[a_name], swapped[b_name]);
+  EXPECT_TRUE(DeserializeCatalog(swapped).status().IsCorruption());
+
+  std::string unknown = OneRowImage();
+  const size_t index_name = unknown.rfind('k', unknown.size() - 18 - 8 - 1);
+  ASSERT_NE(index_name, std::string::npos);
+  unknown[index_name] = 'v';  // the double column
+  EXPECT_TRUE(DeserializeCatalog(unknown).status().IsCorruption());
+  unknown[index_name] = 'z';  // no such column
+  EXPECT_TRUE(DeserializeCatalog(unknown).status().IsCorruption());
 }
 
 }  // namespace

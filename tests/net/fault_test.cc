@@ -167,6 +167,41 @@ TEST(FaultTest, RecoversAfterSeveralFailures) {
   EXPECT_EQ(conn.connects(), 4u);
 }
 
+TEST(FaultTest, DroppedLaterRequestNeverReturnsTheRetainedReply) {
+  // The connection keeps its receive buffer across requests, so after the
+  // first reply it still holds that reply's bytes. The second request's
+  // write is lost: the connection's own retry must return the second
+  // request's rows, never the first reply left in the buffer.
+  engine::DbServer server = MakeServer();
+  obs::MetricsRegistry registry;
+  FlakyNet net(&server, {{FaultKind::kDropWrite, 1}});
+  RemoteOptions options = net.Options(3);
+  options.registry = &registry;
+  RemoteConnection conn(std::move(options));
+  const ModularInterval keep_all(0, 100, 100);
+
+  RowsWithIds first;
+  auto shipped = conn.FetchRangeBatch("data", "key", kRanges, 0, keep_all,
+                                      &first);
+  ASSERT_TRUE(shipped.ok()) << shipped.status();
+  ASSERT_EQ(first.size(), 5u);
+  EXPECT_EQ(std::get<int64_t>(first.front().second[0]), 10);
+
+  RowsWithIds second;
+  shipped = conn.FetchRangeBatch("data", "key", {ModularInterval(50, 3, 100)},
+                                 0, keep_all, &second);
+  ASSERT_TRUE(shipped.ok()) << shipped.status();
+  ASSERT_EQ(second.size(), 3u);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(second[static_cast<size_t>(i)].first,
+              static_cast<engine::RowId>(50 + i));
+    EXPECT_EQ(second[static_cast<size_t>(i)].second,
+              engine::Row{int64_t{50 + i}});
+  }
+  EXPECT_EQ(registry.GetCounter("net.client.retries")->Value(), 1u);
+  EXPECT_EQ(conn.connects(), 2u);
+}
+
 TEST(FaultTest, ServerSideErrorIsReturnedVerbatimNotRetried) {
   engine::DbServer server = MakeServer();
   FlakyNet net(&server, {});
@@ -349,14 +384,13 @@ TEST(OneRetryPolicyTest, CorruptedReplyReachesTheServerOnce) {
 }
 
 TEST(OneRetryPolicyTest, DroppedRequestSucceedsThroughTheConnectionRetry) {
-  // The stream dies right after the schema reply, so the range request is
-  // written into a dead connection and never reaches the server. The
-  // connection reconnects and re-sends it once; the proxy sends it once.
+  // The proxy's first range request (its connection's second write, after
+  // the schema request) is lost on the way and never reaches the server.
+  // The connection reconnects and re-sends it once; the proxy sends it once.
   proxy::MopeSystem system(/*seed=*/123);
   obs::MetricsRegistry client;
   auto net = std::make_shared<FlakyNet>(
-      system.server(),
-      std::vector<FaultSpec>{{FaultKind::kDisconnect, SchemaReplyBytes()}});
+      system.server(), std::vector<FaultSpec>{{FaultKind::kDropWrite, 1}});
   ASSERT_TRUE(LoadOverFlakyWire(&system, net, &client).ok());
   obs::Counter* range_requests =
       system.server()->metrics()->GetCounter("server.requests.range_batch");

@@ -1,6 +1,6 @@
-/// The range-batch reply path: the dispatcher writes rows straight from
-/// table storage into the reply frame, and the client's decoder checks every
-/// reply byte but builds only the rows the proxy keeps.
+/// The range-batch reply path: the dispatcher copies each row's stored bytes
+/// into the reply frame, and the client's decoder checks every reply byte
+/// but builds only the rows the proxy keeps.
 ///
 /// The contracts under test: the dispatcher's frame is byte-identical to
 /// encoding ExecuteRangeBatchWithIds' rows; the filtered decoder returns
@@ -31,9 +31,13 @@
 #include "net/remote_connection.h"
 #include "net/wire.h"
 #include "proxy/proxy.h"
+#include "tests/testing/byte_sweep.h"
 
 namespace mope::net {
 namespace {
+
+using sweep::ForEachCut;
+using sweep::ForEachFlip;
 
 using engine::Column;
 using engine::Row;
@@ -149,31 +153,6 @@ net::RowsWithIds ReferenceRows() {
 }
 
 const RowFilter kReferenceFilter{1, ModularInterval(100, 300, 1000)};
-
-/// Calls `check(mutated, what)` for `bytes` with each byte in turn XOR-ed
-/// with 0x01 and with 0xFF.
-void ForEachFlip(
-    const std::string& bytes,
-    const std::function<void(const std::string&, const std::string&)>& check) {
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    for (const char mask : {'\x01', '\xFF'}) {
-      std::string mutated = bytes;
-      mutated[i] ^= mask;
-      check(mutated, "byte " + std::to_string(i) + " ^ " +
-                         std::to_string(static_cast<uint8_t>(mask)));
-    }
-  }
-}
-
-/// Calls `check(prefix, what)` for every proper prefix of `bytes`, the empty
-/// one included.
-void ForEachCut(
-    const std::string& bytes,
-    const std::function<void(const std::string&, const std::string&)>& check) {
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    check(bytes.substr(0, len), "cut at " + std::to_string(len));
-  }
-}
 
 /// Serves a fixed byte stream to every read and accepts every write: the
 /// reply of a server that sends exactly these bytes.
@@ -358,8 +337,9 @@ TEST(ReplyReadTest, ClaimedPayloadLengthDoesNotSizeTheRead) {
   StoreU32(stream.data() + 8, kMaxPayloadBytes);
   stream += "short";
   RecordingTransport transport(stream);
-  auto raw = ReadFrameBytes(&transport);
-  EXPECT_TRUE(raw.status().IsUnavailable()) << raw.status();
+  std::string raw;
+  const Status read = ReadFrameBytes(&transport, &raw);
+  EXPECT_TRUE(read.IsUnavailable()) << read;
   EXPECT_LE(transport.largest_read(), size_t{1} << 20);
 }
 
@@ -467,6 +447,37 @@ TEST(ReplyGoldenTest, DispatcherFrameEqualsEncodingTheCopiedRows) {
             << profiled;
       }
     }
+  }
+}
+
+TEST(ReplyGoldenTest, ReusedReplyBufferAfterAGrowingStringUpdate) {
+  // A growing string moves every later row in the table's arena; the reply,
+  // written into the buffer the previous reply left, still equals encoding
+  // the decoded rows.
+  engine::DbServer server = MakeServer();
+  WireDispatcher dispatcher(&server);
+  const std::vector<ModularInterval> ranges = {ModularInterval(0, 60, 60)};
+  const std::string request =
+      EncodeFrame(MessageType::kRangeBatchRequest,
+                  EncodeRangeBatchRequest({"data", "key", ranges}));
+  auto table = server.catalog()->GetTable("data");
+  ASSERT_TRUE(table.ok());
+  std::string reply;
+  for (const std::string& note :
+       {std::string(500, 'g'), std::string(), std::string("odd")}) {
+    ASSERT_TRUE((*table)->UpdateValue(7, 3, note).ok());
+    size_t consumed = 0;
+    auto frame = dispatcher.HandleFrameBytes(request, &consumed,
+                                             std::move(reply));
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    reply = std::move(frame).value();
+    auto rows = server.ExecuteRangeBatchWithIds("data", "key", ranges);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 60u);
+    EXPECT_EQ((*rows)[7].second[3], Value(note));
+    EXPECT_EQ(reply, EncodeFrame(MessageType::kRangeBatchReply,
+                                 EncodeRangeBatchReply(*rows)))
+        << note.size() << "-byte note";
   }
 }
 

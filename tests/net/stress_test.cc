@@ -126,6 +126,65 @@ TEST(NetStressTest, ConcurrentClientsShareOneDispatcher) {
             static_cast<uint64_t>(kThreads) * kIterations);
 }
 
+/// 4 threads share one RemoteConnection. Every reply lands in the
+/// connection's one receive buffer, guarded by its lock, so each thread
+/// must get exactly the rows of its own ranges, whatever the others ask.
+void ExpectEachThreadGetsItsOwnRows(RemoteConnection* connection) {
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 40;
+  const ModularInterval keep_all(0, kDomain, kDomain);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        // Replies of different sizes, so a stale or foreign one shows.
+        const uint64_t start = static_cast<uint64_t>(t * 25 + i) % kDomain;
+        const uint64_t length = 1 + static_cast<uint64_t>((t + i) % 30);
+        const ModularInterval range(start, length, kDomain);
+        RowsWithIds rows;
+        auto shipped = connection->FetchRangeBatch("data", "key", {range}, 0,
+                                                   keep_all, &rows);
+        bool ok = shipped.ok() && *shipped == length && rows.size() == length;
+        for (const auto& [rid, row] : rows) {
+          ok = ok && range.Contains(rid) &&
+               row == engine::Row{static_cast<int64_t>(rid)};
+        }
+        auto count = connection->CountRangeBatch("data", "key", {range});
+        ok = ok && count.ok() && *count == length;
+        if (!ok) ++failures;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(NetStressTest, ThreadsSharingAConnectionOverTheInProcessChannel) {
+  engine::DbServer server = MakeAuditedServer();
+  WireDispatcher dispatcher(&server);
+  Client client(&dispatcher);
+  ExpectEachThreadGetsItsOwnRows(client.connection.get());
+}
+
+TEST(NetStressTest, ThreadsSharingAConnectionOverTcp) {
+  engine::DbServer server = MakeAuditedServer();
+  TcpServerOptions options;
+  options.num_workers = 2;
+  options.poll_interval_ms = 5;
+  auto tcp = TcpServer::Start(&server, options);
+  ASSERT_TRUE(tcp.ok()) << tcp.status();
+  RemoteOptions remote;
+  remote.port = (*tcp)->port();
+  remote.backoff_initial_ms = 0;
+  // Sanitizer-slowed runs need headroom on the read deadline.
+  remote.socket.read_timeout_ms = 60000;
+  RemoteConnection connection(std::move(remote));
+  ExpectEachThreadGetsItsOwnRows(&connection);
+  (*tcp)->Stop();
+}
+
 /// Regression for the TcpServer::Stop missed-wakeup fix: a worker that had
 /// just observed an empty queue (but not yet blocked) must still see the
 /// stop flag. Before the fix, Stop() notified without ever holding

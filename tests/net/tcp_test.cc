@@ -172,6 +172,18 @@ TEST(TcpTest, StopIsIdempotent) {
   (*daemon)->Stop();  // and ~TcpServer calls it a third time
 }
 
+TEST(TcpTest, WorkerCountOutsideTheCapIsRejectedBeforeStarting) {
+  // Each worker is an OS thread: a mistyped count is an error, and it is
+  // caught before anything binds or starts.
+  engine::DbServer db = MakeServer();
+  for (const int workers : {0, TcpServer::kMaxWorkers + 1}) {
+    TcpServerOptions options;
+    options.num_workers = workers;
+    auto daemon = TcpServer::Start(&db, options);
+    EXPECT_TRUE(daemon.status().IsInvalidArgument()) << workers;
+  }
+}
+
 TEST(TcpTest, ConnectToClosedPortIsUnavailable) {
   // Bind-then-close to get a port that is very likely unused.
   uint16_t dead_port = 0;

@@ -362,6 +362,30 @@ TEST(DispatcherTest, OversizedReplyBecomesStatusReplyNotAbort) {
             static_cast<uint8_t>(MessageType::kRangeBatchReply));
 }
 
+TEST(DispatcherTest, OverCapReplyDoesNotKeepTheSweptRows) {
+  // The sweep writes rows into the caller's reused buffer before the cap is
+  // checked. The status reply must not inherit that storage, or one wide
+  // request would pin a buffer beyond the cap for the session's life.
+  engine::DbServer server = MakeServer();
+  DispatcherOptions options;
+  options.max_reply_payload_bytes = 64;
+  WireDispatcher dispatcher(&server, options);
+  const std::vector<ModularInterval> wide = {ModularInterval(0, 100, 100)};
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key", wide);
+  ASSERT_TRUE(rows.ok());
+  const size_t swept = EncodeRangeBatchReply(*rows).size();
+  const std::string request =
+      EncodeFrame(MessageType::kRangeBatchRequest,
+                  EncodeRangeBatchRequest({"data", "key", wide}));
+  size_t consumed = 0;
+  auto reply = dispatcher.HandleFrameBytes(request, &consumed, std::string());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto frame = DecodeFrame(*reply, nullptr);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kStatusReply));
+  EXPECT_LT(reply->capacity(), swept);
+}
+
 TEST(DispatcherTest, ByteAccountingReachesServerStats) {
   engine::DbServer server = MakeServer();
   WireDispatcher dispatcher(&server);

@@ -59,6 +59,8 @@
 /// SIGINT/SIGTERM shut down gracefully: in-flight requests complete,
 /// replies flush, then the daemon logs its traffic counters and exits.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -66,11 +68,13 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include <vector>
 
+#include "common/parse.h"
 #include "engine/snapshot.h"
 #include "net/http_exposition.h"
 #include "net/server.h"
@@ -180,6 +184,31 @@ void FlagError(const char* fmt, const char* detail) {
   std::fprintf(stderr, fmt, detail);  // invariant-ok: R11 usage/help text
 }
 
+/// Reads flag `arg`'s value `raw` with ParseUnsigned (common/parse.h) into
+/// `*out`; false, after the flag's message, on anything else.
+bool UnsignedFlag(const std::string& arg, const char* raw, bool allow_hex,
+                  uint64_t* out) {
+  const mope::Result<uint64_t> value = mope::ParseUnsigned(raw, allow_hex);
+  if (!value.ok()) {
+    const std::string fmt = arg + " must be an unsigned integer" +
+                            (allow_hex ? " (decimal or 0x hex)" : "") +
+                            ", got '%s'\n";
+    FlagError(fmt.c_str(), raw);
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
+/// A whole-string finite double: no whitespace, no trailing characters.
+bool ParseDouble(const char* raw, double* out) {
+  const std::string_view text(raw);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end &&
+         std::isfinite(*out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,9 +255,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--tpch") {
       tpch = true;
     } else if (arg == "--scale") {
-      scale = std::atof(next());
+      const char* raw = next();
+      if (!ParseDouble(raw, &scale) || scale <= 0) {
+        FlagError("--scale must be a finite number > 0, got '%s'\n", raw);
+        return 2;
+      }
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 0);
+      if (!UnsignedFlag(arg, next(), /*allow_hex=*/true, &seed)) return 2;
     } else if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
@@ -242,7 +275,14 @@ int main(int argc, char** argv) {
       }
       options.port = *port;
     } else if (arg == "--workers") {
-      options.num_workers = std::atoi(next());
+      const char* raw = next();
+      const Result<uint64_t> workers = ParseUnsigned(raw);
+      if (!workers.ok() || *workers < 1 ||
+          *workers > net::TcpServer::kMaxWorkers) {
+        FlagError("--workers must be an integer in [1, 256], got '%s'\n", raw);
+        return 2;
+      }
+      options.num_workers = static_cast<int>(*workers);
     } else if (arg == "--http-port") {
       const char* raw = next();
       const Result<uint16_t> port = net::ParsePort(raw);
@@ -254,13 +294,22 @@ int main(int argc, char** argv) {
       http_port = *port;
       http_enabled = true;
     } else if (arg == "--slow-query-ms") {
-      slow_query_ms = std::atof(next());
+      const char* raw = next();
+      if (!ParseDouble(raw, &slow_query_ms) || slow_query_ms < 0) {
+        FlagError("--slow-query-ms must be a finite number >= 0, got '%s'\n",
+                  raw);
+        return 2;
+      }
     } else if (arg == "--slow-query-trace") {
       slow_query_trace = next();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = std::strtoull(next(), nullptr, 10);
+      if (!UnsignedFlag(arg, next(), /*allow_hex=*/false, &checkpoint_every)) {
+        return 2;
+      }
     } else if (arg == "--query-log-sample") {
-      query_log_sample = std::strtoull(next(), nullptr, 10);
+      if (!UnsignedFlag(arg, next(), /*allow_hex=*/false, &query_log_sample)) {
+        return 2;
+      }
     } else if (arg == "--metrics") {
       dump_metrics = true;
     } else if (arg == "--metrics-out") {
@@ -275,7 +324,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--sample-every-ms") {
-      sample_every_ms = std::strtoull(next(), nullptr, 10);
+      if (!UnsignedFlag(arg, next(), /*allow_hex=*/false, &sample_every_ms)) {
+        return 2;
+      }
     } else if (arg == "--alert-rule") {
       alert_rules.emplace_back(next());
     } else if (arg == "--default-alerts") {
@@ -287,7 +338,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--audit-domain") {
-      audit_domain = std::strtoull(next(), nullptr, 0);
+      if (!UnsignedFlag(arg, next(), /*allow_hex=*/true, &audit_domain)) {
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return 0;
