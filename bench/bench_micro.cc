@@ -44,6 +44,24 @@ void BM_HgdSample(benchmark::State& state) {
 }
 BENCHMARK(BM_HgdSample)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
+/// The up-front cost of a table domain: Create samples the whole split tree
+/// (2,880 is the TPC-H date domain; 2^16 is the largest table).
+void BM_OpeCreate(benchmark::State& state) {
+  const uint64_t domain = static_cast<uint64_t>(state.range(0));
+  Rng rng(2);
+  const ope::OpeKey key = ope::OpeKey::Generate(&rng);
+  for (auto _ : state) {
+    auto scheme =
+        ope::OpeScheme::Create({domain, ope::SuggestRange(domain)}, key);
+    benchmark::DoNotOptimize(scheme);
+  }
+}
+BENCHMARK(BM_OpeCreate)
+    ->Arg(2880)
+    ->Arg(10000)
+    ->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_OpeEncrypt(benchmark::State& state) {
   const uint64_t domain = static_cast<uint64_t>(state.range(0));
   Rng rng(2);

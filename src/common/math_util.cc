@@ -8,7 +8,11 @@
 namespace mope {
 
 double LogFactorial(uint64_t n) {
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: lgamma stores the sign of Γ in the global
+  // signgam, a data race between threads that draw HGD samples at once (the
+  // OPE walk takes no lock). Both return the same value.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double LogBinomial(uint64_t n, uint64_t k) {

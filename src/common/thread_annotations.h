@@ -125,7 +125,6 @@ namespace lock_rank {
 
 inline constexpr int kNone = 0;               ///< Unranked: no checking.
 inline constexpr int kProxy = 10;             ///< proxy::Proxy::mutex_
-inline constexpr int kOpeMemo = 15;           ///< ope::OpeScheme memo mutex
 inline constexpr int kClientConnection = 20;  ///< net::RemoteConnection::mutex_
 inline constexpr int kServerAcceptQueue = 30; ///< net::TcpServer::queue_mutex_
 inline constexpr int kDispatcher = 40;        ///< net::WireDispatcher::mutex_
@@ -203,7 +202,7 @@ class MOPE_CAPABILITY("mutex") Mutex {
   const int rank_ = lock_rank::kNone;
 };
 
-/// Reader/writer mutex (for the fine-grained latching ROADMAP item 2 needs;
+/// Reader/writer mutex (for the shared dispatch lock ROADMAP item 4 plans;
 /// no production user yet).
 class MOPE_CAPABILITY("shared_mutex") SharedMutex {
  public:

@@ -48,13 +48,15 @@ struct CipherRange {
   bool operator==(const CipherRange&) const = default;
 };
 
-/// The MOPE scheme (deterministic and thread-safe; move-only, as it owns the
-/// underlying OPE scheme's split-tree memo).
+/// The MOPE scheme: deterministic, immutable after Create and so shareable
+/// across threads without a lock. Move-only, as the underlying OPE scheme
+/// owns its ciphertext table.
 class MopeScheme {
  public:
-  /// Validates parameters and builds the scheme. Requires offset < domain.
-  /// `registry` receives the underlying OPE's ope.* counters; null selects
-  /// the process-global obs::Registry().
+  /// Validates parameters and builds the scheme, which samples the whole
+  /// OPE table for domains up to OpeScheme::kMaxTableDomain. Requires
+  /// offset < domain. `registry` receives the underlying OPE's ope.*
+  /// counters; null selects the process-global obs::Registry().
   static Result<MopeScheme> Create(const OpeParams& params, const MopeKey& key,
                                    obs::MetricsRegistry* registry = nullptr);
 

@@ -1,11 +1,9 @@
 #include "ope/ope.h"
 
-#include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/thread_annotations.h"
 #include "crypto/drbg.h"
 #include "crypto/hgd.h"
 
@@ -24,31 +22,7 @@ constexpr uint8_t kSplitLabel = 0x53;  // 'S'
 // dead stream.
 constexpr uint64_t kCoinBudget = 64;
 
-// Most split-tree nodes one scheme memoizes (16 bytes each). Past it, walks
-// continue uncached.
-constexpr size_t kMemoNodeCap = size_t{1} << 16;
-
-// A walk's memo index for a node the memo does not hold.
-constexpr size_t kNoNode = SIZE_MAX;
-
 }  // namespace
-
-// Nodes are appended first come, first served until kMemoNodeCap (1 MiB;
-// the 2,880-day TPC-H date tree has about 6.7k) and never evicted: every
-// walk starts at the root, so the first nodes in are the upper levels that
-// all walks share.
-struct OpeScheme::Memo {
-  struct Node {
-    uint64_t value;  // Split count x (inner node) or ciphertext (leaf).
-    // Indices of the left and right child; 0 = not memoized (index 0 is the
-    // root, which is no node's child).
-    uint32_t child[2];
-  };
-  // Taken for a whole walk; a miss under it takes only the trace and
-  // registry locks.
-  Mutex mutex{lock_rank::kOpeMemo};
-  std::vector<Node> nodes MOPE_GUARDED_BY(mutex);
-};
 
 uint64_t SuggestRange(uint64_t domain) {
   MOPE_CHECK(domain > 0, "domain must be positive");
@@ -70,17 +44,12 @@ OpeKey OpeKey::Generate(mope::BitSource* entropy) {
 
 OpeScheme::OpeScheme(const OpeParams& params, const OpeKey& key,
                      obs::MetricsRegistry* registry)
-    : params_(params), prf_(key.prf_key), memo_(std::make_unique<Memo>()) {
+    : params_(params), prf_(key.prf_key) {
   if (registry == nullptr) registry = obs::Registry();
   encrypt_calls_ = registry->GetCounter("ope.encrypt_calls");
   decrypt_calls_ = registry->GetCounter("ope.decrypt_calls");
   hgd_draws_ = registry->GetCounter("ope.hgd_draws");
-  recursion_depth_ = registry->GetHistogram("ope.recursion_depth");
 }
-
-OpeScheme::OpeScheme(OpeScheme&&) noexcept = default;
-OpeScheme& OpeScheme::operator=(OpeScheme&&) noexcept = default;
-OpeScheme::~OpeScheme() = default;
 
 Result<OpeScheme> OpeScheme::Create(const OpeParams& params, const OpeKey& key,
                                     obs::MetricsRegistry* registry) {
@@ -92,7 +61,26 @@ Result<OpeScheme> OpeScheme::Create(const OpeParams& params, const OpeKey& key,
         "OPE range (" + std::to_string(params.range) +
         ") must be at least the domain (" + std::to_string(params.domain) + ")");
   }
-  return OpeScheme(params, key, registry);
+  OpeScheme scheme(params, key, registry);
+  if (params.domain <= kMaxTableDomain) {
+    scheme.table_.resize(params.domain);
+    MOPE_RETURN_NOT_OK(scheme.FillTable(0, params.domain, 0, params.range));
+  }
+  return scheme;
+}
+
+Status OpeScheme::FillTable(uint64_t dlo, uint64_t m_count, uint64_t rlo,
+                            uint64_t n_count) {
+  if (m_count == 0) return Status::OK();
+  if (m_count == 1) {
+    MOPE_ASSIGN_OR_RETURN(table_[dlo], LeafCiphertext(dlo, rlo, n_count));
+    return Status::OK();
+  }
+  const uint64_t draws = n_count / 2;
+  MOPE_ASSIGN_OR_RETURN(const uint64_t x,
+                        SampleSplit(dlo, m_count, rlo, n_count, draws));
+  MOPE_RETURN_NOT_OK(FillTable(dlo, x, rlo, draws));
+  return FillTable(dlo + x, m_count - x, rlo + draws, n_count - draws);
 }
 
 Result<uint64_t> OpeScheme::SampleSplit(uint64_t dlo, uint64_t m_count,
@@ -123,39 +111,12 @@ Result<uint64_t> OpeScheme::LeafCiphertext(uint64_t dlo, uint64_t rlo,
 
 Result<OpeScheme::WalkEnd> OpeScheme::Walk(uint64_t target,
                                            Descend by) const {
-  Memo& memo = *memo_;
-  const MutexLock lock(&memo.mutex);
-  std::vector<Memo::Node>& nodes = memo.nodes;
   uint64_t dlo = 0, m_count = params_.domain;
   uint64_t rlo = 0, n_count = params_.range;
-  uint64_t depth = 0;
-  // Memo indices of the current node and its parent; kNoNode once the walk
-  // has passed a node the cap kept out.
-  size_t at = nodes.empty() ? kNoNode : 0;
-  size_t parent = kNoNode;
-  int side = 0;  // 0: the current node is its parent's left child.
-  while (true) {
+  while (m_count > 1) {
     const uint64_t draws = n_count / 2;
-    uint64_t value = 0;  // Split count (inner node) or ciphertext (leaf).
-    if (at != kNoNode) {
-      value = nodes[at].value;
-    } else {
-      MOPE_ASSIGN_OR_RETURN(value,
-                            m_count > 1
-                                ? SampleSplit(dlo, m_count, rlo, n_count, draws)
-                                : LeafCiphertext(dlo, rlo, n_count));
-      if ((parent != kNoNode || nodes.empty()) &&
-          nodes.size() < kMemoNodeCap) {
-        at = nodes.size();
-        nodes.push_back({value, {0, 0}});
-        if (parent != kNoNode) {
-          nodes[parent].child[side] = static_cast<uint32_t>(at);
-        }
-      }
-    }
-    if (m_count == 1) return WalkEnd{dlo, 1, value, depth};
-    ++depth;
-    const uint64_t x = value;
+    MOPE_ASSIGN_OR_RETURN(const uint64_t x,
+                          SampleSplit(dlo, m_count, rlo, n_count, draws));
     const bool left = by == Descend::kByPlaintext ? target < dlo + x
                                                   : target < rlo + draws;
     if (left) {
@@ -167,13 +128,24 @@ Result<OpeScheme::WalkEnd> OpeScheme::Walk(uint64_t target,
       rlo += draws;
       n_count -= draws;
     }
-    if (m_count == 0) return WalkEnd{dlo, 0, 0, depth};
-    parent = at;
-    side = left ? 0 : 1;
-    at = (parent != kNoNode && nodes[parent].child[side] != 0)
-             ? nodes[parent].child[side]
-             : kNoNode;
+    if (m_count == 0) return WalkEnd{dlo, 0, 0};
   }
+  MOPE_ASSIGN_OR_RETURN(const uint64_t cipher,
+                        LeafCiphertext(dlo, rlo, n_count));
+  return WalkEnd{dlo, 1, cipher};
+}
+
+Result<OpeScheme::Position> OpeScheme::Locate(uint64_t c) const {
+  if (!table_.empty()) {
+    const auto it = std::lower_bound(table_.begin(), table_.end(), c);
+    return Position{static_cast<uint64_t>(it - table_.begin()),
+                    it != table_.end() && *it == c};
+  }
+  MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(c, Descend::kByCiphertext));
+  // An empty branch: every plaintext before it encrypts below c and every
+  // one from it on above, so the answer is its dlo (== domain: none).
+  if (end.m_count == 0) return Position{end.dlo, false};
+  return Position{end.cipher >= c ? end.dlo : end.dlo + 1, end.cipher == c};
 }
 
 Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
@@ -183,8 +155,8 @@ Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
                               std::to_string(params_.domain));
   }
   encrypt_calls_->Increment();
+  if (!table_.empty()) return table_[m];
   MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(m, Descend::kByPlaintext));
-  recursion_depth_->Observe(end.depth);
   return end.cipher;
 }
 
@@ -195,14 +167,11 @@ Result<uint64_t> OpeScheme::Decrypt(uint64_t c) const {
                               std::to_string(params_.range));
   }
   decrypt_calls_->Increment();
-  MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(c, Descend::kByCiphertext));
-  if (end.m_count == 0) {
-    return Status::Corruption("ciphertext maps to an empty OPF branch");
-  }
-  if (end.cipher != c) {
+  MOPE_ASSIGN_OR_RETURN(const Position at, Locate(c));
+  if (!at.hit) {
     return Status::Corruption("ciphertext is not in the image of the OPF");
   }
-  return end.dlo;
+  return at.ceil;
 }
 
 Result<uint64_t> OpeScheme::DecryptFloorCeil(uint64_t c) const {
@@ -212,11 +181,8 @@ Result<uint64_t> OpeScheme::DecryptFloorCeil(uint64_t c) const {
                               std::to_string(params_.range));
   }
   decrypt_calls_->Increment();
-  MOPE_ASSIGN_OR_RETURN(const WalkEnd end, Walk(c, Descend::kByCiphertext));
-  // An empty branch: every plaintext before it encrypts below c and every
-  // one from it on above, so the answer is its dlo (== domain: none).
-  if (end.m_count == 0) return end.dlo;
-  return (end.cipher >= c) ? end.dlo : end.dlo + 1;
+  MOPE_ASSIGN_OR_RETURN(const Position at, Locate(c));
+  return at.ceil;
 }
 
 }  // namespace mope::ope

@@ -15,14 +15,14 @@
 /// half containing the target plaintext.
 ///
 /// Deterministic and key-only: no interaction, and the key alone fixes the
-/// function. A scheme instance memoizes the split nodes its walks have
-/// sampled (at most 2^16 of them), so once a key's tree is cached
-/// Encrypt and Decrypt walk memory instead of paying a PRF call, a coin
-/// stream and an HGD draw per level. Past the cap, walks continue uncached
-/// at O(log N) HGD draws per operation, so large domains still work.
+/// function. For domains up to kMaxTableDomain (2^16) Create samples the
+/// whole split tree once, in one descent, into a sorted table of the M
+/// ciphertexts: Encrypt is a table read, Decrypt and DecryptFloorCeil one
+/// binary search, and none of them draws. Larger domains keep no table and
+/// walk the tree on every call, at O(log N) PRF calls and HGD draws each.
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -50,22 +50,25 @@ struct OpeKey {
   static OpeKey Generate(mope::BitSource* entropy);
 };
 
-/// The OPE scheme. The sampled function is fixed by the key; the only
-/// mutable state is the split-tree memo, which locks itself, so one scheme
-/// may be shared across threads for concurrent Encrypt, Decrypt and
-/// DecryptFloorCeil. Move-only: it owns its memo.
+/// The OPE scheme. The sampled function is fixed by the key, and the scheme
+/// is immutable after Create, so one scheme may be shared across threads for
+/// concurrent Encrypt, Decrypt and DecryptFloorCeil without a lock.
+/// Move-only: a copy would duplicate the table.
 class OpeScheme {
  public:
-  /// Validates parameters (0 < M <= N) and builds the scheme. `registry`
-  /// receives the ope.* counter family (encrypt/decrypt calls, HGD draws
-  /// on memo misses, recursion depth); null selects the process-global
-  /// obs::Registry().
+  /// Largest domain whose ciphertexts Create samples into a table (8 bytes a
+  /// plaintext, so at most 512 KiB). Larger domains walk the tree per call.
+  static constexpr uint64_t kMaxTableDomain = uint64_t{1} << 16;
+
+  /// Validates parameters (0 < M <= N) and builds the scheme, sampling the
+  /// whole tree when M <= kMaxTableDomain. `registry` receives the ope.*
+  /// counter family (encrypt/decrypt calls, HGD draws); null selects the
+  /// process-global obs::Registry().
   static Result<OpeScheme> Create(const OpeParams& params, const OpeKey& key,
                                   obs::MetricsRegistry* registry = nullptr);
 
-  OpeScheme(OpeScheme&&) noexcept;
-  OpeScheme& operator=(OpeScheme&&) noexcept;
-  ~OpeScheme();
+  OpeScheme(OpeScheme&&) noexcept = default;
+  OpeScheme& operator=(OpeScheme&&) noexcept = default;
 
   const OpeParams& params() const { return params_; }
 
@@ -83,9 +86,6 @@ class OpeScheme {
   Result<uint64_t> DecryptFloorCeil(uint64_t c) const;
 
  private:
-  /// The sampled split tree, as far as walks have visited it (ope.cc).
-  struct Memo;
-
   /// Which target a walk descends towards.
   enum class Descend { kByPlaintext, kByCiphertext };
 
@@ -95,16 +95,28 @@ class OpeScheme {
     uint64_t dlo;      ///< First plaintext of the node.
     uint64_t m_count;  ///< Plaintexts in the node: 1 or 0.
     uint64_t cipher;   ///< The leaf's ciphertext; 0 for an empty branch.
-    uint64_t depth;    ///< Splits passed on the way down.
+  };
+
+  /// Where a ciphertext c falls among the image.
+  struct Position {
+    uint64_t ceil;  ///< Smallest plaintext encrypting to c or above; M if none.
+    bool hit;       ///< Whether that plaintext encrypts to c itself.
   };
 
   OpeScheme(const OpeParams& params, const OpeKey& key,
             obs::MetricsRegistry* registry);
 
-  /// Descends from the root towards plaintext or ciphertext `target`. Nodes
-  /// come from the memo; a miss samples the node and memoizes it while the
-  /// memo is under its cap and holds the node's parent.
+  /// Samples the subtree of node (dlo, m_count, rlo, n_count) into table_.
+  Status FillTable(uint64_t dlo, uint64_t m_count, uint64_t rlo,
+                   uint64_t n_count);
+
+  /// Descends from the root towards plaintext or ciphertext `target`,
+  /// sampling every node on the way (domains without a table).
   Result<WalkEnd> Walk(uint64_t target, Descend by) const;
+
+  /// Locates ciphertext c in {0, ..., N-1}: one binary search in the table,
+  /// or a walk.
+  Result<Position> Locate(uint64_t c) const;
 
   /// Number of plaintexts (out of `m_count` in this node) that the sampled
   /// OPF maps into the left `draws` ciphertext slots of this node. Errors
@@ -118,9 +130,9 @@ class OpeScheme {
 
   OpeParams params_;
   crypto::Prf prf_;
-  /// Owned by pointer so the scheme stays movable; a new scheme (including
-  /// the one RotateKey builds) starts with an empty memo.
-  std::unique_ptr<Memo> memo_;
+  /// The ciphertext of every plaintext, strictly increasing because the
+  /// function preserves order; empty when M > kMaxTableDomain.
+  std::vector<uint64_t> table_;
 
   // ope.* metric handles (the registry owns the metrics; incrementing an
   // atomic counter through a const method keeps Encrypt/Decrypt shareable
@@ -128,7 +140,6 @@ class OpeScheme {
   obs::Counter* encrypt_calls_;
   obs::Counter* decrypt_calls_;
   obs::Counter* hgd_draws_;
-  obs::ExpHistogram* recursion_depth_;
 };
 
 }  // namespace mope::ope

@@ -82,18 +82,16 @@ void Proxy::UpdateMixHealthLocked() {
 }
 
 Result<std::unique_ptr<Proxy>> Proxy::Create(
-    const ProxyConfig& config, const ope::MopeKey& key,
-    const ope::OpeParams& params, std::unique_ptr<ServerConnection> connection,
+    const ProxyConfig& config, ope::MopeScheme scheme,
+    std::unique_ptr<ServerConnection> connection,
     const dist::Distribution* known_q, engine::DbServer* maintenance) {
   if (connection == nullptr) {
     return Status::InvalidArgument("proxy needs a server connection");
   }
-  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, params));
-  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme mope,
-                        ope::MopeScheme::Create(params, key, config.registry));
+  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, scheme.params()));
 
   auto proxy = std::unique_ptr<Proxy>(new Proxy(
-      config, std::move(mope), std::move(connection), maintenance));
+      config, std::move(scheme), std::move(connection), maintenance));
   // Resolve the key column up front so result filtering is cheap.
   MOPE_ASSIGN_OR_RETURN(engine::Schema schema,
                         proxy->connection_->GetSchema(config.table));

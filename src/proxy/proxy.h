@@ -83,15 +83,16 @@ struct QueryResponse {
 
 class Proxy {
  public:
-  /// Builds a proxy that queries the server through `connection` (a
+  /// Builds a proxy that encrypts under `scheme` (built once per key, so
+  /// the data owner's loading scheme becomes the proxy's and its table is
+  /// not sampled twice) and queries the server through `connection` (a
   /// DirectConnection to an embedded engine, a RemoteConnection, or a test
   /// double). For the non-adaptive modes `known_q` must provide the
   /// query-start distribution; adaptive modes ignore it and learn from the
   /// stream. `maintenance` is the embedded server that holds the table, or
   /// null; without it RotateKey is NotSupported.
   static Result<std::unique_ptr<Proxy>> Create(
-      const ProxyConfig& config, const ope::MopeKey& key,
-      const ope::OpeParams& params,
+      const ProxyConfig& config, ope::MopeScheme scheme,
       std::unique_ptr<ServerConnection> connection,
       const dist::Distribution* known_q = nullptr,
       engine::DbServer* maintenance = nullptr);

@@ -72,17 +72,19 @@ Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
     return load;
   }
 
+  // The loading scheme becomes the proxy's: one table per key.
   const ProxyConfig config = NextProxyConfig(name, spec);
   auto proxy = [&]() -> Result<std::unique_ptr<Proxy>> {
     // Only a proxy on the embedded engine itself may rotate keys.
     if (!connection_factory_) {
-      return Proxy::Create(config, key, params,
+      return Proxy::Create(config, std::move(scheme),
                            std::make_unique<DirectConnection>(&server_),
                            known_q, &server_);
     }
     MOPE_ASSIGN_OR_RETURN(std::unique_ptr<ServerConnection> connection,
                           connection_factory_());
-    return Proxy::Create(config, key, params, std::move(connection), known_q);
+    return Proxy::Create(config, std::move(scheme), std::move(connection),
+                         known_q);
   }();
   if (!proxy.ok()) {
     MOPE_RETURN_NOT_OK(server_.catalog()->DropTable(name));
@@ -115,9 +117,11 @@ Status MopeSystem::AttachRemoteTable(const std::string& name,
   const ope::OpeParams params{spec.domain, ope::SuggestRange(spec.domain)};
   const ope::MopeKey key = ope::MopeKey::Generate(spec.domain, &rng_);
   const ProxyConfig config = NextProxyConfig(name, spec);
+  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme scheme,
+                        ope::MopeScheme::Create(params, key, metrics_.get()));
   MOPE_ASSIGN_OR_RETURN(
       std::unique_ptr<Proxy> proxy,
-      Proxy::Create(config, key, params, std::move(connection), known_q));
+      Proxy::Create(config, std::move(scheme), std::move(connection), known_q));
   proxies_[name + "." + spec.column] = std::move(proxy);
   return Status::OK();
 }

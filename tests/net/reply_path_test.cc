@@ -496,10 +496,12 @@ Result<std::unique_ptr<proxy::Proxy>> MakeProxy(
   config.domain = kDomain;
   config.k = 4;
   config.mode = proxy::QueryMode::kPassthrough;
-  return proxy::Proxy::Create(
-      config, ope::MopeKey::Generate(kDomain, &rng),
-      ope::OpeParams{kDomain, ope::SuggestRange(kDomain)},
-      std::move(connection));
+  MOPE_ASSIGN_OR_RETURN(
+      ope::MopeScheme scheme,
+      ope::MopeScheme::Create(
+          ope::OpeParams{kDomain, ope::SuggestRange(kDomain)},
+          ope::MopeKey::Generate(kDomain, &rng)));
+  return proxy::Proxy::Create(config, std::move(scheme), std::move(connection));
 }
 
 const Schema kIntKeySchema({Column{"k", ValueType::kInt}});

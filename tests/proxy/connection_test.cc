@@ -65,6 +65,11 @@ struct Fixture {
     EXPECT_TRUE((*table)->CreateIndex("key").ok());
   }
 
+  /// A fresh scheme under the fixture's key, for one proxy.
+  ope::MopeScheme Scheme() const {
+    return ope::MopeScheme::Create(params, key).value();
+  }
+
   ProxyConfig Config() const {
     ProxyConfig config;
     config.table = "data";
@@ -99,7 +104,7 @@ TEST(ConnectionTest, ZeroRetriesFailsImmediately) {
   Fixture fx;
   auto flaky = std::make_unique<FlakyConnection>(&fx.server, 1);
   FlakyConnection* flaky_raw = flaky.get();
-  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params, std::move(flaky));
+  auto proxy = Proxy::Create(fx.Config(), fx.Scheme(), std::move(flaky));
   ASSERT_TRUE(proxy.ok());
   EXPECT_FALSE((*proxy)->ExecuteRange({10, 13}).ok());
   EXPECT_EQ(flaky_raw->requests(), 1);
@@ -107,7 +112,7 @@ TEST(ConnectionTest, ZeroRetriesFailsImmediately) {
 
 TEST(ConnectionTest, RotationUnavailableOverCustomConnection) {
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 0));
   ASSERT_TRUE(proxy.ok());
   Rng rng(1);
@@ -119,7 +124,7 @@ TEST(ConnectionTest, RetriedBatchesDoNotDuplicateRows) {
   // so do overlapping pieces: [58, 63] with k = 4 is [58, 61] and the tail
   // piece shifted back to [60, 63], so rows 60 and 61 are shipped twice.
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 1));
   ASSERT_TRUE(proxy.ok());
   ASSERT_FALSE((*proxy)->ExecuteRange({58, 63}).ok());

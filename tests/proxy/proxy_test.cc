@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "proxy/system.h"
 #include "workload/datasets.h"
@@ -208,6 +210,46 @@ TEST(ProxyTest, TotalsAccumulate) {
   auto proxy = system.GetProxy("data", "key");
   ASSERT_TRUE(proxy.ok());
   EXPECT_EQ((*proxy)->totals().real_queries_sent, 2u);
+}
+
+TEST(ProxyTest, CreateFromABuiltSchemeDrawsNoHgdSample) {
+  // The scheme samples its table once, when it is built; the proxy takes it
+  // over, so neither Create nor a query draws again.
+  obs::MetricsRegistry registry;
+  const obs::Counter* draws = registry.GetCounter("ope.hgd_draws");
+  Rng rng(3);
+  auto scheme = ope::MopeScheme::Create(
+      {kDomain, ope::SuggestRange(kDomain)},
+      ope::MopeKey::Generate(kDomain, &rng), &registry);
+  ASSERT_TRUE(scheme.ok()) << scheme.status();
+  const uint64_t built = draws->Value();
+  EXPECT_GT(built, 0u);
+
+  engine::DbServer server;
+  auto table = server.catalog()->CreateTable("data", MakeSchema());
+  ASSERT_TRUE(table.ok());
+  for (Row row : MakeRows()) {
+    const uint64_t key = static_cast<uint64_t>(std::get<int64_t>(row[0]));
+    row[0] = static_cast<int64_t>(scheme->Encrypt(key).value());
+    ASSERT_TRUE((*table)->Insert(row).ok());
+  }
+  ASSERT_TRUE((*table)->CreateIndex("key").ok());
+
+  ProxyConfig config;
+  config.table = "data";
+  config.column = "key";
+  config.domain = kDomain;
+  config.k = 10;
+  config.mode = QueryMode::kPassthrough;
+  config.registry = &registry;
+  auto proxy = Proxy::Create(config, std::move(scheme).value(),
+                             std::make_unique<DirectConnection>(&server));
+  ASSERT_TRUE(proxy.ok()) << proxy.status();
+  EXPECT_EQ(draws->Value(), built);
+  auto resp = (*proxy)->ExecuteRange(RangeQuery{20, 49});
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ExpectCorrectAnswer(*resp, RangeQuery{20, 49});
+  EXPECT_EQ(draws->Value(), built);
 }
 
 TEST(ProxyTest, FailedLoadRollsBackTheServerTable) {

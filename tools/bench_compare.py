@@ -24,7 +24,11 @@ Typical use (CI compares a fresh run against the committed perf trajectory):
 
 Exit status: 0 within threshold (or nothing to compare), 1 regression(s),
 2 usage error. Missing counterpart files or rows are reported but are not
-failures — benches come and go; only a measured regression fails.
+failures — benches come and go; only a measured regression fails. With
+--require-rows a baseline row that has no candidate counterpart (its
+report missing, or an identity field changed) is a failure too: a gate
+whose rows pin exact counts or a server-visible stream must not pass
+because a changed row stopped matching its baseline.
 """
 
 from __future__ import annotations
@@ -66,19 +70,22 @@ def row_identity(row: dict, measured: set[str]) -> tuple:
 
 def compare(baseline: dict[str, list[dict]], candidate: dict[str, list[dict]],
             higher_worse: set[str], lower_worse: set[str],
-            threshold: float) -> int:
+            threshold: float, require_rows: bool = False) -> int:
     measured = higher_worse | lower_worse
     regressions = 0
     compared = 0
+    missing = 0
     for bench in sorted(baseline):
         if bench not in candidate:
             print(f"  [missing] {bench}: no candidate report")
+            missing += len(baseline[bench])
             continue
         base_rows = {row_identity(r, measured): r for r in baseline[bench]}
         cand_rows = {row_identity(r, measured): r for r in candidate[bench]}
         for identity in sorted(base_rows, key=str):
             if identity not in cand_rows:
                 print(f"  [missing] {bench}: row {dict(identity)} gone")
+                missing += 1
                 continue
             base, cand = base_rows[identity], cand_rows[identity]
             for key in sorted(measured & base.keys() & cand.keys()):
@@ -100,6 +107,10 @@ def compare(baseline: dict[str, list[dict]], candidate: dict[str, list[dict]],
                 regressions += int(bad)
     print(f"bench_compare: {compared} metric(s) compared, "
           f"{regressions} regression(s) past {threshold:.0%}")
+    if require_rows and missing:
+        print(f"bench_compare: {missing} baseline row(s) without a candidate "
+              "counterpart (--require-rows)")
+        return 1
     return 1 if regressions else 0
 
 
@@ -119,6 +130,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--lower-worse", nargs="*",
                         default=list(DEFAULT_LOWER_WORSE),
                         help="numeric fields that regress by shrinking")
+    parser.add_argument("--require-rows", action="store_true",
+                        help="fail when a baseline row has no candidate "
+                             "counterpart")
     args = parser.parse_args(argv)
     if args.threshold < 0:
         print("bench_compare: threshold must be >= 0", file=sys.stderr)
@@ -131,7 +145,7 @@ def main(argv: list[str]) -> int:
               "(nothing to compare; passing)")
         return 0
     return compare(baseline, candidate, set(args.higher_worse),
-                   set(args.lower_worse), args.threshold)
+                   set(args.lower_worse), args.threshold, args.require_rows)
 
 
 if __name__ == "__main__":

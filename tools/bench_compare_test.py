@@ -5,7 +5,8 @@
 Exercises the comparison logic on synthetic BENCH_*.json pairs: identical
 sets pass, a past-threshold bandwidth increase fails, a shrinking
 lower-worse metric fails, identity-mismatched and missing rows are reported
-without failing, and string fields never participate in deltas.
+without failing (and fail under --require-rows), and string fields never
+participate in deltas.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_compare  # noqa: E402
 
 
-def run_compare(base_rows, cand_rows, threshold=0.25, bench="t"):
+def run_compare(base_rows, cand_rows, threshold=0.25, bench="t",
+                extra_args=()):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "base").mkdir()
@@ -33,6 +35,7 @@ def run_compare(base_rows, cand_rows, threshold=0.25, bench="t"):
             "--baseline", str(root / "base"),
             "--candidate", str(root / "cand"),
             "--threshold", str(threshold),
+            *extra_args,
         ])
 
 
@@ -71,6 +74,43 @@ class BenchCompareTest(unittest.TestCase):
                 {"metric": "bandwidth", "period": 16, "value": 5.0}]
         cand = [{"metric": "bandwidth", "period": 8, "value": 10.0}]
         self.assertEqual(run_compare(base, cand), 0)
+
+    def test_missing_row_fails_with_require_rows(self) -> None:
+        base = [{"metric": "bandwidth", "period": 8, "value": 10.0},
+                {"metric": "bandwidth", "period": 16, "value": 5.0}]
+        cand = [{"metric": "bandwidth", "period": 8, "value": 10.0}]
+        self.assertEqual(
+            run_compare(base, cand, extra_args=["--require-rows"]), 1)
+
+    def test_changed_identity_fails_with_require_rows(self) -> None:
+        # A count the server observed moves by one: the row no longer
+        # matches its baseline, which is a failure, not a missing row.
+        base = [{"case": "queryu_wire", "fakes": 12380, "chi2": 57.7}]
+        cand = [{"case": "queryu_wire", "fakes": 12381, "chi2": 57.7}]
+        self.assertEqual(run_compare(base, cand), 0)
+        self.assertEqual(
+            run_compare(base, cand, extra_args=["--require-rows"]), 1)
+
+    def test_require_rows_passes_when_every_row_matches(self) -> None:
+        base = [{"metric": "bandwidth", "period": 8, "value": 10.0}]
+        cand = [{"metric": "bandwidth", "period": 8, "value": 10.1},
+                {"metric": "bandwidth", "period": 32, "value": 3.0}]
+        self.assertEqual(
+            run_compare(base, cand, extra_args=["--require-rows"]), 0)
+
+    def test_missing_candidate_report_fails_with_require_rows(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "base").mkdir()
+            (root / "cand").mkdir()
+            (root / "base" / "BENCH_x.json").write_text(
+                json.dumps({"bench": "x",
+                            "rows": [{"metric": "v", "value": 1.0}]}))
+            self.assertEqual(bench_compare.main([
+                "--baseline", str(root / "base"),
+                "--candidate", str(root / "cand"),
+                "--require-rows",
+            ]), 1)
 
     def test_missing_candidate_report_is_not_a_failure(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:

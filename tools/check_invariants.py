@@ -131,6 +131,15 @@ Machine-enforces the correctness conventions that code review used to carry:
                          (Corruption, server answers). Anything else needs
                          `// invariant-ok: R16 <reason>`.
 
+  R17 ope-lock-free       No mutex or lock in src/ope/{ope,mope}.{h,cc}:
+                         mope::Mutex / SharedMutex, the MutexLock family,
+                         `lock_rank::` and the raw standard types are all
+                         banned there. An OPE or MOPE scheme is immutable
+                         after Create (a ciphertext table, or a walk that
+                         only reads the key), so concurrent queries on one
+                         key never serialize on it. Anything else needs
+                         `// invariant-ok: R17 <reason>`.
+
 A line may opt out with a trailing `// invariant-ok: <reason>` comment; the
 reason is mandatory and greppable. Exit status: 0 clean, 1 violations,
 2 usage error.
@@ -318,6 +327,17 @@ RULES = [
         "invariant-ok",
         includes=("src/",),
         excludes=("src/net/remote_connection.",),
+    ),
+    Rule(
+        "ope-lock-free",
+        r"\b(?:Shared)?Mutex\b|\b(?:Reader|Writer)?MutexLock\b|"
+        r"\block_rank::|std::(?:recursive_|timed_|shared_timed_|shared_)?"
+        r"mutex\b|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b",
+        "lock in an OPE scheme: OpeScheme and MopeScheme are immutable after "
+        "Create, so concurrent queries on one key never serialize; keep "
+        "mutable state out of them",
+        includes=("src/ope/ope.h", "src/ope/ope.cc", "src/ope/mope.h",
+                  "src/ope/mope.cc"),
     ),
     Rule(
         "auditor-ciphertext-only",

@@ -675,6 +675,44 @@ class NoFalsePositives(unittest.TestCase):
         )
         self.assertNotIn("retry-policy", rule_ids(v))
 
+    def test_ope_lock_free_catches_locks_in_schemes(self) -> None:
+        # The split-tree memo's lock, as the scheme once held it.
+        v = run_on_tree(
+            {"src/ope/ope.cc":
+                 "  Mutex mutex{lock_rank::kOpeMemo};\n"
+                 "  const MutexLock lock(&memo.mutex);\n",
+             "src/ope/mope.h":
+                 "  mutable SharedMutex mu_;\n"
+                 "  std::lock_guard<std::mutex> guard(mu);\n"}
+        )
+        self.assertEqual(
+            sum("[ope-lock-free]" in x for x in v), 4, "\n".join(v)
+        )
+
+    def test_ope_lock_free_scoped_to_the_schemes(self) -> None:
+        v = run_on_tree(
+            {"src/ope/mutable_ope.cc": "  Mutex mutex_;\n",
+             "src/proxy/proxy.h":
+                 "  mutable Mutex mutex_{lock_rank::kProxy};\n"}
+        )
+        self.assertNotIn("ope-lock-free", rule_ids(v))
+
+    def test_ope_lock_free_allows_lock_free_words(self) -> None:
+        # Plain prose about locks and atomic counters is not a lock.
+        v = run_on_tree(
+            {"src/ope/ope.h":
+                 "/// Shared across threads without a lock.\n"
+                 "  obs::Counter* encrypt_calls_;\n"}
+        )
+        self.assertNotIn("ope-lock-free", rule_ids(v))
+
+    def test_ope_lock_free_escape_comment(self) -> None:
+        v = run_on_tree(
+            {"src/ope/ope.cc":
+                 "  Mutex mu;  // invariant-ok: R17 test-only scheme\n"}
+        )
+        self.assertNotIn("ope-lock-free", rule_ids(v))
+
     def test_real_repo_is_clean(self) -> None:
         root = Path(__file__).resolve().parent.parent
         violations = []
