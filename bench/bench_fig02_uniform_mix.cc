@@ -33,8 +33,9 @@ void Run(bench::JsonReport* report) {
   auto q_starts = dist::Distribution::FromWeights(std::move(w));
   MOPE_CHECK(q_starts.ok(), "weights");
 
+  // QueryU is QueryP[1].
   auto algorithm =
-      query::UniformQueryAlgorithm::Create({kDomain, kK}, *q_starts);
+      query::PeriodicQueryAlgorithm::Create({kDomain, kK}, *q_starts, 1);
   MOPE_CHECK(algorithm.ok(), "QueryU");
   std::printf("\ncoin bias alpha        : %.4f\n", (*algorithm)->plan().alpha);
   std::printf("E[fakes per real query]: %.2f\n",

@@ -31,7 +31,8 @@ void Run(bench::JsonReport* report) {
   auto q_starts = dist::Distribution::FromWeights(std::move(w));
   MOPE_CHECK(q_starts.ok(), "weights");
 
-  auto query_u = query::UniformQueryAlgorithm::Create({kDomain, kK}, *q_starts);
+  auto query_u =
+      query::PeriodicQueryAlgorithm::Create({kDomain, kK}, *q_starts, 1);
   auto query_p =
       query::PeriodicQueryAlgorithm::Create({kDomain, kK}, *q_starts, kPeriod);
   MOPE_CHECK(query_u.ok() && query_p.ok(), "algorithms");

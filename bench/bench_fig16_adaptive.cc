@@ -20,7 +20,7 @@ void RunSeries(const char* name, uint64_t domain, uint64_t k,
                const std::function<query::RangeQuery(mope::BitSource*)>& sample,
                int rounds, int print_every, double reference_fakes,
                Rng* rng, bench::JsonReport* report) {
-  auto algorithm = query::AdaptiveQueryAlgorithm::Create({domain, k}, 0);
+  auto algorithm = query::AdaptiveQueryAlgorithm::Create({domain, k}, 1);
   MOPE_CHECK(algorithm.ok(), "adaptive");
 
   std::printf("\n%s (M = %llu, k = %llu); QueryU steady state ~%.0f fakes "
@@ -59,7 +59,7 @@ void Run(bench::JsonReport* report) {
       workload::MakeDataset(workload::DatasetKind::kSanFran);
   auto starts =
       workload::BuildStartDistribution(sanfran, {10.0}, 10, 20000, &rng);
-  auto plan = dist::MakeUniformPlan(starts);
+  auto plan = dist::MakePeriodicPlan(starts, 1);
   MOPE_CHECK(plan.ok(), "plan");
   RunSeries(
       "SanFran10", sanfran.size(), 10,
@@ -72,7 +72,7 @@ void Run(bench::JsonReport* report) {
   auto q14 = [](mope::BitSource* r) { return workload::SampleQ14(r).shipdate; };
   const dist::Distribution q14_starts =
       bench::TemplateStarts(q14, 30, 20000, &rng);
-  auto q14_plan = dist::MakeUniformPlan(q14_starts);
+  auto q14_plan = dist::MakePeriodicPlan(q14_starts, 1);
   MOPE_CHECK(q14_plan.ok(), "plan");
   RunSeries("TPC-H Q14", workload::kTpchDateDomain, 30, q14, 1000, 100,
             q14_plan->expected_fakes_per_real(), &rng, report);

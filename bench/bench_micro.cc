@@ -239,18 +239,24 @@ void BM_KeyRotation(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyRotation)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-/// Completion-plan construction cost (the adaptive algorithm pays this once
-/// per incoming query piece).
-void BM_UniformPlanBuild(benchmark::State& state) {
+/// Completion-plan construction cost at domain M and period ρ (the adaptive
+/// algorithm pays this once per incoming query piece). ρ = 1 is QueryU's
+/// plan; 2,880 is the TPC-H date domain.
+void BM_PlanBuild(benchmark::State& state) {
   const uint64_t m = static_cast<uint64_t>(state.range(0));
+  const uint64_t period = static_cast<uint64_t>(state.range(1));
   std::vector<double> w(m);
   for (uint64_t i = 0; i < m; ++i) w[i] = 1.0 / static_cast<double>(1 + i);
   auto q = dist::Distribution::FromWeights(std::move(w));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dist::MakeUniformPlan(*q).value().alpha);
+    benchmark::DoNotOptimize(dist::MakePeriodicPlan(*q, period).value().alpha);
   }
 }
-BENCHMARK(BM_UniformPlanBuild)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_PlanBuild)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({2880, 1})
+    ->Args({2880, 30});
 
 /// The frame/WAL/checkpoint CRC, through the path this host picks, at 64 B,
 /// one durable_load WAL insert record (123 B), 4 KiB and one analyst_q6

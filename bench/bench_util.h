@@ -216,22 +216,15 @@ inline CostRunResult RunCostExperiment(workload::DatasetKind kind,
   const dist::Distribution starts =
       workload::BuildStartDistribution(data, {sigma}, k, 20000, &rng);
 
-  const query::QueryConfig config{data.size(), k};
-  std::unique_ptr<query::QueryAlgorithm> algorithm;
-  if (period == 0) {
-    auto alg = query::UniformQueryAlgorithm::Create(config, starts);
-    MOPE_CHECK(alg.ok(), "QueryU creation failed");
-    algorithm = std::move(alg).value();
-  } else {
-    auto alg = query::PeriodicQueryAlgorithm::Create(config, starts, period);
-    MOPE_CHECK(alg.ok(), "QueryP creation failed");
-    algorithm = std::move(alg).value();
-  }
+  // Rows label QueryU as period 0; it runs as QueryP[1].
+  auto algorithm = query::PeriodicQueryAlgorithm::Create(
+      {data.size(), k}, starts, period == 0 ? 1 : period);
+  MOPE_CHECK(algorithm.ok(), "query algorithm creation failed");
 
   query::CostAccumulator cost(&counter, k);
   for (uint64_t i = 0; i < num_queries; ++i) {
     const query::RangeQuery q = workload::GenerateQuery(data, {sigma}, &rng);
-    auto batch = algorithm->Process(q, &rng);
+    auto batch = (*algorithm)->Process(q, &rng);
     MOPE_CHECK(batch.ok(), "query processing failed");
     cost.AddBatch(q, *batch);
   }

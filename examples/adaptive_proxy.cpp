@@ -53,7 +53,7 @@ int main() {
 
   // Reference: what the non-adaptive QueryU would pay with full knowledge.
   auto starts = workload::BuildStartDistribution(sanfran, {10.0}, 10, 20000, &rng);
-  auto plan = dist::MakeUniformPlan(starts);
+  auto plan = dist::MakePeriodicPlan(starts, 1);
   std::printf("non-adaptive QueryU steady state: %.0f fakes per real query\n\n",
               plan->expected_fakes_per_real());
 

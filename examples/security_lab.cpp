@@ -106,7 +106,7 @@ void TradeoffDemo() {
 
   std::printf("%10s %22s %24s\n", "period", "E[fakes per query]",
               "offset bits leaked");
-  auto uniform = dist::MakeUniformPlan(q);
+  auto uniform = dist::MakePeriodicPlan(q, 1);  // QueryU is QueryP[1]
   std::printf("%10s %22.1f %24s\n", "n/a (U)",
               uniform->expected_fakes_per_real(), "0 of 10");
   for (uint64_t period : {2ULL, 8ULL, 32ULL, 128ULL, 512ULL, 1024ULL}) {

@@ -7,19 +7,20 @@
 /// Given the user's query-start distribution Q on [M], the proxy mixes real
 /// queries (with probability α per trial) and fake queries drawn from a
 /// completion distribution Q̄ so that the *perceived* distribution
-/// α·Q + (1-α)·Q̄ equals a target that is independent of the secret offset:
+/// α·Q + (1-α)·Q̄ equals a target that is independent of the secret offset.
 ///
-///  * Uniform completion (Section 3.1): target U, α = 1/(µ_Q·M), and
-///    Q̄(i) = (µ_Q - Q(i)) / (µ_Q·M - 1). Expected fakes per real query is
-///    µ_Q·M - 1.
-///  * ρ-periodic completion (Section 3.2): target P_ρ with period ρ | M,
-///    α = 1/(η_Q·M) where η_Q is the average over congruence classes mod ρ
-///    of the class-maximum probability, and
-///    Q̄_ρ(i) = (η_{j(i)} - Q(i)) / (η_Q·M - 1). Expected fakes per real
-///    query is η_Q·M - 1 <= M/ρ - ... (always <= the uniform scheme's).
+/// ρ-periodic completion (Section 3.2): target P_ρ with period ρ | M,
+/// α = 1/(η_Q·M) where η_Q is the average over congruence classes mod ρ of
+/// the class-maximum probability, and
+/// Q̄_ρ(i) = (η_{j(i)} - Q(i)) / (η_Q·M - 1). Expected fakes per real query
+/// is η_Q·M - 1 <= M/ρ - 1.
 ///
-/// Both α values are chosen maximal, minimizing the expected number of fake
-/// queries subject to the perceived-distribution constraint.
+/// Uniform completion (Section 3.1) is the case ρ = 1: one congruence class,
+/// so η_Q = µ_Q, α = 1/(µ_Q·M), Q̄(i) = (µ_Q - Q(i)) / (µ_Q·M - 1) and the
+/// target is U. QueryU is built as QueryP[1]; there is no separate plan.
+///
+/// α is chosen maximal, minimizing the expected number of fake queries
+/// subject to the perceived-distribution constraint.
 
 #include <cstdint>
 
@@ -36,20 +37,18 @@ struct MixPlan {
   /// target already equals Q and this is never sampled (kept valid anyway).
   Distribution completion = Distribution::Uniform(1);
 
-  /// The perceived distribution the mix realizes (U or P_ρ) — exposed so
-  /// tests and security experiments can verify the mixing identity.
+  /// The perceived distribution the mix realizes (P_ρ; U when ρ = 1) —
+  /// exposed so tests and security experiments can verify the mixing
+  /// identity.
   Distribution perceived = Distribution::Uniform(1);
 
   /// E[# fake queries per real query] = 1/alpha - 1 (geometric).
   double expected_fakes_per_real() const { return 1.0 / alpha - 1.0; }
 };
 
-/// Builds the Section 3.1 plan: perceived distribution uniform on [M].
-Result<MixPlan> MakeUniformPlan(const Distribution& q);
-
 /// Builds the Section 3.2 plan with the given period. Fails unless
-/// 1 <= period <= M and period divides M. period == 1 degenerates to the
-/// uniform plan; period == M forwards every query unmodified (alpha == 1).
+/// 1 <= period <= M and period divides M. period == 1 is the Section 3.1
+/// (uniform) plan; period == M forwards every query unmodified (alpha == 1).
 Result<MixPlan> MakePeriodicPlan(const Distribution& q, uint64_t period);
 
 /// η_Q for the given distribution and period: the average over congruence

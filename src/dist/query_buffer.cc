@@ -8,25 +8,14 @@ QueryBuffer::QueryBuffer(uint64_t domain) : histogram_(domain) {
 
 void QueryBuffer::Add(uint64_t start) {
   MOPE_CHECK(start < domain(), "query start outside the domain");
-  entries_.push_back(start);
   histogram_.Add(start);
 }
 
-uint64_t QueryBuffer::SampleReal(mope::BitSource* bits) const {
-  MOPE_CHECK(!entries_.empty(), "sampling from an empty query buffer");
-  return entries_[bits->UniformUint64(entries_.size())];
-}
-
 Result<Distribution> QueryBuffer::Estimate() const {
-  if (entries_.empty()) {
+  if (empty()) {
     return Status::InvalidArgument("query buffer is empty");
   }
   return Distribution::FromHistogram(histogram_);
-}
-
-Result<MixPlan> QueryBuffer::UniformPlan() const {
-  MOPE_ASSIGN_OR_RETURN(Distribution q, Estimate());
-  return MakeUniformPlan(q);
 }
 
 Result<MixPlan> QueryBuffer::PeriodicPlan(uint64_t period) const {

@@ -5,17 +5,16 @@
 /// The online query-distribution estimator of Section 4.
 ///
 /// The adaptive algorithms do not assume the user's query distribution is
-/// known a priori; instead the proxy maintains a buffer of the query starts
-/// seen so far and treats the buffer as the current histogram estimate of Q.
-/// Sampling a "real" query uniformly from the buffer (with replacement, the
-/// buffer unmodified) is identical to sampling from the current estimate —
-/// the property the security argument of Section 7 relies on.
+/// known a priori; instead the proxy keeps a buffer of the query starts seen
+/// so far. The buffer is just its histogram: a uniform draw from the buffer
+/// (with replacement) is a draw from the normalized histogram, so the
+/// histogram is the current estimate of Q and nothing else is stored. Plans
+/// come from the one Section 3.2 builder; ρ = 1 is AdaptiveQueryU's uniform
+/// target.
 
 #include <cstdint>
-#include <vector>
 
 #include "common/histogram.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "dist/completion.h"
 
@@ -27,15 +26,11 @@ class QueryBuffer {
   explicit QueryBuffer(uint64_t domain);
 
   uint64_t domain() const { return histogram_.size(); }
-  uint64_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  uint64_t size() const { return histogram_.total(); }
+  bool empty() const { return histogram_.total() == 0; }
 
   /// Records one observed real-query start point.
   void Add(uint64_t start);
-
-  /// Uniform draw from the buffer with replacement (the buffer itself is
-  /// unmodified) — equivalent to a draw from the current estimate of Q.
-  uint64_t SampleReal(mope::BitSource* bits) const;
 
   /// The buffer as a histogram over the domain.
   const Histogram& histogram() const { return histogram_; }
@@ -43,14 +38,11 @@ class QueryBuffer {
   /// Current estimate of Q. Fails when the buffer is empty.
   Result<Distribution> Estimate() const;
 
-  /// Mixing plan against the uniform target, from the current estimate.
-  Result<MixPlan> UniformPlan() const;
-
-  /// Mixing plan against the ρ-periodic target, from the current estimate.
+  /// Mixing plan against the ρ-periodic target (uniform when ρ = 1), from
+  /// the current estimate.
   Result<MixPlan> PeriodicPlan(uint64_t period) const;
 
  private:
-  std::vector<uint64_t> entries_;
   Histogram histogram_;
 };
 

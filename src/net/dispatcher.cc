@@ -159,7 +159,8 @@ void WireDispatcher::EmitQueryLog(const FrameView& frame, uint64_t elapsed_ns,
   // One line per sampled query, every counter inline: grep `event=query` and
   // every resource the server credited to the request is on the line,
   // joinable against client-side traces via trace_id. Flows through the
-  // default logger, so its rate limiter has the final say under load.
+  // default logger: every sampled query is logged, since nothing outside
+  // the tests sets Logger::SetRateLimit.
   obs::LogEvent event(obs::Logger::Default(), obs::LogLevel::kInfo, "server",
                       "query");
   event.Arg("type", static_cast<uint64_t>(frame.type))

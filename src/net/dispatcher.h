@@ -73,8 +73,9 @@ struct DispatcherOptions {
   /// Sampled query log: every Nth data-bearing request (range or count
   /// batch) runs under a server-side trace and is emitted as a structured
   /// `event=query` log line carrying that trace's counters, through the
-  /// default (rate-limited) logger. The reply is unchanged: it carries a
-  /// profile only when its request asked for one. 0 disables.
+  /// default logger, which applies no rate limit unless one is set (no
+  /// caller outside the tests sets one). The reply is unchanged: it carries
+  /// a profile only when its request asked for one. 0 disables.
   uint64_t query_log_sample = 0;
 };
 

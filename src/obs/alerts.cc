@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 
+#include "obs/json.h"
 #include "obs/log.h"
 
 namespace mope::obs {
 
 namespace {
+
+using internal::DoubleField;
+using internal::JsonEscape;
 
 bool IsMetricChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
@@ -77,30 +81,6 @@ bool Compare(AlertComparator op, double lhs, double rhs) {
       return lhs <= rhs;
   }
   return false;
-}
-
-std::string DoubleField(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// Finds `name` in a name-sorted TypedSnapshot and converts it to double
@@ -181,6 +161,12 @@ Result<AlertRule> ParseAlertRule(std::string_view spec) {
   char* end = nullptr;
   const double threshold = std::strtod(rhs.c_str(), &end);
   if (end != nullptr && *end == '\0' && end != rhs.c_str()) {
+    // strtod also reads nan, inf and out-of-range literals: a nan threshold
+    // never fires and an infinite one renders as invalid JSON.
+    if (!std::isfinite(threshold)) {
+      return Status::InvalidArgument("non-finite threshold '" + rhs +
+                                     "' in alert rule");
+    }
     rule.rhs_is_metric = false;
     rule.threshold = threshold;
   } else if (IsMetricName(rhs)) {

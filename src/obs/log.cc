@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace mope::obs {
@@ -35,30 +36,7 @@ bool TextValueIsBare(const std::string& v) {
 
 void AppendQuoted(const std::string& v, std::string* out) {
   out->push_back('"');
-  for (char c : v) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  internal::AppendJsonEscaped(v, out);
   out->push_back('"');
 }
 
@@ -316,9 +294,7 @@ LogEvent& LogEvent::Arg(const char* key, bool value) {
 
 LogEvent& LogEvent::Arg(const char* key, double value) {
   if (logger_ == nullptr) return *this;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  fields_.emplace_back(key, buf);
+  fields_.emplace_back(key, internal::DoubleField(value));
   field_is_string_.push_back(false);
   return *this;
 }

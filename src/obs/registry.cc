@@ -1,11 +1,14 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.h"
 
 namespace mope::obs {
 
 namespace {
+
+using internal::JsonEscape;
 
 /// Prometheus names: [a-zA-Z_:][a-zA-Z0-9_:]*. Our internal names are
 /// dotted; everything else already conforms.
@@ -15,24 +18,6 @@ std::string PromName(const std::string& name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     if (!ok) c = '_';
-  }
-  return out;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
   }
   return out;
 }
@@ -100,15 +85,6 @@ void ExpHistogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-}
-
-mope::Histogram ExpHistogram::ToHistogram() const {
-  mope::Histogram h(kNumBuckets);
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = BucketCount(i);
-    if (n > 0) h.Add(static_cast<uint64_t>(i), n);
-  }
-  return h;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

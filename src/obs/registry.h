@@ -37,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/thread_annotations.h"
 #include "obs/trace.h"
 
@@ -121,11 +120,6 @@ class ExpHistogram {
   uint64_t QuantileInterpolated(double q) const;
 
   void Reset();
-
-  /// Bridges into the repo's analysis type: a common::Histogram with one bin
-  /// per bucket (bin i = count of bucket i), so the existing rendering and
-  /// distribution tooling applies to latency data too.
-  mope::Histogram ToHistogram() const;
 
  private:
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};

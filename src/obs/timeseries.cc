@@ -6,34 +6,14 @@
 #include <cstdio>
 
 #include "obs/alerts.h"
+#include "obs/json.h"
 
 namespace mope::obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string DoubleField(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+using internal::DoubleField;
+using internal::JsonEscape;
 
 std::string ValueField(MetricKind kind, uint64_t v) {
   char buf[24];

@@ -1,48 +1,12 @@
 #include "obs/trace_export.h"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace mope::obs {
-
-namespace {
-
-/// JSON string escaping for the small charset that can appear in span and
-/// counter names (they are C string literals in practice, but the format
-/// must stay valid for anything).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string ExportChromeTrace(const Trace& trace, int pid, int tid) {
   const std::vector<Span> spans = trace.spans();
@@ -54,7 +18,7 @@ std::string ExportChromeTrace(const Trace& trace, int pid, int tid) {
   // Track metadata: name the (pid, tid) lane after the trace.
   out << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
       << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-      << JsonEscape(trace.name()) << "\"}}";
+      << internal::JsonEscape(trace.name()) << "\"}}";
 
   // Spans as complete events; ts/dur in integer microseconds (the format's
   // native unit). An open span (end_ns == 0) exports with dur 0 — visible
@@ -66,15 +30,15 @@ std::string ExportChromeTrace(const Trace& trace, int pid, int tid) {
     const uint64_t dur_us = end_us > ts_us ? end_us - ts_us : 0;
     if (end_us > last_end_us) last_end_us = end_us;
     out << ",{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-        << ",\"name\":\"" << JsonEscape(span.name) << "\",\"ts\":" << ts_us
-        << ",\"dur\":" << dur_us << "}";
+        << ",\"name\":\"" << internal::JsonEscape(span.name)
+        << "\",\"ts\":" << ts_us << ",\"dur\":" << dur_us << "}";
   }
 
   // Counters as one final sample each, so the viewer's counter track shows
   // the per-trace totals at the point the query finished.
   for (const auto& [name, value] : counters) {
     out << ",{\"ph\":\"C\",\"pid\":" << pid << ",\"name\":\""
-        << JsonEscape(name) << "\",\"ts\":" << last_end_us
+        << internal::JsonEscape(name) << "\",\"ts\":" << last_end_us
         << ",\"args\":{\"value\":" << value << "}}";
   }
 

@@ -74,10 +74,6 @@ class MopeScheme {
   /// ciphertext range [Enc(first), Enc(last)].
   Result<CipherRange> EncryptRange(const ModularInterval& plain) const;
 
-  /// Read-only access to the underlying (shifted) OPE scheme, for security
-  /// experiments that need the raw OPF.
-  const OpeScheme& underlying_ope() const { return ope_; }
-
  private:
   MopeScheme(OpeScheme ope, uint64_t offset)
       : ope_(std::move(ope)), offset_(offset) {}

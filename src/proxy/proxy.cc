@@ -107,40 +107,37 @@ Result<std::unique_ptr<Proxy>> Proxy::Create(
 
 Status Proxy::SetupAlgorithm(const dist::Distribution* known_q) {
   const query::QueryConfig qc{config_.domain, config_.k};
+  // QueryU is QueryP[1] and AdaptiveQueryU is AdaptiveQueryP[1]: one
+  // congruence class, so the perceived target is uniform.
+  uint64_t period = 1;
+  bool adaptive = false;
   switch (config_.mode) {
     case QueryMode::kPassthrough:
-      break;  // no algorithm: τk pieces are sent as-is
-    case QueryMode::kUniform: {
-      if (known_q == nullptr) {
-        return Status::InvalidArgument(
-            "QueryU needs the query-start distribution");
-      }
-      MOPE_ASSIGN_OR_RETURN(algorithm_,
-                            query::UniformQueryAlgorithm::Create(qc, *known_q));
+      return Status::OK();  // no algorithm: τk pieces are sent as-is
+    case QueryMode::kUniform:
       break;
-    }
-    case QueryMode::kPeriodic: {
-      if (known_q == nullptr) {
-        return Status::InvalidArgument(
-            "QueryP needs the query-start distribution");
-      }
-      MOPE_ASSIGN_OR_RETURN(
-          algorithm_,
-          query::PeriodicQueryAlgorithm::Create(qc, *known_q, config_.period));
+    case QueryMode::kPeriodic:
+      period = config_.period;
       break;
-    }
-    case QueryMode::kAdaptiveUniform: {
-      MOPE_ASSIGN_OR_RETURN(algorithm_,
-                            query::AdaptiveQueryAlgorithm::Create(qc, 0));
+    case QueryMode::kAdaptiveUniform:
+      adaptive = true;
       break;
-    }
-    case QueryMode::kAdaptivePeriodic: {
-      MOPE_ASSIGN_OR_RETURN(
-          algorithm_,
-          query::AdaptiveQueryAlgorithm::Create(qc, config_.period));
+    case QueryMode::kAdaptivePeriodic:
+      period = config_.period;
+      adaptive = true;
       break;
-    }
   }
+  if (adaptive) {
+    MOPE_ASSIGN_OR_RETURN(algorithm_,
+                          query::AdaptiveQueryAlgorithm::Create(qc, period));
+    return Status::OK();
+  }
+  if (known_q == nullptr) {
+    return Status::InvalidArgument(
+        "QueryU and QueryP need the query-start distribution");
+  }
+  MOPE_ASSIGN_OR_RETURN(
+      algorithm_, query::PeriodicQueryAlgorithm::Create(qc, *known_q, period));
   return Status::OK();
 }
 
@@ -252,7 +249,6 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
                                      cipher_ranges, key_column_index_,
                                      want_cipher_iv, &rows));
     ++response.server_requests;
-    ++response.clock_ticks;
     response.rows_received += shipped;
 
     // 5: of the rows whose ciphertext falls in the client's encrypted range,
@@ -272,7 +268,6 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
   totals_.real_queries_sent += response.real_queries_sent;
   totals_.fake_queries_sent += response.fake_queries_sent;
   totals_.server_requests += response.server_requests;
-  totals_.clock_ticks += response.clock_ticks;
   totals_.rows_received += response.rows_received;
   real_queries_->Increment(response.real_queries_sent);
   fake_queries_->Increment(response.fake_queries_sent);

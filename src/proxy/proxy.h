@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -52,7 +53,9 @@ struct ProxyConfig {
   uint64_t domain = 0;      ///< M: plaintext domain of the column.
   uint64_t k = 1;           ///< Fixed query length.
   QueryMode mode = QueryMode::kUniform;
-  uint64_t period = 0;      ///< ρ for the periodic modes (divides domain).
+  /// ρ for the periodic modes: in [1, domain], dividing domain. The uniform
+  /// modes ignore it and run at ρ = 1 (QueryU is QueryP[1]).
+  uint64_t period = 0;
   size_t batch_size = 1;    ///< Ranges OR-ed per server request (Fig. 15).
   uint64_t rng_seed = 42;   ///< Seed for coins/fakes/permutation.
 
@@ -78,7 +81,6 @@ struct QueryResponse {
   uint64_t fake_queries_sent = 0;  ///< Fake/duplicate queries executed.
   uint64_t server_requests = 0;    ///< Batched round trips to the server.
   uint64_t rows_received = 0;      ///< Ciphertext rows shipped back.
-  uint64_t clock_ticks = 0;        ///< Fixed-interval slots consumed.
 };
 
 class Proxy {

@@ -32,7 +32,9 @@ struct EncryptedColumnSpec {
   uint64_t domain = 0;      ///< Plaintext values must lie in [0, domain).
   uint64_t k = 1;           ///< Fixed query length.
   QueryMode mode = QueryMode::kUniform;
-  uint64_t period = 0;      ///< ρ for periodic modes.
+  /// ρ for the periodic modes: in [1, domain], dividing domain. The uniform
+  /// modes ignore it and run at ρ = 1 (QueryU is QueryP[1]).
+  uint64_t period = 0;
   size_t batch_size = 1;    ///< Ranges per server request.
 };
 

@@ -30,43 +30,17 @@ void ShuffleBatch(std::vector<FixedQuery>* batch, mope::BitSource* rng) {
   }
 }
 
-/// Emits the τk pieces of q plus Geom(α) completion-sampled fakes per piece,
-/// permuted — shared by QueryU and QueryP, which differ only in their plan.
-Result<std::vector<FixedQuery>> MixAndPermute(const RangeQuery& q,
-                                              const QueryConfig& config,
-                                              const dist::MixPlan& plan,
-                                              mope::BitSource* rng) {
-  std::vector<FixedQuery> batch = Decompose(q, config.k, config.domain);
-  const size_t reals = batch.size();
-  for (size_t i = 0; i < reals; ++i) {
-    const uint64_t fakes = (plan.alpha >= 1.0) ? 0 : rng->Geometric(plan.alpha);
-    for (uint64_t f = 0; f < fakes; ++f) {
-      batch.push_back(FixedQuery{plan.completion.Sample(rng), QueryKind::kFake});
-    }
+/// Appends the Geom(α) completion-sampled fakes that go with one real piece:
+/// one draw with the distribution of the paper's per-trial α-coin loop.
+void AppendFakes(const dist::MixPlan& plan, mope::BitSource* rng,
+                 std::vector<FixedQuery>* out) {
+  const uint64_t fakes = (plan.alpha >= 1.0) ? 0 : rng->Geometric(plan.alpha);
+  for (uint64_t f = 0; f < fakes; ++f) {
+    out->push_back(FixedQuery{plan.completion.Sample(rng), QueryKind::kFake});
   }
-  ShuffleBatch(&batch, rng);
-  return batch;
 }
 
 }  // namespace
-
-Result<std::unique_ptr<UniformQueryAlgorithm>> UniformQueryAlgorithm::Create(
-    const QueryConfig& config, const dist::Distribution& q_starts) {
-  MOPE_RETURN_NOT_OK(ValidateConfig(config));
-  if (q_starts.size() != config.domain) {
-    return Status::InvalidArgument(
-        "query-start distribution size must equal the domain");
-  }
-  MOPE_ASSIGN_OR_RETURN(dist::MixPlan plan, dist::MakeUniformPlan(q_starts));
-  return std::unique_ptr<UniformQueryAlgorithm>(
-      new UniformQueryAlgorithm(config, std::move(plan)));
-}
-
-Result<std::vector<FixedQuery>> UniformQueryAlgorithm::Process(
-    const RangeQuery& q, mope::BitSource* rng) {
-  MOPE_RETURN_NOT_OK(ValidateQuery(q, config_));
-  return MixAndPermute(q, config_, plan_, rng);
-}
 
 Result<std::unique_ptr<PeriodicQueryAlgorithm>> PeriodicQueryAlgorithm::Create(
     const QueryConfig& config, const dist::Distribution& q_starts,
@@ -85,14 +59,21 @@ Result<std::unique_ptr<PeriodicQueryAlgorithm>> PeriodicQueryAlgorithm::Create(
 Result<std::vector<FixedQuery>> PeriodicQueryAlgorithm::Process(
     const RangeQuery& q, mope::BitSource* rng) {
   MOPE_RETURN_NOT_OK(ValidateQuery(q, config_));
-  return MixAndPermute(q, config_, plan_, rng);
+  // The τk pieces of q plus their fakes, permuted.
+  std::vector<FixedQuery> batch = Decompose(q, config_.k, config_.domain);
+  const size_t reals = batch.size();
+  for (size_t i = 0; i < reals; ++i) AppendFakes(plan_, rng, &batch);
+  ShuffleBatch(&batch, rng);
+  return batch;
 }
 
 Result<std::unique_ptr<AdaptiveQueryAlgorithm>> AdaptiveQueryAlgorithm::Create(
     const QueryConfig& config, uint64_t period, const CrossOverPolicy& policy) {
   MOPE_RETURN_NOT_OK(ValidateConfig(config));
-  if (period != 0 && config.domain % period != 0) {
-    return Status::InvalidArgument("period must divide the domain (or be 0)");
+  // ρ in [1, M] dividing M (a ρ above M leaves a remainder).
+  if (period < 1 || config.domain % period != 0) {
+    return Status::InvalidArgument(
+        "period must be in [1, domain] and divide the domain");
   }
   if (policy.enabled() && policy.check_interval == 0) {
     return Status::InvalidArgument("cross-over check interval must be > 0");
@@ -110,12 +91,9 @@ Status AdaptiveQueryAlgorithm::MaybeFreeze() {
   if (snapshot_.has_value() &&
       estimate.TotalVariationDistance(*snapshot_) < policy_.tv_threshold) {
     // Learned: freeze the plan; from now on this behaves like the static
-    // QueryU / QueryP initialized with the learned distribution.
-    MOPE_ASSIGN_OR_RETURN(dist::MixPlan plan,
-                          period_ == 0
-                              ? dist::MakeUniformPlan(estimate)
-                              : dist::MakePeriodicPlan(estimate, period_));
-    frozen_plan_ = std::move(plan);
+    // QueryP[ρ] initialized with the learned distribution.
+    MOPE_ASSIGN_OR_RETURN(frozen_plan_,
+                          dist::MakePeriodicPlan(estimate, period_));
   }
   snapshot_ = std::move(estimate);
   return Status::OK();
@@ -139,18 +117,11 @@ Result<std::vector<FixedQuery>> AdaptiveQueryAlgorithm::Process(
         // The buffer only changes when a new piece arrives, so the plan is
         // constant across this piece's coin flips — compute it once and
         // draw the fake count from Geom(α) (Section 5 optimization).
-        MOPE_ASSIGN_OR_RETURN(fresh, period_ == 0
-                                         ? buffer_.UniformPlan()
-                                         : buffer_.PeriodicPlan(period_));
+        MOPE_ASSIGN_OR_RETURN(fresh, buffer_.PeriodicPlan(period_));
         plan = &fresh;
       }
     }
-    const uint64_t fakes =
-        (plan->alpha >= 1.0) ? 0 : rng->Geometric(plan->alpha);
-    for (uint64_t f = 0; f < fakes; ++f) {
-      issued.push_back(
-          FixedQuery{plan->completion.Sample(rng), QueryKind::kFake});
-    }
+    AppendFakes(*plan, rng, &issued);
     issued.push_back(piece);
   }
   return issued;

@@ -12,12 +12,14 @@
 /// repeated Bernoulli trials of the in-paper pseudocode into one draw with
 /// the identical distribution.
 ///
-///  * UniformQueryAlgorithm  — QueryU  (Section 3.1), perceived dist U.
 ///  * PeriodicQueryAlgorithm — QueryP[ρ] (Section 3.2), perceived dist P_ρ.
+///    QueryU (Section 3.1) is QueryP[1]: one congruence class, so the
+///    perceived distribution is uniform.
 ///  * AdaptiveQueryAlgorithm — AdaptiveQueryU / AdaptiveQueryP (Section 4):
-///    the distribution is learned online from a buffer of past queries; one
-///    query is issued per step, and a "real" execution is a uniform draw
-///    from the buffer (identical to a draw from the current estimate of Q).
+///    the distribution is learned online from a histogram of past query
+///    starts; one query is issued per step, and a "real" execution is
+///    distributed as a draw from the current estimate of Q. ρ = 1 is
+///    AdaptiveQueryU.
 
 #include <cstdint>
 #include <memory>
@@ -64,33 +66,15 @@ class QueryAlgorithm {
   QueryConfig config_;
 };
 
-/// QueryU: perceived query distribution uniform over all M start points
-/// (including wrap-around starts). Expected fakes per transformed real
-/// query: µ_Q·M - 1.
-class UniformQueryAlgorithm final : public QueryAlgorithm {
- public:
-  /// `q_starts` is the known distribution of transformed-query start points.
-  static Result<std::unique_ptr<UniformQueryAlgorithm>> Create(
-      const QueryConfig& config, const dist::Distribution& q_starts);
-
-  Result<std::vector<FixedQuery>> Process(const RangeQuery& q,
-                                          mope::BitSource* rng) override;
-
-  const dist::MixPlan& plan() const { return plan_; }
-  const dist::MixPlan* mix_plan() const override { return &plan_; }
-
- private:
-  UniformQueryAlgorithm(const QueryConfig& config, dist::MixPlan plan)
-      : QueryAlgorithm(config), plan_(std::move(plan)) {}
-
-  dist::MixPlan plan_;
-};
-
 /// QueryP[ρ]: perceived query distribution ρ-periodic. Expected fakes per
 /// transformed real query: η_Q·M - 1 <= M/ρ - 1. Leaks the log ρ
 /// least-significant bits of the offset; ρ tunes security vs. efficiency.
+/// ρ = 1 is QueryU: uniform perceived distribution, µ_Q·M - 1 expected
+/// fakes, nothing of the offset leaked.
 class PeriodicQueryAlgorithm final : public QueryAlgorithm {
  public:
+  /// `q_starts` is the known distribution of transformed-query start points;
+  /// `period` must be in [1, M] and divide M.
   static Result<std::unique_ptr<PeriodicQueryAlgorithm>> Create(
       const QueryConfig& config, const dist::Distribution& q_starts,
       uint64_t period);
@@ -111,18 +95,6 @@ class PeriodicQueryAlgorithm final : public QueryAlgorithm {
   dist::MixPlan plan_;
 };
 
-/// AdaptiveQueryU / AdaptiveQueryP (Section 4). Configure with period == 0
-/// for the uniform target, or a divisor of M for the ρ-periodic target.
-///
-/// For each transformed piece of an incoming query, the algorithm adds the
-/// piece to the buffer, then repeatedly recomputes (µ, Q̄) — or (η, Q̄ρ) —
-/// from the buffer and flips the α-coin: tails executes a completion-sampled
-/// fake; heads executes the real piece and moves on. Because the piece was
-/// itself drawn from the user's distribution and the buffer *is* the current
-/// estimate of that distribution, executing the piece on heads is
-/// distributed identically to executing a uniform draw from the buffer —
-/// the property the Section 7 security argument needs — while converging to
-/// the non-adaptive algorithm's E[fakes] = µ_Q·M - 1 per piece (Figure 16).
 /// Cross-over policy: when to declare the distribution "learned" and switch
 /// to the static algorithm (the open question at the end of Section 4).
 /// The estimate is snapshotted every `check_interval` observed pieces; when
@@ -137,6 +109,19 @@ struct CrossOverPolicy {
   bool enabled() const { return tv_threshold > 0.0; }
 };
 
+/// AdaptiveQueryU / AdaptiveQueryP (Section 4). `period` is ρ in [1, M],
+/// dividing M, as for QueryP[ρ]; ρ = 1 is the uniform target (AdaptiveQueryU).
+///
+/// For each transformed piece of an incoming query, the algorithm adds the
+/// piece to the buffer, then repeatedly recomputes (η, Q̄ρ) — (µ, Q̄) at
+/// ρ = 1 — from the buffer and flips the α-coin: tails executes a
+/// completion-sampled fake; heads executes the real piece and moves on.
+/// Because the piece was itself drawn from the user's distribution and the
+/// buffer's histogram *is* the current estimate of that distribution,
+/// executing the piece on heads is distributed identically to executing a
+/// draw from that estimate — the property the Section 7 security argument
+/// needs — while converging to the non-adaptive algorithm's
+/// E[fakes] = η_Q·M - 1 per piece (µ_Q·M - 1 at ρ = 1; Figure 16).
 class AdaptiveQueryAlgorithm final : public QueryAlgorithm {
  public:
   static Result<std::unique_ptr<AdaptiveQueryAlgorithm>> Create(
@@ -148,7 +133,7 @@ class AdaptiveQueryAlgorithm final : public QueryAlgorithm {
   Result<std::vector<FixedQuery>> Process(const RangeQuery& q,
                                           mope::BitSource* rng) override;
 
-  /// The learned query-start buffer (the current estimate of Q).
+  /// The learned query-start histogram (the current estimate of Q).
   const dist::QueryBuffer& buffer() const { return buffer_; }
 
   /// True once the cross-over policy froze the plan.
@@ -169,7 +154,7 @@ class AdaptiveQueryAlgorithm final : public QueryAlgorithm {
   /// Evaluates the cross-over policy after a new observation.
   Status MaybeFreeze();
 
-  uint64_t period_;  // 0 => uniform target
+  uint64_t period_;
   CrossOverPolicy policy_;
   dist::QueryBuffer buffer_;
   std::optional<dist::Distribution> snapshot_;

@@ -81,8 +81,8 @@ std::optional<ExtractedRanges> TryRangeLeaf(const Expr& e) {
   }
 }
 
-}  // namespace
-
+/// Extracts from a single expression that must *entirely* be a range
+/// disjunction over one column; nullopt otherwise.
 std::optional<ExtractedRanges> TryExtractRanges(const Expr& expr) {
   if (expr.kind == ExprKind::kBinary && expr.bin_op == BinaryOp::kOr) {
     auto left = TryExtractRanges(*expr.children[0]);
@@ -94,6 +94,8 @@ std::optional<ExtractedRanges> TryExtractRanges(const Expr& expr) {
   }
   return TryRangeLeaf(expr);
 }
+
+}  // namespace
 
 std::optional<ExtractedRanges> ExtractRangesFromWhere(
     const Expr& where, const std::function<bool(const std::string&)>& accept) {

@@ -28,10 +28,6 @@ struct ExtractedRanges {
   std::vector<Segment> segments;
 };
 
-/// Extracts from a single expression that must *entirely* be a range
-/// disjunction over one column; nullopt otherwise.
-std::optional<ExtractedRanges> TryExtractRanges(const Expr& expr);
-
 /// Walks the AND-tree of a WHERE clause and returns the first conjunct that
 /// is a range disjunction over a column accepted by `accept`; nullopt when
 /// none qualifies.

@@ -34,7 +34,7 @@ Distribution SkewedDistribution(uint64_t m) {
 
 TEST(UniformCompletionTest, MixesToUniform) {
   const Distribution q = SkewedDistribution(64);
-  auto plan = MakeUniformPlan(q);
+  auto plan = MakePeriodicPlan(q, 1);
   ASSERT_TRUE(plan.ok());
   EXPECT_GT(plan->alpha, 0.0);
   EXPECT_LE(plan->alpha, 1.0);
@@ -46,13 +46,13 @@ TEST(UniformCompletionTest, MixesToUniform) {
 
 TEST(UniformCompletionTest, AlphaIsOneOverMuM) {
   const Distribution q = SkewedDistribution(100);
-  auto plan = MakeUniformPlan(q);
+  auto plan = MakePeriodicPlan(q, 1);
   ASSERT_TRUE(plan.ok());
   EXPECT_NEAR(plan->alpha, 1.0 / (q.max_prob() * 100.0), 1e-12);
 }
 
 TEST(UniformCompletionTest, UniformInputNeedsNoFakes) {
-  auto plan = MakeUniformPlan(Distribution::Uniform(32));
+  auto plan = MakePeriodicPlan(Distribution::Uniform(32), 1);
   ASSERT_TRUE(plan.ok());
   EXPECT_DOUBLE_EQ(plan->alpha, 1.0);
   EXPECT_DOUBLE_EQ(plan->expected_fakes_per_real(), 0.0);
@@ -60,7 +60,7 @@ TEST(UniformCompletionTest, UniformInputNeedsNoFakes) {
 
 TEST(UniformCompletionTest, PointMassIsWorstCase) {
   // µ = 1 -> alpha = 1/M -> M-1 expected fakes per real query.
-  auto plan = MakeUniformPlan(Distribution::PointMass(50, 7));
+  auto plan = MakePeriodicPlan(Distribution::PointMass(50, 7), 1);
   ASSERT_TRUE(plan.ok());
   EXPECT_NEAR(plan->alpha, 1.0 / 50.0, 1e-12);
   EXPECT_NEAR(plan->expected_fakes_per_real(), 49.0, 1e-9);
@@ -71,13 +71,30 @@ TEST(UniformCompletionTest, PointMassIsWorstCase) {
 
 TEST(UniformCompletionTest, CompletionWeightsMatchPaperFormula) {
   const Distribution q = SkewedDistribution(16);
-  auto plan = MakeUniformPlan(q);
+  auto plan = MakePeriodicPlan(q, 1);
   ASSERT_TRUE(plan.ok());
   const double mu = q.max_prob();
   const double denom = mu * 16.0 - 1.0;
   for (uint64_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(plan->completion.prob(i), (mu - q.prob(i)) / denom, 1e-9);
   }
+}
+
+TEST(UniformCompletionTest, PeriodOneIsTheSection31PlanExactly) {
+  // QueryU is QueryP[1]: alpha = 1/(µM), Q̄ proportional to µ - Q(i) and the
+  // target U, to the bit, since the server sees streams sampled from them.
+  constexpr uint64_t kM = 60;
+  const Distribution q = SkewedDistribution(kM);
+  auto plan = MakePeriodicPlan(q, 1);
+  ASSERT_TRUE(plan.ok());
+  const double mu = q.max_prob();
+  EXPECT_EQ(plan->alpha, 1.0 / (mu * static_cast<double>(kM)));
+  std::vector<double> weights(kM);
+  for (uint64_t i = 0; i < kM; ++i) weights[i] = mu - q.prob(i);
+  auto completion = Distribution::FromWeights(std::move(weights));
+  ASSERT_TRUE(completion.ok());
+  EXPECT_EQ(plan->completion.probs(), completion->probs());
+  EXPECT_EQ(plan->perceived.probs(), Distribution::Uniform(kM).probs());
 }
 
 TEST(PeriodicCompletionTest, MixesToPeriodic) {
@@ -95,17 +112,6 @@ TEST(PeriodicCompletionTest, MixesToPeriodic) {
   }
 }
 
-TEST(PeriodicCompletionTest, PeriodOneEqualsUniformPlan) {
-  const Distribution q = SkewedDistribution(32);
-  auto uniform = MakeUniformPlan(q);
-  auto periodic = MakePeriodicPlan(q, 1);
-  ASSERT_TRUE(uniform.ok() && periodic.ok());
-  EXPECT_NEAR(uniform->alpha, periodic->alpha, 1e-12);
-  for (uint64_t i = 0; i < 32; ++i) {
-    EXPECT_NEAR(uniform->perceived.prob(i), periodic->perceived.prob(i), 1e-12);
-  }
-}
-
 TEST(PeriodicCompletionTest, PeriodMForwardsEverything) {
   const Distribution q = SkewedDistribution(32);
   auto plan = MakePeriodicPlan(q, 32);
@@ -114,10 +120,10 @@ TEST(PeriodicCompletionTest, PeriodMForwardsEverything) {
   EXPECT_DOUBLE_EQ(plan->expected_fakes_per_real(), 0.0);
 }
 
-TEST(PeriodicCompletionTest, AlphaNeverBelowUniformPlanAlpha) {
-  // η_Q <= µ_Q, so QueryP is never more expensive than QueryU.
+TEST(PeriodicCompletionTest, AlphaNeverBelowPeriodOneAlpha) {
+  // η_Q <= µ_Q, so QueryP[ρ] is never more expensive than QueryU = QueryP[1].
   const Distribution q = SkewedDistribution(60);
-  auto uniform = MakeUniformPlan(q);
+  auto uniform = MakePeriodicPlan(q, 1);
   ASSERT_TRUE(uniform.ok());
   for (uint64_t period : {2ULL, 3ULL, 5ULL, 6ULL, 10ULL, 15ULL, 30ULL}) {
     auto plan = MakePeriodicPlan(q, period);
@@ -137,7 +143,7 @@ TEST(PeriodicCompletionTest, EtaBoundedByOneOverPeriod) {
     auto plan = MakePeriodicPlan(q, period);
     ASSERT_TRUE(plan.ok());
     EXPECT_LE(plan->expected_fakes_per_real(),
-              MakeUniformPlan(q)->expected_fakes_per_real() + 1e-9);
+              MakePeriodicPlan(q, 1)->expected_fakes_per_real() + 1e-9);
   }
 }
 
@@ -164,7 +170,7 @@ TEST(CompletionSamplingTest, EmpiricalMixLooksLikeTarget) {
   // Simulate the coin + completion procedure and check the realized start
   // distribution matches the perceived one in total variation.
   const Distribution q = SkewedDistribution(32);
-  auto plan = MakeUniformPlan(q);
+  auto plan = MakePeriodicPlan(q, 1);
   ASSERT_TRUE(plan.ok());
   Rng rng(77);
   Histogram h(32);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
-
 namespace mope::dist {
 namespace {
 
@@ -12,7 +10,7 @@ TEST(QueryBufferTest, StartsEmpty) {
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.size(), 0u);
   EXPECT_FALSE(buf.Estimate().ok());
-  EXPECT_FALSE(buf.UniformPlan().ok());
+  EXPECT_FALSE(buf.PeriodicPlan(1).ok());
 }
 
 TEST(QueryBufferTest, HistogramTracksAdds) {
@@ -37,28 +35,12 @@ TEST(QueryBufferTest, EstimateMatchesEmpiricalFrequencies) {
   EXPECT_DOUBLE_EQ(d->prob(1), 0.75);
 }
 
-TEST(QueryBufferTest, SampleRealDrawsFromBufferWithReplacement) {
-  QueryBuffer buf(8);
-  buf.Add(2);
-  buf.Add(6);
-  Rng rng(1);
-  int twos = 0, sixes = 0;
-  for (int i = 0; i < 10000; ++i) {
-    const uint64_t s = buf.SampleReal(&rng);
-    ASSERT_TRUE(s == 2 || s == 6);
-    (s == 2 ? twos : sixes)++;
-  }
-  EXPECT_EQ(buf.size(), 2u);  // buffer unmodified
-  EXPECT_NEAR(twos, 5000, 300);
-  EXPECT_NEAR(sixes, 5000, 300);
-}
-
 TEST(QueryBufferTest, SingleQueryEstimateIsPointMass) {
   // "After the user makes the first query, the system estimates that the
   // query distribution is entirely concentrated on this point" (Sec. 1.1).
   QueryBuffer buf(100);
   buf.Add(42);
-  auto plan = buf.UniformPlan();
+  auto plan = buf.PeriodicPlan(1);
   ASSERT_TRUE(plan.ok());
   // Point mass: µ = 1, alpha = 1/M -> nearly always a fake query.
   EXPECT_NEAR(plan->alpha, 0.01, 1e-12);
@@ -68,7 +50,7 @@ TEST(QueryBufferTest, PlansReflectBufferEvolution) {
   QueryBuffer buf(10);
   for (uint64_t i = 0; i < 10; ++i) buf.Add(i);
   // Buffer is now uniform: no fakes needed.
-  auto plan = buf.UniformPlan();
+  auto plan = buf.PeriodicPlan(1);
   ASSERT_TRUE(plan.ok());
   EXPECT_DOUBLE_EQ(plan->alpha, 1.0);
 }

@@ -76,6 +76,18 @@ TEST(ParseAlertRuleTest, RejectsMalformedSpecs) {
   }
 }
 
+TEST(ParseAlertRuleTest, RejectsNonFiniteThresholds) {
+  // strtod reads all of these; a nan threshold never fires and an infinite
+  // one would render as "threshold":inf, which is not JSON.
+  const char* bad[] = {
+      "r: g > nan",       "r: g > NAN",  "r: g > inf",
+      "r: g < -infinity", "r: g >= 1e999",
+  };
+  for (const char* spec : bad) {
+    EXPECT_TRUE(ParseAlertRule(spec).status().IsInvalidArgument()) << spec;
+  }
+}
+
 TEST(AlertEngineTest, FiringAndResolvedEdgesUnderManualClock) {
   MetricsRegistry registry;
   ManualClock clock(100);

@@ -123,7 +123,7 @@ TEST(LeakageAuditorTest, UniformMixStaysBelowThreshold) {
     }
     auto q = dist::Distribution::FromWeights(std::move(weights));
     ASSERT_TRUE(q.ok());
-    auto alg = query::UniformQueryAlgorithm::Create({kDomain, kK}, *q);
+    auto alg = query::PeriodicQueryAlgorithm::Create({kDomain, kK}, *q, 1);
     ASSERT_TRUE(alg.ok());
 
     MetricsRegistry registry;

@@ -189,6 +189,12 @@ TEST(ProxyTest, LoadTableValidatesSpec) {
   EncryptedColumnSpec missing_q = Spec(QueryMode::kUniform);
   EXPECT_FALSE(
       system.LoadTable("d2", MakeSchema(), MakeRows(), missing_q).ok());
+  // The periodic modes take ρ in [1, M] dividing M: an adaptive periodic
+  // column with period 0 is rejected, not run as AdaptiveQueryU.
+  EXPECT_TRUE(system
+                  .LoadTable("d3", MakeSchema(), MakeRows(),
+                             Spec(QueryMode::kAdaptivePeriodic, 0))
+                  .IsInvalidArgument());
 }
 
 TEST(ProxyTest, LoadTableRejectsOutOfDomainValues) {

@@ -14,19 +14,21 @@ dist::Distribution Skewed(uint64_t m) {
   return std::move(dist::Distribution::FromWeights(std::move(w))).value();
 }
 
+/// QueryU is QueryP[1].
+Result<std::unique_ptr<PeriodicQueryAlgorithm>> CreateQueryU(
+    const QueryConfig& config, const dist::Distribution& q) {
+  return PeriodicQueryAlgorithm::Create(config, q, 1);
+}
+
 TEST(UniformQueryTest, CreateValidates) {
-  EXPECT_FALSE(
-      UniformQueryAlgorithm::Create({0, 1}, dist::Distribution::Uniform(4)).ok());
-  EXPECT_FALSE(
-      UniformQueryAlgorithm::Create({4, 5}, dist::Distribution::Uniform(4)).ok());
-  EXPECT_FALSE(
-      UniformQueryAlgorithm::Create({8, 2}, dist::Distribution::Uniform(4)).ok());
-  EXPECT_TRUE(
-      UniformQueryAlgorithm::Create({4, 2}, dist::Distribution::Uniform(4)).ok());
+  EXPECT_FALSE(CreateQueryU({0, 1}, dist::Distribution::Uniform(4)).ok());
+  EXPECT_FALSE(CreateQueryU({4, 5}, dist::Distribution::Uniform(4)).ok());
+  EXPECT_FALSE(CreateQueryU({8, 2}, dist::Distribution::Uniform(4)).ok());
+  EXPECT_TRUE(CreateQueryU({4, 2}, dist::Distribution::Uniform(4)).ok());
 }
 
 TEST(UniformQueryTest, BatchContainsAllRealPieces) {
-  auto alg = UniformQueryAlgorithm::Create({100, 10}, Skewed(100));
+  auto alg = CreateQueryU({100, 10}, Skewed(100));
   ASSERT_TRUE(alg.ok());
   Rng rng(1);
   const auto batch = (*alg)->Process(RangeQuery{15, 44}, &rng);
@@ -44,7 +46,7 @@ TEST(UniformQueryTest, PerceivedStartDistributionIsUniform) {
   // combined stream of real+fake start points is uniform on [M].
   constexpr uint64_t kM = 40;
   const dist::Distribution q = Skewed(kM);
-  auto alg = UniformQueryAlgorithm::Create({kM, 5}, q);
+  auto alg = CreateQueryU({kM, 5}, q);
   ASSERT_TRUE(alg.ok());
   Rng rng(2);
   Histogram perceived(kM);
@@ -68,7 +70,7 @@ TEST(UniformQueryTest, PerceivedStartDistributionIsUniform) {
 TEST(UniformQueryTest, ExpectedFakesMatchesMuM) {
   constexpr uint64_t kM = 30;
   const dist::Distribution q = dist::Distribution::PointMass(kM, 3);
-  auto alg = UniformQueryAlgorithm::Create({kM, 1}, q);
+  auto alg = CreateQueryU({kM, 1}, q);
   ASSERT_TRUE(alg.ok());
   EXPECT_NEAR((*alg)->plan().expected_fakes_per_real(), kM - 1.0, 1e-9);
   Rng rng(3);
@@ -83,8 +85,7 @@ TEST(UniformQueryTest, ExpectedFakesMatchesMuM) {
 }
 
 TEST(UniformQueryTest, UniformUserDistributionSendsNoFakes) {
-  auto alg =
-      UniformQueryAlgorithm::Create({50, 5}, dist::Distribution::Uniform(50));
+  auto alg = CreateQueryU({50, 5}, dist::Distribution::Uniform(50));
   ASSERT_TRUE(alg.ok());
   Rng rng(4);
   for (int i = 0; i < 100; ++i) {
@@ -95,8 +96,7 @@ TEST(UniformQueryTest, UniformUserDistributionSendsNoFakes) {
 }
 
 TEST(UniformQueryTest, RejectsInvalidQueries) {
-  auto alg =
-      UniformQueryAlgorithm::Create({50, 5}, dist::Distribution::Uniform(50));
+  auto alg = CreateQueryU({50, 5}, dist::Distribution::Uniform(50));
   Rng rng(5);
   EXPECT_FALSE((*alg)->Process(RangeQuery{10, 9}, &rng).ok());
   EXPECT_FALSE((*alg)->Process(RangeQuery{10, 50}, &rng).ok());
@@ -125,7 +125,7 @@ TEST(PeriodicQueryTest, PerceivedStartDistributionIsPeriodic) {
 TEST(PeriodicQueryTest, FewerFakesThanUniform) {
   constexpr uint64_t kM = 64;
   const dist::Distribution q = dist::Distribution::PointMass(kM, 5);
-  auto uniform = UniformQueryAlgorithm::Create({kM, 1}, q);
+  auto uniform = CreateQueryU({kM, 1}, q);
   auto periodic = PeriodicQueryAlgorithm::Create({kM, 1}, q, 16);
   ASSERT_TRUE(uniform.ok() && periodic.ok());
   // Point mass: QueryU needs M-1 = 63 fakes; QueryP[16] needs M/16-1 = 3.
@@ -140,13 +140,19 @@ TEST(PeriodicQueryTest, RejectsBadPeriod) {
 }
 
 TEST(AdaptiveQueryTest, CreateValidatesPeriod) {
+  // ρ in [1, M] dividing M, as for QueryP[ρ]; ρ = 1 is AdaptiveQueryU.
   EXPECT_FALSE(AdaptiveQueryAlgorithm::Create({30, 1}, 7).ok());
   EXPECT_TRUE(AdaptiveQueryAlgorithm::Create({30, 1}, 6).ok());
-  EXPECT_TRUE(AdaptiveQueryAlgorithm::Create({30, 1}, 0).ok());
+  EXPECT_TRUE(AdaptiveQueryAlgorithm::Create({30, 1}, 1).ok());
+  EXPECT_TRUE(AdaptiveQueryAlgorithm::Create({30, 1}, 30).ok());
+  EXPECT_EQ(AdaptiveQueryAlgorithm::Create({30, 1}, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AdaptiveQueryAlgorithm::Create({30, 1}, 60).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(AdaptiveQueryTest, ProcessExecutesEveryRealPieceExactlyOnce) {
-  auto alg = AdaptiveQueryAlgorithm::Create({20, 2}, 0);
+  auto alg = AdaptiveQueryAlgorithm::Create({20, 2}, 1);
   ASSERT_TRUE(alg.ok());
   Rng rng(8);
   const auto batch = (*alg)->Process(RangeQuery{4, 9}, &rng);
@@ -168,7 +174,7 @@ TEST(AdaptiveQueryTest, FirstQueryIsNearlyAlwaysPrecededByFakes) {
   double total_fakes = 0.0;
   constexpr int kTrials = 300;
   for (int t = 0; t < kTrials; ++t) {
-    auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 0);
+    auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 1);
     ASSERT_TRUE(alg.ok());
     const auto batch = (*alg)->Process(RangeQuery{7, 7}, &rng);
     ASSERT_TRUE(batch.ok());
@@ -182,7 +188,7 @@ TEST(AdaptiveQueryTest, ConvergenceReducesFakeRate) {
   // the non-adaptive QueryU rate.
   constexpr uint64_t kM = 50;
   const dist::Distribution q = Skewed(kM);
-  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 0);
+  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 1);
   ASSERT_TRUE(alg.ok());
   Rng rng(9);
 
@@ -222,7 +228,7 @@ TEST(CrossOverTest, FreezesOnceEstimateStabilizes) {
   policy.tv_threshold = 0.08;
   policy.min_observations = 128;
   policy.check_interval = 64;
-  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 0, policy);
+  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 1, policy);
   ASSERT_TRUE(alg.ok());
   Rng rng(21);
   for (int i = 0; i < 2000 && !(*alg)->frozen(); ++i) {
@@ -238,7 +244,7 @@ TEST(CrossOverTest, FreezesOnceEstimateStabilizes) {
 
 TEST(CrossOverTest, DisabledPolicyNeverFreezes) {
   constexpr uint64_t kM = 20;
-  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 0);
+  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 1);
   ASSERT_TRUE(alg.ok());
   Rng rng(22);
   for (int i = 0; i < 1000; ++i) {
@@ -254,7 +260,7 @@ TEST(CrossOverTest, FrozenPlanStillMixesRealAndFake) {
   policy.tv_threshold = 0.5;  // freeze quickly
   policy.min_observations = 64;
   policy.check_interval = 32;
-  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 0, policy);
+  auto alg = AdaptiveQueryAlgorithm::Create({kM, 1}, 1, policy);
   ASSERT_TRUE(alg.ok());
   Rng rng(23);
   uint64_t fakes_after_freeze = 0;
@@ -276,7 +282,7 @@ TEST(CrossOverTest, CreateValidatesPolicy) {
   CrossOverPolicy policy;
   policy.tv_threshold = 0.1;
   policy.check_interval = 0;
-  EXPECT_FALSE(AdaptiveQueryAlgorithm::Create({30, 1}, 0, policy).ok());
+  EXPECT_FALSE(AdaptiveQueryAlgorithm::Create({30, 1}, 1, policy).ok());
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(DatasetsTest, SanFranHasStrongClusters) {
   const auto sf = MakeDataset(DatasetKind::kSanFran);
   EXPECT_GT(sf.max_prob(), 20.0 / 10000.0);
   // QueryP with a modest period must beat QueryU substantially.
-  auto uniform_plan = dist::MakeUniformPlan(sf);
+  auto uniform_plan = dist::MakePeriodicPlan(sf, 1);
   auto periodic_plan = dist::MakePeriodicPlan(sf, 100);
   ASSERT_TRUE(uniform_plan.ok() && periodic_plan.ok());
   EXPECT_LT(periodic_plan->expected_fakes_per_real(),
