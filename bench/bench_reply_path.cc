@@ -4,31 +4,42 @@
 /// the proxy's ciphertext filter keeps about 1 in 8.6 — the shape of one
 /// analyst_q6 reply (QueryU pays its Sec. 6 bandwidth in rows the proxy
 /// drops). The bench loads the table, then drives the reply through its
-/// three stages:
+/// stages:
 ///
 ///   table_load            Table::Insert of every lineitem row: each row is
 ///                         encoded once into the table's byte arena, which
 ///                         grows by realloc (outside this count; its page
 ///                         faults are in the fault column);
 ///   server_dispatch       WireDispatcher::HandleFrameBytes: sweep the
-///                         index and copy each row's stored bytes into the
-///                         reply frame, CRC included, reusing the previous
-///                         reply's buffer as a session does;
+///                         index into the dispatcher's kept id list, size
+///                         the reply from the rows' stored lengths, then
+///                         write each row as its header plus one memcpy,
+///                         CRC included, into the previous reply's buffer
+///                         as a session does;
 ///   client_filtered_fetch RemoteConnection::FetchRangeBatch on that frame:
 ///                         read into the connection's receive buffer,
-///                         CRC-check and validate every byte, build only the
-///                         kept rows (what the proxy calls);
+///                         CRC-check and check every byte in one pointer
+///                         pass, build only the kept rows (what the proxy
+///                         calls);
 ///   client_full_decode    RemoteConnection::ExecuteRangeBatch on that
-///                         frame: the same, building every row.
+///                         frame: the same, building every row;
+///   proxy_execute_range   one Q6-year MopeSystem::Query over the loopback
+///                         wire (QueryU, k = 365, batch 1000) after one
+///                         warm-up query: sampling, encryption, the three
+///                         stages above, and the proxy's dedup and decrypt
+///                         of the kept rows.
 ///
 /// The client side reads the frame from a transport that replays the
 /// server's bytes, so each stage's allocations are its own. The gated
-/// measurement is heap allocations per inserted row (table_load) and per
-/// shipped row (alloc_counter.h): exactly reproducible, so the committed
-/// baseline holds to the last allocation and the 2% CI threshold trips on
-/// any per-row allocation that comes back. Wall time and minor page faults
-/// per call (getrusage) are printed, not gated: a reply buffer the heap
-/// hands back to the kernel shows up as faults on the next call.
+/// measurement is heap allocations per inserted row (table_load), per
+/// shipped row (the three reply stages) and per returned row
+/// (proxy_execute_range) (alloc_counter.h): exactly reproducible, so the
+/// committed baseline holds to the last allocation and the 2% CI threshold
+/// trips on any per-row allocation that comes back. The query's count is
+/// taken on a system built from fixed seeds, twice, and the two counts must
+/// agree. Wall time and minor page faults per call (getrusage) are printed,
+/// not gated: a reply buffer the heap hands back to the kernel shows up as
+/// faults on the next call.
 
 #include <sys/resource.h>
 
@@ -42,6 +53,8 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
+#include "bench/tpch_util.h"
+#include "common/random.h"
 #include "engine/server.h"
 #include "net/dispatcher.h"
 #include "net/remote_connection.h"
@@ -58,6 +71,11 @@ constexpr uint64_t kDomain = workload::kTpchDateDomain;
 /// The proxy keeps rows whose l_shipdate lies in [0, kDomain / 8.6).
 constexpr uint64_t kKeepLength = kDomain * 10 / 86;
 constexpr int kTimeReps = 15;
+/// proxy_execute_range: analyst_q6's proxy settings and one fixed year.
+constexpr uint64_t kQ6K = 365;
+constexpr size_t kQ6Batch = 1000;
+constexpr uint64_t kQ6Seed = 0x5EED;
+constexpr int kQ6Year = 1994;
 
 /// Serves one fixed reply frame to every request: the client's view of a
 /// server that sent exactly these bytes.
@@ -103,10 +121,9 @@ struct Stage {
 };
 
 /// Times `run` over kTimeReps calls after one warm-up, counting their minor
-/// page faults, then counts one call's allocations twice; the two counts
-/// must agree.
+/// page faults.
 template <typename Run>
-Stage Measure(const char* name, const Run& run) {
+Stage Time(const char* name, const Run& run) {
   Stage stage{name};
   run();
   std::vector<double> times;
@@ -118,6 +135,14 @@ Stage Measure(const char* name, const Run& run) {
   }
   stage.faults = static_cast<double>(MinorFaults() - faults_before) / kTimeReps;
   stage.ms = TrimmedMean(std::move(times));
+  return stage;
+}
+
+/// Time, then counts one call's allocations twice; the two counts must
+/// agree.
+template <typename Run>
+Stage Measure(const char* name, const Run& run) {
+  Stage stage = Time(name, run);
   for (int pass = 0; pass < 2; ++pass) {
     const uint64_t before = bench::Allocations();
     run();
@@ -127,6 +152,23 @@ Stage Measure(const char* name, const Run& run) {
     stage.allocs = allocs;
   }
   return stage;
+}
+
+/// One Q6-year query's allocations, and the rows it returned, on a system
+/// built from fixed seeds and warmed by the same query once.
+struct QueryCount {
+  uint64_t allocs = 0;
+  uint64_t rows = 0;
+};
+
+QueryCount CountOneQuery(proxy::MopeSystem* system,
+                         const query::RangeQuery& q) {
+  MOPE_CHECK(system->Query("lineitem", "l_shipdate", q).ok(), "warm-up");
+  const uint64_t before = bench::Allocations();
+  auto response = system->Query("lineitem", "l_shipdate", q);
+  const uint64_t allocs = bench::Allocations() - before;
+  MOPE_CHECK(response.ok() && !response->rows.empty(), "Q6 query");
+  return {allocs, response->rows.size()};
 }
 
 }  // namespace
@@ -193,6 +235,31 @@ int main() {
     MOPE_CHECK(rows.ok() && rows->size() == shipped, "full decode");
   });
 
+  Rng starts_rng(kQ6Seed);
+  const dist::Distribution starts = bench::TemplateStarts(
+      [](mope::BitSource* rng) { return workload::SampleQ6(rng).shipdate; },
+      kQ6K, 1000, &starts_rng);
+  const query::RangeQuery q6{
+      workload::TpchDayIndex(workload::CivilDate{kQ6Year, 1, 1}),
+      workload::TpchDayIndex(workload::CivilDate{kQ6Year + 1, 1, 1}) - 1};
+  QueryCount query_count;
+  std::unique_ptr<proxy::MopeSystem> system;
+  for (int pass = 0; pass < 2; ++pass) {
+    system = bench::MakeEncryptedLineitem(data, starts, kQ6K, /*period=*/0,
+                                          kQ6Batch, kQ6Seed,
+                                          /*via_wire=*/true);
+    const QueryCount count = CountOneQuery(system.get(), q6);
+    MOPE_CHECK(pass == 0 || (count.allocs == query_count.allocs &&
+                             count.rows == query_count.rows),
+               "query allocation count must be deterministic");
+    query_count = count;
+  }
+  // Each query draws fresh fakes, so the later ones are timed, not counted.
+  const Stage query_stage = Time("proxy_execute_range", [&] {
+    MOPE_CHECK(system->Query("lineitem", "l_shipdate", q6).ok(),
+               "timed Q6 query");
+  });
+
   std::printf(
       "Range-batch reply path: %llu rows loaded; %llu rows shipped in a "
       "%zu-byte frame, %llu kept (1 in %.2f); trimmed mean of %d reps.\n\n",
@@ -228,5 +295,9 @@ int main() {
     print(stage.name, "allocs_per_reply_row", ms, stage.allocs, shipped,
           stage.faults);
   }
+  char query_ms[32];
+  std::snprintf(query_ms, sizeof(query_ms), "%.3f", query_stage.ms);
+  print(query_stage.name, "allocs_per_returned_row", query_ms,
+        query_count.allocs, query_count.rows, query_stage.faults);
   return report.Write() ? 0 : 1;
 }

@@ -19,12 +19,6 @@ ModularInterval ModularInterval::FromEndpoints(uint64_t first, uint64_t last,
   return ModularInterval(first, length, domain);
 }
 
-bool ModularInterval::Contains(uint64_t x) const {
-  if (x >= domain_) return false;
-  uint64_t offset = (x >= start_) ? (x - start_) : (domain_ - start_ + x);
-  return offset < length_;
-}
-
 int ModularInterval::ToSegments(std::array<Segment, 2>* out) const {
   if (!wraps()) {
     (*out)[0] = Segment{start_, start_ + length_ - 1};

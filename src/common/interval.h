@@ -49,7 +49,12 @@ class ModularInterval {
   bool wraps() const { return start_ + length_ > domain_; }
 
   /// True when x is covered by the interval.
-  bool Contains(uint64_t x) const;
+  bool Contains(uint64_t x) const {
+    if (x >= domain_) return false;
+    const uint64_t offset =
+        (x >= start_) ? (x - start_) : (domain_ - start_ + x);
+    return offset < length_;
+  }
 
   /// Decomposes into 1 (non-wrapping) or 2 (wrapping) linear segments, in
   /// ascending order of `lo`. Returns the number of segments written.

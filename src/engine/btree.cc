@@ -266,39 +266,62 @@ size_t BPlusTree::ScanRange(
   return ScanRange(lo, hi, fn, nullptr);
 }
 
-size_t BPlusTree::ScanRange(
-    uint64_t lo, uint64_t hi,
-    const std::function<void(uint64_t, uint64_t)>& fn,
-    ScanStats* stats) const {
+template <typename Run>
+size_t BPlusTree::WalkRange(uint64_t lo, uint64_t hi, ScanStats* stats,
+                            const Run& run) const {
   if (lo > hi) return 0;
   const Node* leaf = FindLeaf(lo);
-  const Entry probe{lo, 0};
   size_t visited = 0;
   size_t nodes = 1;
-  auto it = std::lower_bound(leaf->entries.begin(), leaf->entries.end(), probe);
-  while (leaf != nullptr) {
-    for (; it != leaf->entries.end(); ++it) {
-      if (it->key > hi) {
-        if (stats != nullptr) stats->nodes_visited += nodes;
-        return visited;
-      }
-      fn(it->key, it->rid);
-      ++visited;
-    }
+  const Entry* it =
+      leaf->entries.data() +
+      (std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
+                        Entry{lo, 0}) -
+       leaf->entries.begin());
+  while (true) {
+    const Entry* const end = leaf->entries.data() + leaf->entries.size();
+    // The leaf's run ends at its first key above hi; a leaf whose last key
+    // is in range runs to its end and the walk goes on to the next leaf.
+    const Entry* const stop =
+        (it == end || end[-1].key <= hi)
+            ? end
+            : std::partition_point(
+                  it, end, [hi](const Entry& e) { return e.key <= hi; });
+    run(it, stop);
+    visited += static_cast<size_t>(stop - it);
+    if (stop != end || leaf->next == nullptr) break;
     leaf = leaf->next;
-    if (leaf != nullptr) {
-      it = leaf->entries.begin();
-      ++nodes;
-    }
+    it = leaf->entries.data();
+    ++nodes;
   }
   if (stats != nullptr) stats->nodes_visited += nodes;
   return visited;
 }
 
-size_t BPlusTree::CountRange(uint64_t lo, uint64_t hi) const {
-  size_t n = 0;
-  ScanRange(lo, hi, [&n](uint64_t, uint64_t) { ++n; });
-  return n;
+size_t BPlusTree::ScanRange(
+    uint64_t lo, uint64_t hi,
+    const std::function<void(uint64_t, uint64_t)>& fn,
+    ScanStats* stats) const {
+  return WalkRange(lo, hi, stats, [&fn](const Entry* it, const Entry* stop) {
+    for (; it != stop; ++it) fn(it->key, it->rid);
+  });
+}
+
+size_t BPlusTree::CollectRange(uint64_t lo, uint64_t hi,
+                               std::vector<uint64_t>* row_ids,
+                               ScanStats* stats) const {
+  return WalkRange(lo, hi, stats,
+                   [row_ids](const Entry* it, const Entry* stop) {
+                     const size_t at = row_ids->size();
+                     row_ids->resize(at + static_cast<size_t>(stop - it));
+                     uint64_t* out = row_ids->data() + at;
+                     for (; it != stop; ++it) *out++ = it->rid;
+                   });
+}
+
+size_t BPlusTree::CountRange(uint64_t lo, uint64_t hi,
+                             ScanStats* stats) const {
+  return WalkRange(lo, hi, stats, [](const Entry*, const Entry*) {});
 }
 
 Status BPlusTree::CheckNode(const Node* node, int depth, uint64_t lo_bound,

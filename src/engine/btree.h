@@ -60,7 +60,7 @@ class BPlusTree {
   };
 
   /// Calls fn(key, row_id) for every entry with lo <= key <= hi, in
-  /// ascending key order. Returns the number of entries visited.
+  /// ascending (key, row_id) order. Returns the number of entries visited.
   size_t ScanRange(uint64_t lo, uint64_t hi,
                    const std::function<void(uint64_t, uint64_t)>& fn) const;
 
@@ -70,8 +70,18 @@ class BPlusTree {
                    const std::function<void(uint64_t, uint64_t)>& fn,
                    ScanStats* stats) const;
 
-  /// Counts entries in [lo, hi] without invoking a callback.
-  size_t CountRange(uint64_t lo, uint64_t hi) const;
+  /// Appends the row id of every entry with lo <= key <= hi to `*row_ids`,
+  /// in ScanRange's order, and returns how many it appended: the same walk
+  /// along the leaf chain, copying each leaf's run of qualifying ids with
+  /// no call per entry. Node visits accumulate into `*stats` as ScanRange's
+  /// do.
+  size_t CollectRange(uint64_t lo, uint64_t hi, std::vector<uint64_t>* row_ids,
+                      ScanStats* stats = nullptr) const;
+
+  /// Counts entries in [lo, hi] leaf by leaf, without visiting them one by
+  /// one; node visits accumulate into `*stats` as ScanRange's do.
+  size_t CountRange(uint64_t lo, uint64_t hi,
+                    ScanStats* stats = nullptr) const;
 
   /// Verifies structural invariants (ordering, occupancy, linked leaves);
   /// used by property tests. Returns Internal on violation.
@@ -82,6 +92,11 @@ class BPlusTree {
   struct InsertResult;
 
   Node* FindLeaf(uint64_t key) const;
+  /// The one range walk: calls `run(first, last)` on each leaf's run of
+  /// entries with lo <= key <= hi, in order, and returns their number.
+  template <typename Run>
+  size_t WalkRange(uint64_t lo, uint64_t hi, ScanStats* stats,
+                   const Run& run) const;
   InsertResult InsertRec(Node* node, uint64_t key, uint64_t row_id);
   bool EraseRec(Node* node, uint64_t key, uint64_t row_id);
   void RebalanceChild(Node* parent, int child_idx);

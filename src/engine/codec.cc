@@ -28,18 +28,27 @@ void PutSchema(std::string* out, const Schema& schema) {
   PutColumns(out, schema);
 }
 
-Status ByteReader::UnknownTag() const {
-  return Status::Corruption(std::string("unknown value tag in ") + context_);
-}
-
-Status ByteReader::StringOutOfBounds() const {
-  return Status::Corruption(std::string(context_) +
-                            " string length out of bounds");
+Status RowFaultStatus(RowFault fault, const char* context) {
+  switch (fault) {
+    case RowFault::kNone:
+      break;
+    case RowFault::kTruncated:
+      return Status::Corruption(std::string(context) + " truncated");
+    case RowFault::kStringOutOfBounds:
+      return Status::Corruption(std::string(context) +
+                                " string length out of bounds");
+    case RowFault::kUnknownTag:
+      return Status::Corruption(std::string("unknown value tag in ") +
+                                context);
+  }
+  return Status::OK();
 }
 
 Result<std::string> ByteReader::String() {
   MOPE_ASSIGN_OR_RETURN(uint64_t len, U64());
-  if (len > bytes_.size() - pos_) return StringOutOfBounds();
+  if (len > bytes_.size() - pos_) {
+    return RowFaultStatus(RowFault::kStringOutOfBounds, context_);
+  }
   std::string s(bytes_.substr(pos_, len));
   pos_ += len;
   return s;
@@ -51,29 +60,38 @@ Result<Value> ByteReader::ReadValue() {
   return CheckedRow::BuildValue(&p);
 }
 
-Result<CheckedRow> ByteReader::CheckRow(uint64_t count, uint64_t locate) {
-  // Every encoding takes at least 9 bytes, so a hostile count fails here,
-  // before the walk.
-  if (count > remaining() / 9) return Truncated();
-  const char* const begin = bytes_.data() + pos_;
-  const char* const end = bytes_.data() + bytes_.size();
+RowFault CheckedRow::Walk(const char* begin, const char* end, uint64_t count,
+                          uint64_t locate, CheckedRow* row) {
+  constexpr auto kString = static_cast<uint8_t>(ValueType::kString);
   const char* located = nullptr;
   const char* p = begin;
   for (uint64_t c = 0; c < count; ++c) {
     if (c == locate) located = p;
-    if (end - p < 9) return Truncated();
+    if (end - p < 9) return RowFault::kTruncated;
     const auto tag = static_cast<uint8_t>(*p);
     p += 9;
-    if (tag == static_cast<uint8_t>(ValueType::kString)) {
+    if (tag == kString) {
       const uint64_t len = LoadU64(p - 8);
-      if (len > static_cast<uint64_t>(end - p)) return StringOutOfBounds();
+      if (len > static_cast<uint64_t>(end - p)) {
+        return RowFault::kStringOutOfBounds;
+      }
       p += len;
-    } else if (tag > static_cast<uint8_t>(ValueType::kString)) {
-      return UnknownTag();
+    } else if (tag > kString) {
+      return RowFault::kUnknownTag;
     }
   }
-  pos_ = static_cast<size_t>(p - bytes_.data());
-  return CheckedRow(begin, p, count, located);
+  *row = CheckedRow(begin, p, count, located);
+  return RowFault::kNone;
+}
+
+Result<CheckedRow> ByteReader::CheckRow(uint64_t count, uint64_t locate) {
+  CheckedRow row;
+  const RowFault fault =
+      CheckedRow::Check(bytes_.data() + pos_, bytes_.data() + bytes_.size(),
+                        count, locate, &row);
+  if (fault != RowFault::kNone) return RowFaultStatus(fault, context_);
+  pos_ = static_cast<size_t>(row.end_ - bytes_.data());
+  return row;
 }
 
 namespace {

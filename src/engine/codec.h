@@ -13,13 +13,15 @@
 /// malformed input (truncation, bad tags, out-of-bounds lengths) — it never
 /// aborts, because every consumer decodes bytes from untrusted media.
 ///
-/// Rows are read by one row reader, ByteReader::CheckRow: a single pointer
-/// walk checks a row's encodings and yields a CheckedRow, which builds the
-/// values without checking them again, or hands its checked bytes on. The
-/// snapshot loader and WAL replay append those bytes to a table without
-/// building the row (Table::InsertChecked); the range-batch reply decoder
-/// builds only the rows it keeps; a table decodes its stored rows through
-/// the same reader.
+/// Rows are read by one row reader, CheckedRow::Check: one pointer pass
+/// checks a row's encodings (a branch-free scan of the tags when the row
+/// holds no string, a walk otherwise) and yields a CheckedRow, which builds
+/// the values without checking them again, or hands its checked bytes on.
+/// ByteReader::CheckRow runs it over a reader's next bytes: the snapshot
+/// loader and WAL replay append those bytes to a table without building the
+/// row (Table::InsertChecked), and a table decodes its stored rows through
+/// it. The range-batch reply decoder (net/wire.h) runs it straight over the
+/// payload's bytes and builds only the rows it keeps.
 
 #include <cstdint>
 #include <cstring>
@@ -95,11 +97,57 @@ void PutSchema(std::string* out, const Schema& schema);
 
 // --- Reader ---------------------------------------------------------------
 
-/// A row's PutValue encodings after ByteReader::CheckRow walked and checked
-/// them. Only the reader makes one, so Build reads the bytes without
-/// checking them again; it views the reader's buffer, which must outlive it.
+/// What the row reader found wrong with a row's bytes.
+enum class RowFault : uint8_t {
+  kNone,               ///< The row is well formed.
+  kTruncated,          ///< An encoding runs past the end of the bytes.
+  kStringOutOfBounds,  ///< A string's length runs past the end.
+  kUnknownTag,         ///< A tag that names no ValueType.
+};
+
+/// The status a fault is: OK for kNone, else Corruption naming the medium
+/// as ByteReader's `context` does ("<context> truncated", "unknown value
+/// tag in <context>", "<context> string length out of bounds").
+Status RowFaultStatus(RowFault fault, const char* context);
+
+/// A row's PutValue encodings after the row reader (Check) checked them.
+/// Only the reader makes a non-empty one, so Build reads the bytes without
+/// checking them again; it views the checked buffer, which must outlive it.
 class CheckedRow {
  public:
+  /// An empty row, for Check to fill in.
+  CheckedRow() = default;
+
+  /// The row reader, over raw bytes. Checks `count` PutValue encodings from
+  /// `begin`, none reaching past `end`: each tag is a ValueType, its 8
+  /// bytes are present, a string's length fits in what remains. When
+  /// `locate` < count, LocatedInt reads that column. A row with no string
+  /// (ints and doubles only, every encoding 9 bytes, which one bound check
+  /// covers) has its tags checked by one branch-free scan; any other row
+  /// is walked encoding by encoding. On kNone, `*row` is the row and its
+  /// bytes() end where the next record starts. Nothing is allocated
+  /// however large `count` claims to be.
+  static RowFault Check(const char* begin, const char* end, uint64_t count,
+                        uint64_t locate, CheckedRow* row) {
+    // Every encoding takes at least 9 bytes, so a hostile count fails here,
+    // before any tag is read.
+    if (count > static_cast<uint64_t>(end - begin) / 9) {
+      return RowFault::kTruncated;
+    }
+    // With no string among them, the encodings are 9 bytes each and all
+    // present: OR-ing the tags checks every one against kDouble at once.
+    uint8_t tags = 0;
+    for (uint64_t c = 0; c < count; ++c) {
+      tags |= static_cast<uint8_t>(begin[9 * c]);
+    }
+    if (tags > static_cast<uint8_t>(ValueType::kDouble)) {
+      return Walk(begin, end, count, locate, row);
+    }
+    *row = CheckedRow(begin, begin + 9 * count, count,
+                      locate < count ? begin + 9 * locate : nullptr);
+    return RowFault::kNone;
+  }
+
   /// The row's values, with one reservation.
   Row Build() const;
   /// Builds the row into `*out`, reusing its storage: a value that keeps its
@@ -107,7 +155,7 @@ class CheckedRow {
   /// allocates nothing unless a string outgrows its capacity.
   void BuildInto(Row* out) const;
 
-  /// The int at the column CheckRow was asked to locate; nullopt when that
+  /// The int at the column Check was asked to locate; nullopt when that
   /// column holds another type, or when none was asked for.
   std::optional<int64_t> LocatedInt() const {
     if (located_ == nullptr ||
@@ -137,13 +185,17 @@ class CheckedRow {
              const char* located)
       : begin_(begin), end_(end), count_(count), located_(located) {}
 
+  /// Check's walk, encoding by encoding, for a row with a string or a bad
+  /// tag.
+  static RowFault Walk(const char* begin, const char* end, uint64_t count,
+                       uint64_t locate, CheckedRow* row);
   /// Builds the checked encoding at `*p` and steps past it.
   static Value BuildValue(const char** p);
 
-  const char* begin_;
-  const char* end_;
-  uint64_t count_;
-  const char* located_;  ///< the located column's encoding, or null
+  const char* begin_ = nullptr;
+  const char* end_ = nullptr;
+  uint64_t count_ = 0;
+  const char* located_ = nullptr;  ///< the located column's encoding, or null
 };
 
 /// Sequential decoder over a byte buffer. Every accessor bounds-checks and
@@ -177,12 +229,11 @@ class ByteReader {
   /// One PutValue encoding: the row reader with a row of one.
   Result<Value> ReadValue();
 
-  /// The row reader. One pointer walk checks `count` PutValue encodings —
-  /// each tag is a ValueType, its 8 bytes are present, a string's length
-  /// fits in what remains — and consumes them. When `locate` < count, the
-  /// result's LocatedInt reads that column. Any malformed byte is
-  /// Corruption, and nothing is allocated however large `count` claims to
-  /// be: a row's capacity is reserved only by Build, after the walk.
+  /// The row reader (CheckedRow::Check) over the next `count` encodings,
+  /// which it consumes. When `locate` < count, the result's LocatedInt
+  /// reads that column. Any malformed byte is Corruption (RowFaultStatus),
+  /// and nothing is allocated however large `count` claims to be: a row's
+  /// capacity is reserved only by Build, after the check.
   Result<CheckedRow> CheckRow(uint64_t count, uint64_t locate = kNoColumn);
   /// CheckRow, then Build.
   Result<Row> ReadRow(uint64_t count) {
@@ -201,10 +252,8 @@ class ByteReader {
 
  private:
   Status Truncated() const {
-    return Status::Corruption(std::string(context_) + " truncated");
+    return RowFaultStatus(RowFault::kTruncated, context_);
   }
-  Status UnknownTag() const;
-  Status StringOutOfBounds() const;
 
   std::string_view bytes_;
   size_t pos_ = 0;

@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "engine/codec.h"
 #include "engine/executor.h"
 
 namespace mope::engine {
@@ -31,35 +30,6 @@ ServerStats DbServer::stats() const {
   s.bytes_received = bytes_received_->Value();
   s.bytes_sent = bytes_sent_->Value();
   return s;
-}
-
-Result<std::vector<Segment>> DbServer::PrepareSegments(
-    const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges, const Table** table_out,
-    const BPlusTree** index_out) {
-  MOPE_ASSIGN_OR_RETURN(Table * tbl, catalog_->GetTable(table));
-  MOPE_ASSIGN_OR_RETURN(const BPlusTree* index, tbl->GetIndex(column));
-  *table_out = tbl;
-  *index_out = index;
-
-  std::vector<Segment> segments;
-  segments.reserve(ranges.size());
-  for (const ModularInterval& range : ranges) {
-    std::array<Segment, 2> parts;
-    const int n = range.ToSegments(&parts);
-    for (int i = 0; i < n; ++i) segments.push_back(parts[i]);
-  }
-
-  batches_received_->Increment();
-  ranges_received_->Increment(ranges.size());
-  batch_ranges_hist_->Observe(ranges.size());
-  if (leakage_auditor_ != nullptr) {
-    for (const ModularInterval& range : ranges) {
-      leakage_auditor_->ObserveStart(range.start());
-    }
-    leakage_auditor_->Publish();
-  }
-  return segments;
 }
 
 Status DbServer::OpenStorage(const std::string& data_dir,
@@ -94,14 +64,31 @@ Status DbServer::EnableLeakageAudit(const obs::LeakageAuditConfig& config) {
   return Status();
 }
 
-Status DbServer::VisitRangeBatch(
+Result<uint64_t> DbServer::SweepRangeBatch(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges,
-    const std::function<void(RowId, uint64_t, std::string_view)>& visit) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
+    const std::vector<ModularInterval>& ranges, std::vector<RowId>* row_ids,
+    const Table** table_out) {
+  MOPE_ASSIGN_OR_RETURN(const Table* tbl, catalog_->GetTable(table));
+  MOPE_ASSIGN_OR_RETURN(const BPlusTree* index, tbl->GetIndex(column));
+  *table_out = tbl;
+
+  std::vector<Segment> segments;
+  segments.reserve(ranges.size());
+  for (const ModularInterval& range : ranges) {
+    std::array<Segment, 2> parts;
+    const int n = range.ToSegments(&parts);
+    for (int i = 0; i < n; ++i) segments.push_back(parts[i]);
+  }
+
+  batches_received_->Increment();
+  ranges_received_->Increment(ranges.size());
+  batch_ranges_hist_->Observe(ranges.size());
+  if (leakage_auditor_ != nullptr) {
+    for (const ModularInterval& range : ranges) {
+      leakage_auditor_->ObserveStart(range.start());
+    }
+    leakage_auditor_->Publish();
+  }
 
   uint64_t rows = 0;
   for (const Segment& seg : CoalesceSegments(std::move(segments))) {
@@ -110,42 +97,46 @@ Status DbServer::VisitRangeBatch(
     // EXPLAIN ANALYZE takes around a request see the full per-sweep cost,
     // not just the first range's.
     BPlusTree::ScanStats sweep_stats;
-    const size_t visited = index->ScanRange(
-        seg.lo, seg.hi,
-        // Two captures: the std::function stores them without allocating.
-        [&visit, tbl](uint64_t, uint64_t rid) {
-          visit(rid, tbl->schema().num_columns(), tbl->row_bytes(rid));
-        },
-        &sweep_stats);
+    const size_t visited =
+        row_ids != nullptr
+            ? index->CollectRange(seg.lo, seg.hi, row_ids, &sweep_stats)
+            : index->CountRange(seg.lo, seg.hi, &sweep_stats);
     rows += visited;
     entries_visited_->Increment(visited);
     segments_scanned_->Increment();
     index_nodes_visited_->Increment(sweep_stats.nodes_visited);
   }
   rows_returned_->Increment(rows);
-  return Status::OK();
+  return rows;
+}
+
+Result<const Table*> DbServer::CollectRangeBatch(
+    const std::string& table, const std::string& column,
+    const std::vector<ModularInterval>& ranges, std::vector<RowId>* row_ids) {
+  row_ids->clear();
+  const Table* tbl = nullptr;
+  MOPE_RETURN_NOT_OK(
+      SweepRangeBatch(table, column, ranges, row_ids, &tbl).status());
+  return tbl;
 }
 
 Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
+  std::vector<RowId> row_ids;
+  MOPE_ASSIGN_OR_RETURN(const Table* tbl,
+                        CollectRangeBatch(table, column, ranges, &row_ids));
   std::vector<std::pair<RowId, Row>> rows;
-  MOPE_RETURN_NOT_OK(VisitRangeBatch(
-      table, column, ranges,
-      [&rows](RowId rid, uint64_t num_columns, std::string_view row) {
-        rows.emplace_back(rid, CheckStoredRow(row, num_columns).Build());
-      }));
+  rows.reserve(row_ids.size());
+  for (const RowId rid : row_ids) rows.emplace_back(rid, tbl->row(rid));
   return rows;
 }
 
 Result<uint64_t> DbServer::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
-  uint64_t count = 0;
-  MOPE_RETURN_NOT_OK(VisitRangeBatch(
-      table, column, ranges,
-      [&count](RowId, uint64_t, std::string_view) { ++count; }));
-  return count;
+  const Table* tbl = nullptr;
+  return SweepRangeBatch(table, column, ranges, nullptr, &tbl);
 }
 
 }  // namespace mope::engine

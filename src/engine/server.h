@@ -19,10 +19,8 @@
 /// (net::WireDispatcher provides it for the daemon).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,26 +86,28 @@ class DbServer {
   /// Executes one batch of ciphertext range predicates (each an interval on
   /// the ciphertext space, wrapping allowed) against the index on `column`
   /// of `table`. All ranges in the batch share a single coalesced sweep,
-  /// which hands each qualifying row to `visit` exactly once, with its
-  /// stable row id (DBMSes expose this as ctid/rowid), the table's column
-  /// count and the row's stored bytes (Table::row_bytes), valid only during
-  /// the call. This is the one sweep behind every batch entry point below
-  /// and behind the wire dispatcher, which copies each visited row's bytes
-  /// into its reply.
-  Status VisitRangeBatch(
+  /// one leaf walk per coalesced segment (BPlusTree::CollectRange), which
+  /// lists each qualifying row's stable id (DBMSes expose this as
+  /// ctid/rowid) exactly once in `*row_ids`, replacing its contents but
+  /// keeping its capacity: a caller that keeps one list allocates nothing
+  /// per batch once the list has held the largest. Returns the table, whose
+  /// row_bytes(id) are each listed row's stored bytes until it is next
+  /// mutated. This is the one sweep behind every batch entry point below
+  /// and behind the wire dispatcher, which sizes its reply from those
+  /// bytes before it copies them.
+  Result<const Table*> CollectRangeBatch(
       const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges,
-      const std::function<void(RowId, uint64_t num_columns,
-                               std::string_view row)>& visit);
+      const std::vector<ModularInterval>& ranges, std::vector<RowId>* row_ids);
 
-  /// VisitRangeBatch, decoding each row with its id; the proxy uses the
+  /// CollectRangeBatch, decoding each row with its id; the proxy uses the
   /// ids to deduplicate rows that multiple overlapping requests returned.
   Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatchWithIds(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges);
 
-  /// VisitRangeBatch that only counts the qualifying rows (still updates
-  /// the counters; used by benches that do not need rows).
+  /// The same sweep, only counting the qualifying rows leaf by leaf (the
+  /// counters move as for CollectRangeBatch; the wire's count-only
+  /// message).
   Result<uint64_t> CountRangeBatch(const std::string& table,
                                    const std::string& column,
                                    const std::vector<ModularInterval>& ranges);
@@ -145,10 +145,15 @@ class DbServer {
   obs::LeakageAuditor* leakage_auditor() { return leakage_auditor_.get(); }
 
  private:
-  Result<std::vector<Segment>> PrepareSegments(
-      const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges, const Table** table_out,
-      const BPlusTree** index_out);
+  /// The one sweep: resolves the index, feeds the auditor, coalesces the
+  /// ranges' segments and walks each once, appending ids to `*row_ids`, or
+  /// only counting when it is null. Sets `*table_out` and returns the
+  /// number of qualifying rows.
+  Result<uint64_t> SweepRangeBatch(const std::string& table,
+                                   const std::string& column,
+                                   const std::vector<ModularInterval>& ranges,
+                                   std::vector<RowId>* row_ids,
+                                   const Table** table_out);
 
   // Heap-held so DbServer stays movable (tests build servers in value-
   // returning factories) and so DurableCatalog's Catalog* plus the cached

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/codec.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace_export.h"
@@ -24,19 +23,19 @@ std::string EncodeProfile(const obs::Trace* trace) {
   return EncodeStatsReply(entries);
 }
 
-/// The kStatusReply frame answering a request with `status`. `trace_id`
-/// (the request's, possibly 0) is echoed so the client can attribute the
-/// reply to its span tree; a `profile` trace rides along as the profile
-/// extension — a failed query still consumed the resources its trace
-/// recorded.
-std::string StatusFrame(const Status& status, uint64_t trace_id,
-                        const obs::Trace* profile) {
-  return EncodeFrame(MessageType::kStatusReply, EncodeStatusReply(status),
-                     trace_id, profile != nullptr, EncodeProfile(profile));
+/// Writes into `*reply`, keeping its buffer, the kStatusReply frame
+/// answering a request with `status`. `trace_id` (the request's, possibly
+/// 0) is echoed so the client can attribute the reply to its span tree; a
+/// `profile` trace rides along as the profile extension — a failed query
+/// still consumed the resources its trace recorded.
+void PutStatusFrame(std::string* reply, const Status& status,
+                    uint64_t trace_id, const obs::Trace* profile) {
+  EncodeFrameInto(reply, MessageType::kStatusReply, EncodeStatusReply(status),
+                  trace_id, profile != nullptr, EncodeProfile(profile));
 }
 
 /// A reply body over the dispatcher's cap is an application-level outcome:
-/// FinishFrame would MOPE_CHECK on it, and a legitimate (or hostile) wide
+/// BeginFrame would MOPE_CHECK on it, and a legitimate (or hostile) wide
 /// query must cost a StatusReply, not the process.
 Status TooLarge(size_t size, size_t max_payload) {
   return Status::InvalidArgument(
@@ -45,27 +44,26 @@ Status TooLarge(size_t size, size_t max_payload) {
       " bytes); narrow the ranges or lower the batch size");
 }
 
-/// Encodes an application-level outcome: a reply frame on success, a
-/// kStatusReply frame on error (see StatusFrame). Only called with
-/// already-validated framing.
+/// Writes an application-level outcome into `*reply`, keeping its buffer:
+/// a reply frame on success, a kStatusReply frame on error (see
+/// PutStatusFrame). Only called with already-validated framing.
 template <typename T, typename Encode>
-std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
-                          Encode&& encode, size_t max_payload,
-                          uint64_t trace_id,
-                          const obs::Trace* profile = nullptr) {
-  if (!result.ok()) return StatusFrame(result.status(), trace_id, profile);
-  std::string body = encode(result.value());
-  if (body.size() > max_payload) {
-    return StatusFrame(TooLarge(body.size(), max_payload), trace_id, profile);
+void PutReplyOrStatus(std::string* reply, const Result<T>& result,
+                      MessageType reply_type, Encode&& encode,
+                      size_t max_payload, uint64_t trace_id,
+                      const obs::Trace* profile = nullptr) {
+  if (!result.ok()) {
+    PutStatusFrame(reply, result.status(), trace_id, profile);
+    return;
   }
-  return EncodeFrame(reply_type, std::move(body), trace_id,
-                     profile != nullptr, EncodeProfile(profile));
-}
-
-/// Puts `frame` in `*reply` by copying it, so the buffer `*reply` is
-/// reused rather than replaced by `frame`'s.
-void SetReply(std::string* reply, const std::string& frame) {
-  reply->assign(frame.data(), frame.size());
+  const std::string body = encode(result.value());
+  if (body.size() > max_payload) {
+    PutStatusFrame(reply, TooLarge(body.size(), max_payload), trace_id,
+                   profile);
+    return;
+  }
+  EncodeFrameInto(reply, reply_type, body, trace_id, profile != nullptr,
+                  EncodeProfile(profile));
 }
 
 /// Marks a completed dispatch in the crash flight recorder and persists the
@@ -240,41 +238,41 @@ void WireDispatcher::RangeBatchReplyLocked(const RangeBatchRequest& request,
                                            uint64_t trace_id,
                                            const obs::Trace* profile,
                                            std::string* reply) {
-  // Each row is copied from table storage into the frame, behind the
-  // reserved header and the row count, which are filled in after the sweep.
-  // The buffer is the session's: once it has held the largest reply, the
-  // appends below never grow it.
-  BeginFrame(reply, trace_id);
-  const size_t payload_at = reply->size();
-  engine::PutU64(reply, 0);
-  uint64_t rows = 0;
-  const Status swept = server_->VisitRangeBatch(
-      request.table, request.column, request.ranges,
-      [reply, &rows](engine::RowId rid, uint64_t num_columns,
-                     std::string_view row) {
-        PutReplyRow(reply, rid, num_columns, row);
-        ++rows;
-      });
+  // Ids first: the sweep lists the qualifying rows, whose stored lengths
+  // size the reply. An over-cap reply is refused before any row is copied,
+  // and any other is written with one resize of the session's buffer, each
+  // row as its header plus one memcpy. Every answer, a refusal included,
+  // is written into that buffer, so the session keeps it.
+  const Result<const engine::Table*> swept = server_->CollectRangeBatch(
+      request.table, request.column, request.ranges, &row_ids_);
   // The profile is taken right after the engine call: a periodic
   // checkpoint that fires afterwards is a server policy cost, left out of
   // the query's profile (it shows up in the dispatch latency, the query log
-  // and the slow-query trace instead). A failed or over-cap sweep replaces
-  // the buffer rather than reusing it, so the rows it swept (possibly far
-  // beyond the cap) are not kept.
+  // and the slow-query trace instead).
   if (!swept.ok()) {
-    *reply = StatusFrame(swept, trace_id, profile);
+    PutStatusFrame(reply, swept.status(), trace_id, profile);
     return;
   }
-  const size_t payload_size = reply->size() - payload_at;
+  const engine::Table* table = *swept;
+  size_t payload_size = 8;
+  for (const engine::RowId rid : row_ids_) {
+    payload_size += kReplyRowHeaderBytes + table->row_bytes(rid).size();
+  }
   if (payload_size > options_.max_reply_payload_bytes) {
-    *reply = StatusFrame(
-        TooLarge(payload_size, options_.max_reply_payload_bytes), trace_id,
-        profile);
+    PutStatusFrame(reply,
+                   TooLarge(payload_size, options_.max_reply_payload_bytes),
+                   trace_id, profile);
     return;
   }
-  StoreU64(reply->data() + payload_at, rows);
-  FinishFrame(reply, MessageType::kRangeBatchReply, trace_id,
-              profile != nullptr, EncodeProfile(profile));
+  const uint64_t num_columns = table->schema().num_columns();
+  char* p = BeginFrame(reply, MessageType::kRangeBatchReply, payload_size,
+                       trace_id, profile != nullptr, EncodeProfile(profile));
+  StoreU64(p, row_ids_.size());
+  p += 8;
+  for (const engine::RowId rid : row_ids_) {
+    p = WriteReplyRow(p, rid, num_columns, table->row_bytes(rid));
+  }
+  FinishFrame(reply);
 }
 
 Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
@@ -295,11 +293,10 @@ Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
       if (!request.ok()) return request.status();
       const Result<uint64_t> count = server_->CountRangeBatch(
           request->table, request->column, request->ranges);
-      SetReply(reply, ReplyOrStatus(
-                          count, MessageType::kCountBatchReply,
-                          [](uint64_t c) { return EncodeCountBatchReply(c); },
-                          options_.max_reply_payload_bytes, frame.trace_id,
-                          profile));
+      PutReplyOrStatus(
+          reply, count, MessageType::kCountBatchReply,
+          [](uint64_t c) { return EncodeCountBatchReply(c); },
+          options_.max_reply_payload_bytes, frame.trace_id, profile);
       MaybeCheckpointLocked(frame);
       return Status::OK();
     }
@@ -311,12 +308,10 @@ Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
       // safety analysis treats a lambda as a separate function, so guarded
       // accesses inside one would not see the lock held here.
       const Result<engine::Schema> schema = LookupSchemaLocked(*table);
-      SetReply(reply, ReplyOrStatus(schema, MessageType::kSchemaReply,
-                                    [](const engine::Schema& s) {
-                                      return EncodeSchemaReply(s);
-                                    },
-                                    options_.max_reply_payload_bytes,
-                                    frame.trace_id));
+      PutReplyOrStatus(
+          reply, schema, MessageType::kSchemaReply,
+          [](const engine::Schema& s) { return EncodeSchemaReply(s); },
+          options_.max_reply_payload_bytes, frame.trace_id);
       return Status::OK();
     }
     case MessageType::kStatsRequest: {
@@ -326,14 +321,11 @@ Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
       }
       // The snapshot covers everything credited to this server: engine.*
       // counters, wire bytes, and the net.server.* mirrors.
-      SetReply(reply,
-               ReplyOrStatus(
-                   Result<StatsReply>(server_->metrics()->Snapshot()),
-                   MessageType::kStatsReply,
-                   [](const StatsReply& stats) {
-                     return EncodeStatsReply(stats);
-                   },
-                   options_.max_reply_payload_bytes, frame.trace_id));
+      PutReplyOrStatus(
+          reply, Result<StatsReply>(server_->metrics()->Snapshot()),
+          MessageType::kStatsReply,
+          [](const StatsReply& stats) { return EncodeStatsReply(stats); },
+          options_.max_reply_payload_bytes, frame.trace_id);
       return Status::OK();
     }
     case MessageType::kRangeBatchReply:
@@ -343,17 +335,16 @@ Status WireDispatcher::HandleFrameLocked(const FrameView& frame,
     case MessageType::kStatusReply:
       // A client sending us reply types is confused but the framing is
       // sound: answer, don't hang up.
-      SetReply(reply, EncodeFrame(MessageType::kStatusReply,
-                                  EncodeStatusReply(Status::InvalidArgument(
-                                      "reply message type in a request frame")),
-                                  frame.trace_id));
+      PutStatusFrame(reply,
+                     Status::InvalidArgument(
+                         "reply message type in a request frame"),
+                     frame.trace_id, nullptr);
       return Status::OK();
   }
-  SetReply(reply, EncodeFrame(MessageType::kStatusReply,
-                              EncodeStatusReply(Status::InvalidArgument(
-                                  "unknown message type " +
-                                  std::to_string(frame.type))),
-                              frame.trace_id));
+  PutStatusFrame(reply,
+                 Status::InvalidArgument("unknown message type " +
+                                         std::to_string(frame.type)),
+                 frame.trace_id, nullptr);
   return Status::OK();
 }
 

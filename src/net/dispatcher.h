@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -95,8 +96,10 @@ class WireDispatcher {
   /// size of its largest reply, and allocates nothing per reply. (Fresh
   /// buffers are the trap: glibc hands a buffer of a megabyte or more back
   /// to the kernel when it is freed, so every reply would fault its pages
-  /// in again.) A failed or over-cap range sweep answers in a fresh status
-  /// frame, so the rows it swept are not kept. On an error `reuse` is gone.
+  /// in again.) Every answer goes into that buffer, a status frame too: a
+  /// range batch whose reply would exceed the cap is refused before any row
+  /// is copied, so the buffer never grows past the largest reply sent. On
+  /// an error `reuse` is gone.
   /// Thread-safe: the whole request (decode, engine call, encode, stats) runs
   /// under the dispatch mutex.
   Result<std::string> HandleFrameBytes(std::string_view bytes,
@@ -115,9 +118,11 @@ class WireDispatcher {
   /// Writes the reply frame into `*reply`, keeping its capacity.
   Status HandleFrameLocked(const FrameView& frame, const obs::Trace* profile,
                            std::string* reply) MOPE_REQUIRES(mutex_);
-  /// Writes the reply frame to a range batch into `*reply`: each row is its
-  /// header plus a copy of its stored bytes; a failed sweep or an over-cap
-  /// result is a kStatusReply frame.
+  /// Writes the reply frame to a range batch into `*reply`: the sweep lists
+  /// the row ids into `row_ids_`, their stored lengths size the frame, and
+  /// each row is its header plus one copy of its stored bytes; a failed
+  /// sweep or an over-cap result is a kStatusReply frame, written before
+  /// any row is copied.
   void RangeBatchReplyLocked(const RangeBatchRequest& request,
                              uint64_t trace_id, const obs::Trace* profile,
                              std::string* reply) MOPE_REQUIRES(mutex_);
@@ -144,6 +149,9 @@ class WireDispatcher {
   DispatcherOptions options_;
   obs::Clock* clock_;
   uint64_t frames_since_checkpoint_ MOPE_GUARDED_BY(mutex_) = 0;
+  /// The current range batch's row ids. Kept across requests at the size of
+  /// the largest batch (8 bytes a row), so a reply allocates no id list.
+  std::vector<engine::RowId> row_ids_ MOPE_GUARDED_BY(mutex_);
   // Handles into the server's registry (so the stats endpoint serves them).
   // Atomic targets: safe to bump without the dispatch mutex.
   obs::Counter* frames_served_;

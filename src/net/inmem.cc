@@ -14,8 +14,8 @@ class InProcessChannel::ClientTransport final : public Transport {
 
   Result<size_t> Read(char* buf, size_t max) override {
     if (closed_) return Status::Unavailable("transport closed");
-    if (reply_.empty()) MOPE_RETURN_NOT_OK(Pump());
-    if (reply_.empty()) {
+    if (reply_pos_ == reply_.size()) MOPE_RETURN_NOT_OK(Pump());
+    if (reply_pos_ == reply_.size()) {
       // Nothing to serve and no complete request pending: on a real network
       // this is a read deadline expiring with the peer silent.
       return Status::Unavailable("read deadline expired (no reply pending)");
@@ -23,12 +23,6 @@ class InProcessChannel::ClientTransport final : public Transport {
     const size_t n = std::min(max, reply_.size() - reply_pos_);
     reply_.copy(buf, n, reply_pos_);
     reply_pos_ += n;
-    if (reply_pos_ == reply_.size()) {
-      // Every reply byte has been read. The buffer keeps its capacity for
-      // the next reply: the connection's one retained reply buffer.
-      reply_.clear();
-      reply_pos_ = 0;
-    }
     return n;
   }
 
@@ -43,14 +37,17 @@ class InProcessChannel::ClientTransport final : public Transport {
  private:
   /// Serves every complete request currently buffered, queueing replies in
   /// order (a pipelined client gets pipelined replies). A reply to an idle
-  /// channel is written into the retained reply buffer; one queued behind
-  /// unread bytes is appended to them.
+  /// channel, every byte of the last one read, is written into the
+  /// retained reply buffer, which keeps that reply's size: the dispatcher
+  /// rewrites a reply no larger in place, with no byte cleared first. One
+  /// queued behind unread bytes is appended to them.
   Status Pump() {
     size_t consumed = 0;
     while (pending_.size() >= kFrameHeaderBytes) {
-      // An idle channel lends the dispatcher its emptied buffer (exchange
-      // leaves reply_ empty, whatever the call returns).
-      const bool idle = reply_.empty();
+      const bool idle = reply_pos_ == reply_.size();
+      if (idle) reply_pos_ = 0;
+      // An idle channel lends the dispatcher its buffer (exchange leaves
+      // reply_ empty, whatever the call returns).
       auto reply = dispatcher_->HandleFrameBytes(
           pending_, &consumed,
           idle ? std::exchange(reply_, std::string()) : std::string());
@@ -73,7 +70,7 @@ class InProcessChannel::ClientTransport final : public Transport {
 
   WireDispatcher* dispatcher_;
   std::string pending_;  ///< Client -> server bytes not yet dispatched.
-  std::string reply_;    ///< Server -> client bytes not yet read.
+  std::string reply_;    ///< Server -> client bytes; read up to reply_pos_.
   size_t reply_pos_ = 0;
   bool closed_ = false;
 };

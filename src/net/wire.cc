@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "common/coding.h"
@@ -13,16 +14,12 @@ using engine::ByteReader;
 using engine::PutString;
 using engine::PutU32;
 using engine::PutU64;
-using engine::PutValue;
 
 namespace {
 
 /// Sanity bound on collection counts so a 16-byte frame can't make the
 /// decoder reserve gigabytes before the (bounded) payload runs out.
 constexpr uint64_t kMaxRangesPerBatch = 1u << 20;
-
-/// A reply row's fixed part: u64 row id + u32 value count.
-constexpr size_t kReplyRowHeaderBytes = 12;
 
 Result<ModularInterval> ReadInterval(ByteReader* reader) {
   MOPE_ASSIGN_OR_RETURN(uint64_t start, reader->U64());
@@ -95,24 +92,17 @@ Result<uint32_t> ProfileLength(const char* p) {
 
 }  // namespace
 
-void BeginFrame(std::string* out, uint64_t trace_id) {
-  out->assign(kFrameHeaderBytes + TraceIdBytes(trace_id), '\0');
-}
-
-void FinishFrame(std::string* out, MessageType type, uint64_t trace_id,
-                 bool has_profile, std::string_view profile) {
+char* BeginFrame(std::string* out, MessageType type, size_t payload_size,
+                 uint64_t trace_id, bool has_profile,
+                 std::string_view profile) {
+  MOPE_CHECK(payload_size <= kMaxPayloadBytes, "frame payload too large");
   MOPE_CHECK(profile.size() <= kMaxPayloadBytes, "frame profile too large");
-  size_t payload_at = kFrameHeaderBytes + TraceIdBytes(trace_id);
-  if (has_profile) {
-    std::string section;
-    section.reserve(kProfileLengthBytes + profile.size());
-    engine::PutU32(&section, static_cast<uint32_t>(profile.size()));
-    section.append(profile);
-    out->insert(payload_at, section);
-    payload_at += section.size();
-  }
-  const std::string_view payload = std::string_view(*out).substr(payload_at);
-  MOPE_CHECK(payload.size() <= kMaxPayloadBytes, "frame payload too large");
+  const size_t payload_at =
+      kFrameHeaderBytes + TraceIdBytes(trace_id) +
+      (has_profile ? kProfileLengthBytes + profile.size() : 0);
+  // Only bytes beyond the buffer's current size are zeroed: a session that
+  // hands back its last reply gets a reply no larger rewritten in place.
+  out->resize(payload_at + payload_size);
   // Extension-free frames stay version 1, byte-identical to what older
   // builds emit; only an actual trace id or profile pays for version 2.
   const uint8_t flags =
@@ -124,21 +114,42 @@ void FinishFrame(std::string* out, MessageType type, uint64_t trace_id,
   p[5] = static_cast<char>(type);
   p[6] = static_cast<char>(flags);
   p[7] = 0;  // reserved
-  StoreU32(p + 8, static_cast<uint32_t>(payload.size()));
-  StoreU32(p + 12, Crc32(payload));
-  if (trace_id != 0) StoreU64(p + kFrameHeaderBytes, trace_id);
+  StoreU32(p + 8, static_cast<uint32_t>(payload_size));
+  p += kFrameHeaderBytes;
+  if (trace_id != 0) {
+    StoreU64(p, trace_id);
+    p += kTraceIdBytes;
+  }
+  if (has_profile) {
+    StoreU32(p, static_cast<uint32_t>(profile.size()));
+    if (!profile.empty()) {
+      std::memcpy(p + kProfileLengthBytes, profile.data(), profile.size());
+    }
+    p += kProfileLengthBytes + profile.size();
+  }
+  return p;
 }
 
-std::string EncodeFrame(MessageType type, std::string payload,
+void FinishFrame(std::string* out) {
+  char* p = out->data();
+  const uint32_t length = LoadU32(p + 8);
+  StoreU32(p + 12, Crc32(std::string_view(*out).substr(out->size() - length)));
+}
+
+void EncodeFrameInto(std::string* out, MessageType type,
+                     std::string_view payload, uint64_t trace_id,
+                     bool has_profile, std::string_view profile) {
+  char* p =
+      BeginFrame(out, type, payload.size(), trace_id, has_profile, profile);
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
+  FinishFrame(out);
+}
+
+std::string EncodeFrame(MessageType type, std::string_view payload,
                         uint64_t trace_id, bool has_profile,
                         std::string_view profile) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + TraceIdBytes(trace_id) +
-              (has_profile ? kProfileLengthBytes + profile.size() : 0) +
-              payload.size());
-  BeginFrame(&out, trace_id);
-  out.append(payload);
-  FinishFrame(&out, type, trace_id, has_profile, profile);
+  EncodeFrameInto(&out, type, payload, trace_id, has_profile, profile);
   return out;
 }
 
@@ -255,7 +266,7 @@ Status WriteFrame(Transport* transport, MessageType type, std::string payload,
                   uint64_t trace_id, bool has_profile,
                   std::string_view profile) {
   // Callers hand WriteFrame unbounded application data (e.g. a huge range
-  // batch); overflow must come back as a Status, not trip FinishFrame's
+  // batch); overflow must come back as a Status, not trip BeginFrame's
   // precondition check.
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument(
@@ -268,7 +279,7 @@ Status WriteFrame(Transport* transport, MessageType type, std::string payload,
         " > " + std::to_string(kMaxPayloadBytes) + " bytes)");
   }
   const std::string frame =
-      EncodeFrame(type, std::move(payload), trace_id, has_profile, profile);
+      EncodeFrame(type, payload, trace_id, has_profile, profile);
   return transport->Write(frame.data(), frame.size());
 }
 
@@ -307,73 +318,74 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload) {
   return request;
 }
 
-namespace {
-
-void StoreReplyRowHeader(char* p, engine::RowId rid, uint64_t num_values) {
-  StoreU64(p, rid);
-  StoreU32(p + 8, static_cast<uint32_t>(num_values));
-}
-
-}  // namespace
-
-void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row) {
-  size_t size = kReplyRowHeaderBytes;
-  for (const engine::Value& v : row) size += engine::EncodedSize(v);
-  const size_t at = out->size();
-  out->resize(at + size);
-  char* p = out->data() + at;
-  StoreReplyRowHeader(p, rid, row.size());
-  p += kReplyRowHeaderBytes;
-  for (const engine::Value& v : row) p = engine::WriteValue(p, v);
-}
-
-void PutReplyRow(std::string* out, engine::RowId rid, uint64_t num_values,
-                 std::string_view values) {
-  char header[kReplyRowHeaderBytes];
-  StoreReplyRowHeader(header, rid, num_values);
-  out->append(header, sizeof(header));
-  out->append(values);
-}
-
 std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
-  std::string out;
-  PutU64(&out, rows.size());
-  for (const auto& [rid, row] : rows) PutReplyRow(&out, rid, row);
+  size_t size = 8;
+  for (const auto& [rid, row] : rows) {
+    size += kReplyRowHeaderBytes;
+    for (const engine::Value& v : row) size += engine::EncodedSize(v);
+  }
+  std::string out(size, '\0');
+  char* p = out.data();
+  StoreU64(p, rows.size());
+  p += 8;
+  for (const auto& [rid, row] : rows) {
+    StoreU64(p, rid);
+    StoreU32(p + 8, static_cast<uint32_t>(row.size()));
+    p += kReplyRowHeaderBytes;
+    for (const engine::Value& v : row) p = engine::WriteValue(p, v);
+  }
   return out;
 }
 
 namespace {
 
+Status WireTruncated() {
+  return engine::RowFaultStatus(engine::RowFault::kTruncated, "wire frame");
+}
+
 /// DecodeRangeBatchReply, except that on an error `*rows` may hold some of
 /// the reply's rows.
 Result<uint64_t> DecodeReplyRows(std::string_view payload,
                                  const RowFilter* filter, RowsWithIds* rows) {
-  ByteReader reader(payload, "wire frame");
-  MOPE_ASSIGN_OR_RETURN(const uint64_t count, reader.U64());
+  const char* p = payload.data();
+  const char* const end = p + payload.size();
+  if (payload.size() < 8) return WireTruncated();
+  const uint64_t count = LoadU64(p);
+  p += 8;
   // Each row costs at least kReplyRowHeaderBytes on the wire; a count
   // beyond that bound cannot be satisfied by the remaining payload.
-  if (count > reader.remaining() / kReplyRowHeaderBytes) {
+  if (count > static_cast<uint64_t>(end - p) / kReplyRowHeaderBytes) {
     return Status::Corruption("implausible row count in batch reply");
   }
   if (filter == nullptr) rows->reserve(rows->size() + count);
+  const uint64_t locate =
+      filter != nullptr ? filter->key_column : engine::ByteReader::kNoColumn;
+  engine::CheckedRow row;
   for (uint64_t i = 0; i < count; ++i) {
-    MOPE_ASSIGN_OR_RETURN(const uint64_t rid, reader.U64());
-    MOPE_ASSIGN_OR_RETURN(const uint32_t num_values, reader.U32());
+    if (static_cast<size_t>(end - p) < kReplyRowHeaderBytes) {
+      return WireTruncated();
+    }
+    const uint64_t rid = LoadU64(p);
+    const uint32_t num_values = LoadU32(p + 8);
+    p += kReplyRowHeaderBytes;
     if (num_values > engine::kMaxColumns) {
       return Status::Corruption("implausible column count in batch reply");
     }
-    if (filter == nullptr) {
-      MOPE_ASSIGN_OR_RETURN(engine::Row row, reader.ReadRow(num_values));
-      rows->emplace_back(rid, std::move(row));
-      continue;
-    }
-    if (filter->key_column >= num_values) {
+    if (filter != nullptr && filter->key_column >= num_values) {
       return Status::Corruption("batch reply row lacks the key column");
     }
-    // The row reader's walk checks every byte and finds the key; only a
-    // kept row is built.
-    MOPE_ASSIGN_OR_RETURN(const engine::CheckedRow row,
-                          reader.CheckRow(num_values, filter->key_column));
+    // The row reader checks every byte and finds the key; only a kept row
+    // is built.
+    const engine::RowFault fault =
+        engine::CheckedRow::Check(p, end, num_values, locate, &row);
+    if (fault != engine::RowFault::kNone) {
+      return engine::RowFaultStatus(fault, "wire frame");
+    }
+    p = row.bytes().data() + row.bytes().size();
+    if (filter == nullptr) {
+      rows->emplace_back(rid, row.Build());
+      continue;
+    }
     const std::optional<int64_t> key = row.LocatedInt();
     if (!key.has_value()) {
       return Status::Corruption("non-int key column in batch reply");
@@ -382,7 +394,7 @@ Result<uint64_t> DecodeReplyRows(std::string_view payload,
       rows->emplace_back(rid, row.Build());
     }
   }
-  if (!reader.AtEnd()) {
+  if (p != end) {
     return Status::Corruption("trailing bytes after batch reply");
   }
   return count;

@@ -40,18 +40,20 @@
 /// frame carrying the Status code and message.
 ///
 /// The range-batch reply is the bulk of all traffic, so its path copies as
-/// little as it can without changing a byte: a table stores each row as its
-/// codec bytes, so the server copies them, one memcpy per row, into the
-/// reply frame behind reserved header bytes (BeginFrame / PutReplyRow /
-/// FinishFrame); each end of a connection keeps one reply buffer for its
+/// little as it can without changing a byte: the server's sweep lists the
+/// qualifying row ids, the dispatcher sums their stored lengths (refusing
+/// an over-cap reply before it copies anything), sizes the frame once
+/// (BeginFrame) and writes each row as its 12-byte header plus one memcpy
+/// of the row's stored codec bytes (WriteReplyRow), then the CRC
+/// (FinishFrame); each end of a connection keeps one reply buffer for its
 /// whole life, so a reply costs no allocation and no page fault once the
 /// buffer has held the largest; ParseFrame validates a frame and hands out
-/// views of its payload and profile, and the client's decoder reads every
-/// row through the codec's one row reader
-/// (engine::ByteReader::CheckRow), whose single walk checks the row's bytes
-/// and finds its key, then builds only the rows a RowFilter keeps. The
-/// frame CRC (common/crc32.h), computed once on each side, folds the
-/// payload by carry-less multiplication where the host supports it.
+/// views of its payload and profile, and the client's decoder checks each
+/// row in one raw pointer pass through the codec's row reader
+/// (engine::CheckedRow::Check), which finds its key, then builds only the
+/// rows a RowFilter keeps. The frame CRC (common/crc32.h), computed once on
+/// each side, folds the payload by carry-less multiplication where the host
+/// supports it.
 ///
 /// Decoders never trust the peer: magic/version/flags/reserved/length/CRC
 /// are all checked before a payload byte is looked at, every payload field
@@ -61,11 +63,13 @@
 /// loss and deadline expiry to Unavailable (the retryable class).
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/interval.h"
 #include "common/status.h"
 #include "engine/table.h"
@@ -126,30 +130,35 @@ struct Frame {
   std::string payload;
 };
 
-/// Starts a frame in `*out`, replacing its contents: reserves the fixed
-/// header and, when `trace_id` is nonzero, writes the trace-id extension.
-/// Append the payload to `*out`, then complete the frame with FinishFrame
-/// and the same `trace_id`.
-void BeginFrame(std::string* out, uint64_t trace_id);
+/// Starts a frame of `payload_size` payload bytes in `*out`, replacing its
+/// contents but keeping its capacity, so a frame is sized once: writes the
+/// header (all but the CRC) and the extensions, which are the trace id when
+/// `trace_id` is nonzero and the profile section when `has_profile`
+/// (`profile` is its StatsReply encoding; empty on a request, asking for
+/// one). Returns where the payload goes: the caller writes exactly
+/// `payload_size` bytes there, then calls FinishFrame. A frame using no
+/// extension (zero `trace_id`, `has_profile` false) is a version-1 frame,
+/// byte-identical to what older builds emit; any extension selects version
+/// 2. Precondition (MOPE_CHECKed): payload and profile each fit in
+/// kMaxPayloadBytes. For unbounded or peer-influenced data use WriteFrame
+/// (client side) or the dispatcher's reply cap (server side), which
+/// surface overflow as a Status instead.
+char* BeginFrame(std::string* out, MessageType type, size_t payload_size,
+                 uint64_t trace_id = 0, bool has_profile = false,
+                 std::string_view profile = {});
 
-/// Completes a frame started by BeginFrame: everything appended after the
-/// reserved bytes is the payload. Fills in the header (version, flags,
-/// length, CRC) and, when `has_profile`, inserts the profile section in
-/// front of the payload — the one case that moves the payload, since a
-/// reply's profile is known only once its rows are written. A frame using
-/// no extension (zero `trace_id`, `has_profile` false) is a version-1
-/// frame, byte-identical to what older builds emit; any extension selects
-/// version 2. `profile` is the StatsReply-encoded profile section (empty =
-/// request for one). Precondition (MOPE_CHECKed): payload and profile each
-/// fit in kMaxPayloadBytes — for unbounded or peer-influenced data use
-/// WriteFrame (client side) or the dispatcher's reply cap (server side),
-/// which surface overflow as a Status instead.
-void FinishFrame(std::string* out, MessageType type, uint64_t trace_id,
-                 bool has_profile = false, std::string_view profile = {});
+/// Completes a frame started by BeginFrame once its payload is written:
+/// stores the payload's CRC in the header.
+void FinishFrame(std::string* out);
 
-/// Serializes one frame (header + payload): BeginFrame, the payload,
-/// FinishFrame.
-std::string EncodeFrame(MessageType type, std::string payload,
+/// Writes one whole frame into `*out`, replacing its contents but keeping
+/// its capacity: BeginFrame, a copy of `payload`, FinishFrame.
+void EncodeFrameInto(std::string* out, MessageType type,
+                     std::string_view payload, uint64_t trace_id = 0,
+                     bool has_profile = false, std::string_view profile = {});
+
+/// EncodeFrameInto a new string.
+std::string EncodeFrame(MessageType type, std::string_view payload,
                         uint64_t trace_id = 0, bool has_profile = false,
                         std::string_view profile = {});
 
@@ -197,14 +206,24 @@ std::string EncodeRangeBatchRequest(const RangeBatchRequest& request);
 Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload);
 
 /// A range-batch reply payload is a u64 row count, then per row a u64 row
-/// id, a u32 value count and that many PutValue encodings. PutReplyRow
-/// appends one row: encoded from a Row (EncodeRangeBatchReply), or as its
-/// 12-byte header plus one copy of the row's stored bytes, which are
-/// already those encodings (the dispatcher, from engine::Table storage).
-void PutReplyRow(std::string* out, engine::RowId rid, const engine::Row& row);
-void PutReplyRow(std::string* out, engine::RowId rid, uint64_t num_values,
-                 std::string_view values);
+/// id, a u32 value count and that many PutValue encodings.
+inline constexpr size_t kReplyRowHeaderBytes = 12;
 
+/// Writes one reply row at `p`, which must have kReplyRowHeaderBytes +
+/// values.size() bytes of room: its 12-byte header, then one copy of
+/// `values`, which are already its `num_values` PutValue encodings (a
+/// table's stored row bytes). Returns the end of what it wrote. The
+/// dispatcher sizes a reply from its rows' stored lengths, then writes
+/// each row with this.
+inline char* WriteReplyRow(char* p, engine::RowId rid, uint64_t num_values,
+                           std::string_view values) {
+  StoreU64(p, rid);
+  StoreU32(p + 8, static_cast<uint32_t>(num_values));
+  std::memcpy(p + kReplyRowHeaderBytes, values.data(), values.size());
+  return p + kReplyRowHeaderBytes + values.size();
+}
+
+/// Encodes built rows as a range-batch reply payload.
 std::string EncodeRangeBatchReply(const RowsWithIds& rows);
 
 /// The proxy's result filter: keep a row iff the int at `key_column` lies
@@ -214,14 +233,16 @@ struct RowFilter {
   ModularInterval keep;
 };
 
-/// The range-batch reply decoder. One pass checks every byte — the row-count
-/// bound, each row's column-count bound, each value's tag and string length
-/// (engine::ByteReader::CheckRow), trailing bytes — so any malformed byte,
-/// in a row kept or dropped, is Corruption and `*rows` is left as it was.
-/// With a `filter`, only the rows it keeps are built and appended to
-/// `*rows`, and a row lacking the key column or holding a non-int there is
-/// Corruption; without one every row is built. Returns the number of rows
-/// the reply carried.
+/// The range-batch reply decoder. One raw pointer pass checks every byte:
+/// the row-count bound; per row one bound check for its 12-byte header,
+/// its column-count bound, and its values' tags and string lengths
+/// (engine::CheckedRow::Check, a branch-free scan of the tags for a row of
+/// ints and doubles); then trailing bytes. Any malformed byte, in a row
+/// kept or dropped, is Corruption and `*rows` is left as it was. With a
+/// `filter`, only the rows it keeps are built and appended to `*rows`, and
+/// a row lacking the key column or holding a non-int there is Corruption;
+/// without one every row is built. The two share the pass and its checks.
+/// Returns the number of rows the reply carried.
 Result<uint64_t> DecodeRangeBatchReply(std::string_view payload,
                                        const RowFilter* filter,
                                        RowsWithIds* rows);

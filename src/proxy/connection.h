@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -117,24 +116,23 @@ class DirectConnection final : public ServerConnection {
       const std::vector<ModularInterval>& ranges, size_t key_column,
       const ModularInterval& keep,
       std::vector<std::pair<engine::RowId, engine::Row>>* kept) override {
-    uint64_t shipped = 0;
-    Status filtered;
-    MOPE_RETURN_NOT_OK(server_->VisitRangeBatch(
-        table, column, ranges,
-        [&](engine::RowId rid, uint64_t num_columns, std::string_view bytes) {
-          ++shipped;
-          const engine::CheckedRow row =
-              engine::CheckStoredRow(bytes, num_columns, key_column);
-          const std::optional<int64_t> key = row.LocatedInt();
-          if (!key.has_value()) {
-            filtered =
-                Status::Corruption("range batch row lacks an int key column");
-          } else if (keep.Contains(static_cast<uint64_t>(*key))) {
-            kept->emplace_back(rid, row.Build());
-          }
-        }));
-    MOPE_RETURN_NOT_OK(filtered);
-    return shipped;
+    std::vector<engine::RowId> row_ids;
+    MOPE_ASSIGN_OR_RETURN(
+        const engine::Table* tbl,
+        server_->CollectRangeBatch(table, column, ranges, &row_ids));
+    const uint64_t num_columns = tbl->schema().num_columns();
+    for (const engine::RowId rid : row_ids) {
+      const engine::CheckedRow row =
+          engine::CheckStoredRow(tbl->row_bytes(rid), num_columns, key_column);
+      const std::optional<int64_t> key = row.LocatedInt();
+      if (!key.has_value()) {
+        return Status::Corruption("range batch row lacks an int key column");
+      }
+      if (keep.Contains(static_cast<uint64_t>(*key))) {
+        kept->emplace_back(rid, row.Build());
+      }
+    }
+    return static_cast<uint64_t>(row_ids.size());
   }
 
   Result<engine::Schema> GetSchema(const std::string& table) override {

@@ -1,9 +1,10 @@
 #include "proxy/proxy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
+#include <string>
 
 #include "engine/codec.h"
 #include "obs/trace.h"
@@ -30,7 +31,85 @@ Status ValidateProxyConfig(const ProxyConfig& config,
   return Status::OK();
 }
 
+/// Re-encrypts one ciphertext of `from`'s key under `to`'s.
+Result<int64_t> Reencrypt(const ope::MopeScheme& from,
+                          const ope::MopeScheme& to, int64_t cipher) {
+  MOPE_ASSIGN_OR_RETURN(const uint64_t plain,
+                        from.Decrypt(static_cast<uint64_t>(cipher)));
+  MOPE_ASSIGN_OR_RETURN(const uint64_t fresh, to.Encrypt(plain));
+  return static_cast<int64_t>(fresh);
+}
+
+/// Puts rows 0, 1, ... back to `old_ciphers` after a rotation stopped with
+/// `cause`, and returns `cause`; when a row cannot be put back, an error
+/// that counts the rows left under the discarded key.
+Status RollBackRotation(engine::Table* table, size_t column,
+                        const std::vector<int64_t>& old_ciphers,
+                        const Status& cause) {
+  uint64_t stranded = 0;
+  Status first;
+  for (engine::RowId rid = 0; rid < old_ciphers.size(); ++rid) {
+    const Status restored = table->UpdateValue(rid, column, old_ciphers[rid]);
+    if (restored.ok()) continue;
+    ++stranded;
+    if (first.ok()) first = restored;
+  }
+  if (stranded == 0) return cause;
+  return Status::Internal(
+      "key rotation failed (" + cause.ToString() + ") and rolling it back "
+      "failed too (" + first.ToString() + "): " + std::to_string(stranded) +
+      " of " + std::to_string(table->row_count()) +
+      " rows are left under the discarded key");
+}
+
 }  // namespace
+
+void RowIdSet::Clear() {
+  slots_.clear();
+  size_ = 0;
+  shift_ = 64;
+  has_free_id_ = false;
+}
+
+void RowIdSet::Reserve(size_t more) {
+  const size_t need = size_ + more;
+  if (2 * need <= slots_.size()) return;
+  size_t capacity = 16;
+  while (capacity < 2 * need) capacity *= 2;
+  // An empty set (every query's first batch) refills its own storage; a
+  // set that outgrows its table mid-query moves its members over.
+  std::vector<uint64_t> members;
+  if (size_ > 0) members.swap(slots_);
+  slots_.assign(capacity, kFree);
+  shift_ = 64 - std::countr_zero(capacity);
+  for (const uint64_t id : members) {
+    if (id != kFree) slots_[Find(id)] = id;
+  }
+}
+
+size_t RowIdSet::Find(uint64_t id) const {
+  const size_t mask = slots_.size() - 1;
+  // Fibonacci hashing: the top bits of id * 2^64/phi spread dense row ids
+  // over the whole table.
+  size_t i = static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+  while (slots_[i] != kFree && slots_[i] != id) i = (i + 1) & mask;
+  return i;
+}
+
+bool RowIdSet::Insert(uint64_t id) {
+  if (id == kFree) {
+    const bool added = !has_free_id_;
+    has_free_id_ = true;
+    return added;
+  }
+  MOPE_CHECK(!slots_.empty(), "RowIdSet room was reserved");
+  const size_t i = Find(id);
+  if (slots_[i] == id) return false;
+  MOPE_CHECK(2 * (size_ + 1) <= slots_.size(), "RowIdSet room was reserved");
+  slots_[i] = id;
+  ++size_;
+  return true;
+}
 
 Proxy::Proxy(const ProxyConfig& config, ope::MopeScheme mope,
              std::unique_ptr<ServerConnection> connection,
@@ -155,7 +234,13 @@ Result<uint64_t> Proxy::RotateKey(mope::BitSource* entropy) {
   MOPE_ASSIGN_OR_RETURN(engine::Table * table,
                         server_->catalog()->GetTable(config_.table));
   const uint64_t num_columns = table->schema().num_columns();
-  for (engine::RowId rid = 0; rid < table->row_count(); ++rid) {
+  const uint64_t rows = table->row_count();
+  // The proxy keeps the old key until every row is rewritten. A failure
+  // part-way puts the rows already rewritten back to these ciphertexts, so
+  // no row is left under a key the proxy has discarded.
+  std::vector<int64_t> old_ciphers;
+  old_ciphers.reserve(rows);
+  for (engine::RowId rid = 0; rid < rows; ++rid) {
     // The key is read from the row's stored bytes; no row is built. The
     // update below has the same width, so the row stays where it is.
     const std::optional<int64_t> old_cipher =
@@ -163,15 +248,20 @@ Result<uint64_t> Proxy::RotateKey(mope::BitSource* entropy) {
                                key_column_index_)
             .LocatedInt();
     MOPE_CHECK(old_cipher.has_value(), "the MOPE column holds ints");
-    MOPE_ASSIGN_OR_RETURN(uint64_t plain,
-                          mope_.Decrypt(static_cast<uint64_t>(*old_cipher)));
-    MOPE_ASSIGN_OR_RETURN(uint64_t new_cipher, new_scheme.Encrypt(plain));
-    MOPE_RETURN_NOT_OK(table->UpdateValue(rid, key_column_index_,
-                                          static_cast<int64_t>(new_cipher)));
+    const Result<int64_t> new_cipher =
+        Reencrypt(mope_, new_scheme, *old_cipher);
+    const Status rewritten =
+        new_cipher.ok()
+            ? table->UpdateValue(rid, key_column_index_, *new_cipher)
+            : new_cipher.status();
+    if (!rewritten.ok()) {
+      return RollBackRotation(table, key_column_index_, old_ciphers,
+                              rewritten);
+    }
+    old_ciphers.push_back(*old_cipher);
   }
-  const uint64_t rotated = table->row_count();
   mope_ = std::move(new_scheme);
-  return rotated;
+  return rows;
 }
 
 Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
@@ -224,8 +314,7 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
                         mope_.EncryptRange(want));
   const ModularInterval want_cipher_iv = ModularInterval::FromEndpoints(
       want_cipher.first, want_cipher.last, mope_.range());
-  std::unordered_set<engine::RowId> seen;
-  std::vector<std::pair<engine::RowId, engine::Row>> rows;
+  returned_ids_.Clear();
   for (size_t offset = 0; offset < batch.size(); offset += config_.batch_size) {
     const size_t end = std::min(batch.size(), offset + config_.batch_size);
     std::vector<ModularInterval> cipher_ranges;
@@ -242,28 +331,34 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
     }
     // Each batch is sent once; only the connection retries (transient
     // transport errors, DESIGN §5b).
-    rows.clear();
+    batch_rows_.clear();
     MOPE_ASSIGN_OR_RETURN(
         const uint64_t shipped,
         connection_->FetchRangeBatch(config_.table, config_.column,
                                      cipher_ranges, key_column_index_,
-                                     want_cipher_iv, &rows));
+                                     want_cipher_iv, &batch_rows_));
     ++response.server_requests;
     response.rows_received += shipped;
 
     // 5: of the rows whose ciphertext falls in the client's encrypted range,
-    // deduplicate those returned by more than one overlapping request, then
-    // decrypt the key column of just those rows.
+    // deduplicate those returned by more than one overlapping request,
+    // keeping the first, then decrypt the key column of just those rows.
     const obs::ScopedSpan span("proxy.decrypt_filter");
-    for (auto& [rid, row] : rows) {
+    returned_ids_.Reserve(batch_rows_.size());
+    const size_t most = response.rows.size() + batch_rows_.size();
+    if (most > response.rows.capacity()) {
+      response.rows.reserve(std::max(most, 2 * response.rows.capacity()));
+    }
+    for (auto& [rid, row] : batch_rows_) {
+      if (!returned_ids_.Insert(rid)) continue;
       const int64_t cipher = std::get<int64_t>(row[key_column_index_]);
-      if (!seen.insert(rid).second) continue;
       MOPE_ASSIGN_OR_RETURN(uint64_t plain,
                             mope_.Decrypt(static_cast<uint64_t>(cipher)));
       row[key_column_index_] = static_cast<int64_t>(plain);
       response.rows.push_back(std::move(row));
     }
   }
+  batch_rows_.clear();  // the duplicates' rows go; the list's storage stays
 
   totals_.real_queries_sent += response.real_queries_sent;
   totals_.fake_queries_sent += response.fake_queries_sent;

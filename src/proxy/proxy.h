@@ -15,14 +15,17 @@
 ///      Section 5.1 multiple-range optimization; batch size 1 = one request
 ///      per query), at a fixed pacing of one batch per clock tick,
 ///   5. filters the returned ciphertext rows, keeping exactly those whose
-///      decrypted key falls in the client's original range.
+///      decrypted key falls in the client's original range, each once
+///      (overlapping requests return a row more than once; RowIdSet).
 ///
 /// The server only ever observes encrypted ranges whose start points follow
 /// the uniform (QueryU) or ρ-periodic (QueryP) perceived distribution.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -65,6 +68,35 @@ struct ProxyConfig {
   /// that separation is what lets a single test process assert that an
   /// embedded run and a remote run produce byte-identical proxy.* counters.
   obs::MetricsRegistry* registry = nullptr;
+};
+
+/// Step 5's dedup: an exact set of row ids by open addressing (linear
+/// probing over a power-of-two table of ids, at most half full). Every
+/// 64-bit id is a member like any other: the id that marks a free slot,
+/// 2^64-1, is tracked by a flag of its own. The table is sized from the
+/// number of ids it must hold, never from their values, and its storage
+/// is kept from one query to the next.
+class RowIdSet {
+ public:
+  /// Empties the set, keeping its storage.
+  void Clear();
+  /// Makes room for `more` further ids: no insert grows the table until
+  /// they are in.
+  void Reserve(size_t more);
+  /// Adds `id`; false when it was already a member. Precondition: room was
+  /// reserved for it.
+  bool Insert(uint64_t id);
+
+ private:
+  static constexpr uint64_t kFree = ~uint64_t{0};
+
+  /// The slot where `id` is, or the free one where it would go.
+  size_t Find(uint64_t id) const;
+
+  std::vector<uint64_t> slots_;  ///< Power-of-two many; kFree marks a free one.
+  size_t size_ = 0;              ///< Members in slots_.
+  int shift_ = 64;               ///< 64 - log2(slots_.size()).
+  bool has_free_id_ = false;     ///< Whether kFree itself is a member.
 };
 
 /// The proxy serves the paper's *set of clients* (Figure 4): ExecuteRange
@@ -129,7 +161,13 @@ class Proxy {
   /// follows) and switching the proxy to the new key. This implements the
   /// mitigation the paper sketches in Section 9: rotating the encryption at
   /// intervals bounds what a plaintext-ciphertext pair exposure reveals.
-  /// Returns the number of rows re-encrypted.
+  /// Returns the number of rows re-encrypted. All or nothing: the proxy
+  /// switches keys only after the last row is rewritten, and a failure
+  /// part-way (a row update the durability hook refuses, say) rewrites the
+  /// rows already rotated back to their old ciphertexts, then returns that
+  /// failure, so every row still decrypts under the key the proxy keeps. A
+  /// row the rollback cannot restore is an Internal error that says how
+  /// many rows are left under the discarded key.
   Result<uint64_t> RotateKey(mope::BitSource* entropy) MOPE_EXCLUDES(mutex_);
 
   const ProxyConfig& config() const { return config_; }
@@ -178,6 +216,14 @@ class Proxy {
   std::unique_ptr<query::QueryAlgorithm> algorithm_ MOPE_PT_GUARDED_BY(mutex_);
   size_t key_column_index_ = 0;  ///< Const after Create.
   QueryResponse totals_ MOPE_GUARDED_BY(mutex_);
+  /// ExecuteRange's scratch, whose storage is kept from one query to the
+  /// next so a query allocates none of it once the proxy has served a
+  /// larger one: each batch's kept rows as the connection hands them over
+  /// (emptied when the query ends), and the ids already returned (step 5's
+  /// dedup).
+  std::vector<std::pair<engine::RowId, engine::Row>> batch_rows_
+      MOPE_GUARDED_BY(mutex_);
+  RowIdSet returned_ids_ MOPE_GUARDED_BY(mutex_);
 
   /// Refreshes the proxy.mix.* health gauges after a batch.
   void UpdateMixHealthLocked() MOPE_REQUIRES(mutex_);

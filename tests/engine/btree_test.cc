@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -178,6 +180,57 @@ TEST(BPlusTreeTest, ScanRangeReturnsVisitCount) {
   for (uint64_t k = 0; k < 100; ++k) t.Insert(k, k);
   const size_t visited = t.ScanRange(10, 19, [](uint64_t, uint64_t) {});
   EXPECT_EQ(visited, 10u);
+}
+
+TEST(BPlusTreeTest, CollectAndCountMatchScanOnRandomTrees) {
+  // Heavy key duplication and ranges from a point to the whole tree: runs
+  // start and stop inside leaves, at their edges and many leaves apart.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    BPlusTree t;
+    const uint64_t key_space = 1 + rng.UniformUint64(600);
+    const uint64_t entries = rng.UniformUint64(3000);
+    for (uint64_t rid = 0; rid < entries; ++rid) {
+      t.Insert(rng.UniformUint64(key_space), rid);
+    }
+    // Erasures leave leaves at every fill level.
+    for (uint64_t i = 0; i < entries / 3; ++i) {
+      t.Erase(rng.UniformUint64(key_space), rng.UniformUint64(entries + 1));
+    }
+    ASSERT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants();
+    for (int trial = 0; trial < 60; ++trial) {
+      uint64_t lo = rng.UniformUint64(key_space + 2);
+      uint64_t hi = rng.Bernoulli(0.1) ? ~uint64_t{0}
+                                       : rng.UniformUint64(key_space + 2);
+      if (trial % 7 == 0) hi = lo;
+      if (trial % 11 == 0) std::swap(lo, hi);  // sometimes inverted
+      std::vector<uint64_t> scanned;
+      BPlusTree::ScanStats scan_stats;
+      const size_t visited = t.ScanRange(
+          lo, hi, [&scanned](uint64_t, uint64_t rid) { scanned.push_back(rid); },
+          &scan_stats);
+      // Appends behind what the list already holds.
+      std::vector<uint64_t> collected = {7, 8};
+      BPlusTree::ScanStats collect_stats;
+      const size_t appended = t.CollectRange(lo, hi, &collected, &collect_stats);
+      BPlusTree::ScanStats count_stats;
+      const size_t counted = t.CountRange(lo, hi, &count_stats);
+      const std::string what = "seed " + std::to_string(seed) + ", [" +
+                               std::to_string(lo) + ", " + std::to_string(hi) +
+                               "]";
+      ASSERT_EQ(visited, scanned.size()) << what;
+      ASSERT_EQ(appended, scanned.size()) << what;
+      ASSERT_EQ(counted, scanned.size()) << what;
+      ASSERT_EQ(collected.size(), scanned.size() + 2) << what;
+      EXPECT_EQ(collected[0], 7u) << what;
+      EXPECT_EQ(collected[1], 8u) << what;
+      EXPECT_TRUE(std::equal(scanned.begin(), scanned.end(),
+                             collected.begin() + 2))
+          << what;
+      EXPECT_EQ(collect_stats.nodes_visited, scan_stats.nodes_visited) << what;
+      EXPECT_EQ(count_stats.nodes_visited, scan_stats.nodes_visited) << what;
+    }
+  }
 }
 
 TEST(BPlusTreeTest, MaxKeyBoundary) {

@@ -8,7 +8,11 @@
 /// byte, in a kept row or a dropped one, ever aborts the client or yields
 /// rows that differ from what the server sent; and a reply row without an
 /// int key column, which no honest server produces, is Corruption at the
-/// proxy, never a crash. The same byte sweep covers the protocol's other
+/// proxy, never a crash; and a row id a reply repeats, within one batch or
+/// across two, the largest id included, reaches the client once, as its
+/// first copy. The byte sweeps run over a reply with strings and over a
+/// lineitem-shaped one without, so both of the row reader's paths see
+/// every mutation. The same byte sweep covers the protocol's other
 /// decoders: every cut is Corruption, and every flip is Corruption or a
 /// message that re-encodes to exactly the flipped bytes.
 
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -31,6 +36,7 @@
 #include "net/remote_connection.h"
 #include "net/wire.h"
 #include "proxy/proxy.h"
+#include "query/query_types.h"
 #include "tests/testing/byte_sweep.h"
 
 namespace mope::net {
@@ -154,6 +160,36 @@ net::RowsWithIds ReferenceRows() {
 
 const RowFilter kReferenceFilter{1, ModularInterval(100, 300, 1000)};
 
+/// Eight lineitem-shaped rows, ints and doubles only, key in column 5: no
+/// string, so every row takes the row reader's fixed-width tag scan.
+net::RowsWithIds LineitemReferenceRows() {
+  net::RowsWithIds rows;
+  for (int64_t i = 0; i < 8; ++i) {
+    const double d = static_cast<double>(i);
+    rows.emplace_back(
+        200 + i, Row{Value{int64_t{1000} + i}, Value{int64_t{7} * i},
+                     Value{1.5 * d}, Value{100.25 * d}, Value{0.01 * d},
+                     Value{int64_t{60} * i}, Value{int64_t{60} * i + 30},
+                     Value{int64_t{60} * i + 45}, Value{i % 3}});
+  }
+  return rows;
+}
+
+const RowFilter kLineitemFilter{5, ModularInterval(100, 200, 1000)};
+
+/// A reply the sweeps below mutate, and the filter they decode it with.
+struct SweptReply {
+  const char* name;
+  net::RowsWithIds rows;
+  RowFilter filter;
+};
+
+std::vector<SweptReply> SweptReplies() {
+  return {{"mixed reference", ReferenceRows(), kReferenceFilter},
+          {"lineitem-shaped reference", LineitemReferenceRows(),
+           kLineitemFilter}};
+}
+
 /// Serves a fixed byte stream to every read and accepts every write: the
 /// reply of a server that sends exactly these bytes.
 class ScriptedTransport final : public Transport {
@@ -189,13 +225,13 @@ std::unique_ptr<RemoteConnection> ConnectionServing(std::string bytes) {
 
 /// Runs the client's two range-batch decoders on a reply stream: each
 /// outcome must be Corruption, Unavailable, or exactly the reference rows.
-void ExpectCorruptionOrReference(const std::string& stream,
+void ExpectCorruptionOrReference(const SweptReply& reference,
+                                 const std::string& stream,
                                  const std::string& what) {
-  const net::RowsWithIds reference = ReferenceRows();
   const std::vector<ModularInterval> ranges = {ModularInterval(0, 10, 10)};
   auto full = ConnectionServing(stream)->ExecuteRangeBatch("t", "k", ranges);
   if (full.ok()) {
-    EXPECT_EQ(*full, reference) << what;
+    EXPECT_EQ(*full, reference.rows) << what;
   } else {
     EXPECT_TRUE(full.status().IsCorruption() ||
                 full.status().IsUnavailable())
@@ -203,11 +239,11 @@ void ExpectCorruptionOrReference(const std::string& stream,
   }
   net::RowsWithIds kept;
   auto shipped = ConnectionServing(stream)->FetchRangeBatch(
-      "t", "k", ranges, kReferenceFilter.key_column, kReferenceFilter.keep,
+      "t", "k", ranges, reference.filter.key_column, reference.filter.keep,
       &kept);
   if (shipped.ok()) {
-    EXPECT_EQ(*shipped, reference.size()) << what;
-    EXPECT_EQ(kept, FilterRows(reference, kReferenceFilter)) << what;
+    EXPECT_EQ(*shipped, reference.rows.size()) << what;
+    EXPECT_EQ(kept, FilterRows(reference.rows, reference.filter)) << what;
   } else {
     EXPECT_TRUE(shipped.status().IsCorruption() ||
                 shipped.status().IsUnavailable())
@@ -216,11 +252,19 @@ void ExpectCorruptionOrReference(const std::string& stream,
 }
 
 TEST(ReplyDecoderTest, EveryFlippedOrCutFrameByteIsAnErrorOrTheExactRows) {
-  const std::string frame = EncodeFrame(MessageType::kRangeBatchReply,
-                                        EncodeRangeBatchReply(ReferenceRows()));
-  ExpectCorruptionOrReference(frame, "intact frame");
-  ForEachFlip(frame, ExpectCorruptionOrReference);
-  ForEachCut(frame, ExpectCorruptionOrReference);
+  for (const SweptReply& reference : SweptReplies()) {
+    const std::string frame =
+        EncodeFrame(MessageType::kRangeBatchReply,
+                    EncodeRangeBatchReply(reference.rows));
+    const auto check = [&reference](const std::string& stream,
+                                    const std::string& what) {
+      ExpectCorruptionOrReference(reference, stream,
+                                  std::string(reference.name) + ", " + what);
+    };
+    check(frame, "intact frame");
+    ForEachFlip(frame, check);
+    ForEachCut(frame, check);
+  }
 }
 
 /// One of the protocol's other messages: its bytes, and a decode followed
@@ -348,36 +392,41 @@ TEST(ReplyReadTest, ClaimedPayloadLengthDoesNotSizeTheRead) {
 /// Corruption, or decodes — and then the filtered decode still equals the
 /// full decode followed by the filter.
 TEST(ReplyDecoderTest, EveryFlippedOrCutPayloadByteKeepsTheDecodersInStep) {
-  const auto check = [](const std::string& mutant, const std::string& what) {
-    auto full = DecodeRangeBatchReply(mutant);
-    net::RowsWithIds kept;
-    auto shipped = DecodeRangeBatchReply(mutant, &kReferenceFilter, &kept);
-    if (!full.ok()) {
-      EXPECT_TRUE(full.status().IsCorruption()) << what;
-      EXPECT_TRUE(shipped.status().IsCorruption()) << what;
-      EXPECT_TRUE(kept.empty()) << what;
-      return;
-    }
-    // A decodable mutant can still hold a row the filter rejects (a key
-    // column that is no longer an int): then only the filtered decode fails.
-    bool keyed = true;
-    for (const auto& [rid, row] : *full) {
-      keyed = keyed && row.size() > kReferenceFilter.key_column &&
-              std::holds_alternative<int64_t>(
-                  row[kReferenceFilter.key_column]);
-    }
-    if (!keyed) {
-      EXPECT_TRUE(shipped.status().IsCorruption()) << what;
-      EXPECT_TRUE(kept.empty()) << what;
-      return;
-    }
-    ASSERT_TRUE(shipped.ok()) << what << ": " << shipped.status();
-    EXPECT_EQ(*shipped, full->size()) << what;
-    EXPECT_EQ(kept, FilterRows(*full, kReferenceFilter)) << what;
-  };
-  const std::string payload = EncodeRangeBatchReply(ReferenceRows());
-  ForEachFlip(payload, check);
-  ForEachCut(payload, check);
+  for (const SweptReply& reference : SweptReplies()) {
+    const RowFilter& filter = reference.filter;
+    const auto check = [&reference, &filter](const std::string& mutant,
+                                             const std::string& cause) {
+      const std::string what = std::string(reference.name) + ", " + cause;
+      auto full = DecodeRangeBatchReply(mutant);
+      net::RowsWithIds kept;
+      auto shipped = DecodeRangeBatchReply(mutant, &filter, &kept);
+      if (!full.ok()) {
+        EXPECT_TRUE(full.status().IsCorruption()) << what;
+        EXPECT_TRUE(shipped.status().IsCorruption()) << what;
+        EXPECT_TRUE(kept.empty()) << what;
+        return;
+      }
+      // A decodable mutant can still hold a row the filter rejects (a key
+      // column that is no longer an int): then only the filtered decode
+      // fails.
+      bool keyed = true;
+      for (const auto& [rid, row] : *full) {
+        keyed = keyed && row.size() > filter.key_column &&
+                std::holds_alternative<int64_t>(row[filter.key_column]);
+      }
+      if (!keyed) {
+        EXPECT_TRUE(shipped.status().IsCorruption()) << what;
+        EXPECT_TRUE(kept.empty()) << what;
+        return;
+      }
+      ASSERT_TRUE(shipped.ok()) << what << ": " << shipped.status();
+      EXPECT_EQ(*shipped, full->size()) << what;
+      EXPECT_EQ(kept, FilterRows(*full, filter)) << what;
+    };
+    const std::string payload = EncodeRangeBatchReply(reference.rows);
+    ForEachFlip(payload, check);
+    ForEachCut(payload, check);
+  }
 }
 
 // --- Golden: the dispatcher's frame from table storage --------------------
@@ -485,22 +534,25 @@ TEST(ReplyGoldenTest, ReusedReplyBufferAfterAGrowingStringUpdate) {
 
 constexpr uint64_t kDomain = 64;
 
-/// A proxy over `connection` for table "t"(k int): passthrough queries, no
-/// retries.
+/// The key every proxy below holds.
+Result<ope::MopeScheme> ProxyScheme() {
+  Rng rng(5);
+  return ope::MopeScheme::Create(
+      ope::OpeParams{kDomain, ope::SuggestRange(kDomain)},
+      ope::MopeKey::Generate(kDomain, &rng));
+}
+
+/// A proxy over `connection` for table "t" keyed on int column "k":
+/// passthrough queries, one piece per request, no retries.
 Result<std::unique_ptr<proxy::Proxy>> MakeProxy(
     std::unique_ptr<proxy::ServerConnection> connection) {
-  Rng rng(5);
   proxy::ProxyConfig config;
   config.table = "t";
   config.column = "k";
   config.domain = kDomain;
   config.k = 4;
   config.mode = proxy::QueryMode::kPassthrough;
-  MOPE_ASSIGN_OR_RETURN(
-      ope::MopeScheme scheme,
-      ope::MopeScheme::Create(
-          ope::OpeParams{kDomain, ope::SuggestRange(kDomain)},
-          ope::MopeKey::Generate(kDomain, &rng)));
+  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme scheme, ProxyScheme());
   return proxy::Proxy::Create(config, std::move(scheme), std::move(connection));
 }
 
@@ -566,6 +618,105 @@ TEST(HostileReplyTest, StringKeyInAReplyFrameIsCorruption) {
 
 TEST(HostileReplyTest, ZeroColumnRowInAReplyFrameIsCorruption) {
   ExpectCorruptionFromReplyFrame(kZeroColumnRow);
+}
+
+// --- Rows the proxy returns once --------------------------------------------
+
+const Schema kKeyTagSchema({Column{"k", ValueType::kInt},
+                            Column{"tag", ValueType::kInt}});
+
+/// Answers the n-th range batch with the n-th entry of `batches`, then with
+/// no rows.
+class ScriptedBatchesConnection final : public proxy::ServerConnection {
+ public:
+  explicit ScriptedBatchesConnection(std::vector<net::RowsWithIds> batches)
+      : batches_(std::move(batches)) {}
+
+  Result<net::RowsWithIds> ExecuteRangeBatch(
+      const std::string&, const std::string&,
+      const std::vector<ModularInterval>&) override {
+    if (calls_ == batches_.size()) return net::RowsWithIds();
+    return batches_[calls_++];
+  }
+  Result<Schema> GetSchema(const std::string&) override {
+    return kKeyTagSchema;
+  }
+
+ private:
+  std::vector<net::RowsWithIds> batches_;
+  size_t calls_ = 0;
+};
+
+/// One copy of a row a server sends: its id, plaintext key and a tag that
+/// tells the copies of one id apart.
+struct RowCopy {
+  engine::RowId id;
+  uint64_t key;
+  int64_t tag;
+};
+
+/// Runs query [8, 15] (two pieces, so two requests) on a proxy whose server
+/// answers request b with `batches[b]`, keys encrypted under the proxy's
+/// key, first through a connection handing over built rows, then through
+/// reply frames. Either way the proxy returns each id once: its first copy.
+void ExpectEachIdOnceAsItsFirstCopy(
+    const std::vector<std::vector<RowCopy>>& batches) {
+  const query::RangeQuery q{8, 15};
+  const size_t requests = query::Decompose(q, 4, kDomain).size();
+  ASSERT_EQ(requests, 2u);
+  ASSERT_LE(batches.size(), requests);
+  auto scheme = ProxyScheme();
+  ASSERT_TRUE(scheme.ok()) << scheme.status();
+  std::vector<net::RowsWithIds> replies(requests);
+  std::vector<Row> expected;
+  std::set<engine::RowId> seen;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (const RowCopy& copy : batches[b]) {
+      auto cipher = scheme->Encrypt(copy.key);
+      ASSERT_TRUE(cipher.ok()) << cipher.status();
+      replies[b].emplace_back(
+          copy.id, Row{static_cast<int64_t>(*cipher), copy.tag});
+      if (seen.insert(copy.id).second) {
+        expected.push_back(Row{static_cast<int64_t>(copy.key), copy.tag});
+      }
+    }
+  }
+  std::string stream = EncodeFrame(MessageType::kSchemaReply,
+                                   EncodeSchemaReply(kKeyTagSchema));
+  for (const net::RowsWithIds& reply : replies) {
+    stream += EncodeFrame(MessageType::kRangeBatchReply,
+                          EncodeRangeBatchReply(reply));
+  }
+  for (const bool via_wire : {false, true}) {
+    std::unique_ptr<proxy::ServerConnection> connection;
+    if (via_wire) {
+      connection = ConnectionServing(stream);
+    } else {
+      connection = std::make_unique<ScriptedBatchesConnection>(replies);
+    }
+    auto proxy = MakeProxy(std::move(connection));
+    ASSERT_TRUE(proxy.ok()) << proxy.status();
+    auto response = (*proxy)->ExecuteRange(q);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->rows, expected) << (via_wire ? "frames" : "rows");
+  }
+}
+
+TEST(HostileReplyTest, IdRepeatedWithinAReplyIsReturnedOnce) {
+  ExpectEachIdOnceAsItsFirstCopy({{{1, 9, 100}, {2, 10, 200}, {1, 9, 300}}});
+}
+
+TEST(HostileReplyTest, IdRepeatedAcrossTwoBatchesIsReturnedOnce) {
+  ExpectEachIdOnceAsItsFirstCopy(
+      {{{1, 9, 100}, {2, 10, 200}}, {{2, 10, 300}, {3, 12, 400}}});
+}
+
+TEST(HostileReplyTest, LargestIdArrivingTwiceIsReturnedOnce) {
+  // 2^64-1 is the dedup set's free-slot marker; 0 and 2^64-2 sit beside it.
+  constexpr engine::RowId kMax = ~engine::RowId{0};
+  ExpectEachIdOnceAsItsFirstCopy(
+      {{{kMax, 9, 100}, {0, 10, 200}, {kMax - 1, 11, 300}},
+       {{kMax, 9, 400}, {0, 10, 500}, {kMax - 1, 11, 600}}});
 }
 
 }  // namespace

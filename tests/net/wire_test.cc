@@ -386,6 +386,35 @@ TEST(DispatcherTest, OverCapReplyDoesNotKeepTheSweptRows) {
   EXPECT_LT(reply->capacity(), swept);
 }
 
+TEST(DispatcherTest, OverCapReplyKeepsTheCallersBuffer) {
+  // The cap is checked against the rows' stored lengths before any row is
+  // copied, and the status frame is written into the session's buffer: the
+  // session keeps the storage it had.
+  engine::DbServer server = MakeServer();
+  DispatcherOptions options;
+  options.max_reply_payload_bytes = 64;
+  WireDispatcher dispatcher(&server, options);
+  const std::string request = EncodeFrame(
+      MessageType::kRangeBatchRequest,
+      EncodeRangeBatchRequest({"data", "key", {ModularInterval(0, 100, 100)}}));
+  std::string buffer;
+  buffer.reserve(4096);
+  const char* const storage = buffer.data();
+  const size_t capacity = buffer.capacity();
+  size_t consumed = 0;
+  auto reply = dispatcher.HandleFrameBytes(request, &consumed,
+                                           std::move(buffer));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto frame = DecodeFrame(*reply, nullptr);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kStatusReply));
+  Status carried;
+  ASSERT_TRUE(DecodeStatusReply(frame->payload, &carried).ok());
+  EXPECT_TRUE(carried.IsInvalidArgument()) << carried.ToString();
+  EXPECT_EQ(reply->data(), storage);
+  EXPECT_EQ(reply->capacity(), capacity);
+}
+
 TEST(DispatcherTest, ByteAccountingReachesServerStats) {
   engine::DbServer server = MakeServer();
   WireDispatcher dispatcher(&server);

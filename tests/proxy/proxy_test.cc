@@ -281,5 +281,45 @@ TEST(ProxyTest, FailedLoadRollsBackTheServerTable) {
   ASSERT_TRUE(resp.ok()) << resp.status();
 }
 
+TEST(RowIdSetTest, MatchesAStdSetForEveryId) {
+  // Dense ids (a table's row ids), ids near both ends of the 64-bit range
+  // (2^64-1 is the free-slot marker) and random ones, over queries of
+  // several batches whose Reserve calls grow the table mid-query.
+  Rng rng(0x5E7);
+  RowIdSet set;
+  for (int query = 0; query < 30; ++query) {
+    set.Clear();
+    std::set<uint64_t> model;
+    const int batches = 1 + static_cast<int>(rng.UniformUint64(4));
+    for (int b = 0; b < batches; ++b) {
+      std::vector<uint64_t> ids;
+      const uint64_t n = rng.UniformUint64(700);
+      for (uint64_t i = 0; i < n; ++i) {
+        switch (rng.UniformUint64(4)) {
+          case 0:
+            ids.push_back(rng.UniformUint64(300));
+            break;
+          case 1:
+            ids.push_back(~uint64_t{0} - rng.UniformUint64(3));
+            break;
+          case 2:
+            ids.push_back(rng.UniformUint64(3));
+            break;
+          default:
+            ids.push_back(rng.NextWord());
+            break;
+        }
+      }
+      set.Reserve(ids.size());
+      for (const uint64_t id : ids) {
+        ASSERT_EQ(set.Insert(id), model.insert(id).second)
+            << "query " << query << ", id " << id;
+      }
+    }
+    // Every member is found again; nothing else was added.
+    for (const uint64_t id : model) EXPECT_FALSE(set.Insert(id)) << id;
+  }
+}
+
 }  // namespace
 }  // namespace mope::proxy

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "proxy/system.h"
 
@@ -115,6 +117,77 @@ TEST_F(RotationTest, RotationChangesTheOffset) {
     if (plain.ok() && plain.value() == i) ++agreeing;
   }
   EXPECT_LT(agreeing, 5);
+}
+
+/// Table hooks that refuse `times` row updates in a row, starting with the
+/// `fail_at`-th (counting from 1), and accept everything else.
+class RefusingUpdateHooks final : public engine::TableDurabilityHooks {
+ public:
+  RefusingUpdateHooks(uint64_t fail_at, uint64_t times)
+      : fail_at_(fail_at), times_(times) {}
+
+  Status OnInsert(engine::RowId, uint64_t, std::string_view) override {
+    return Status::OK();
+  }
+  Status OnUpdateValue(engine::RowId, size_t, const engine::Value&) override {
+    if (++updates_ < fail_at_ || refused_ == times_) return Status::OK();
+    ++refused_;
+    return Status::Unavailable("injected: update refused");
+  }
+  Status OnCreateIndex(size_t) override { return Status::OK(); }
+
+ private:
+  uint64_t fail_at_;
+  uint64_t times_;
+  uint64_t updates_ = 0;
+  uint64_t refused_ = 0;
+};
+
+TEST_F(RotationTest, FailedRotationRollsBackAndEveryValueStillAnswers) {
+  auto table = system_.server()->catalog()->GetTable("data");
+  ASSERT_TRUE(table.ok());
+  const auto before = StoredCiphertexts();
+  RefusingUpdateHooks hooks(/*fail_at=*/50, /*times=*/1);
+  (*table)->set_durability_hooks(&hooks);
+  auto rotated = system_.RotateKey("data", "key");
+  (*table)->set_durability_hooks(nullptr);
+  ASSERT_FALSE(rotated.ok());
+  EXPECT_TRUE(rotated.status().IsUnavailable()) << rotated.status();
+  EXPECT_EQ(rotated.status().message(), "injected: update refused");
+  // The 49 rows rewritten before the refusal are back under the old key.
+  EXPECT_EQ(StoredCiphertexts(), before);
+
+  auto all = system_.Query("data", "key", RangeQuery{0, kDomain - 1});
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->rows.size(), kDomain);
+  for (uint64_t v = 0; v < kDomain; ++v) {
+    auto resp = system_.Query("data", "key", RangeQuery{v, v});
+    ASSERT_TRUE(resp.ok()) << v << ": " << resp.status();
+    ASSERT_EQ(resp->rows.size(), 1u) << v;
+    EXPECT_EQ(resp->rows[0], (Row{static_cast<int64_t>(v),
+                                  static_cast<int64_t>(v) + 10000}));
+  }
+  // And a later rotation goes through.
+  ASSERT_TRUE(system_.RotateKey("data", "key").ok());
+  auto again = system_.Query("data", "key", RangeQuery{0, kDomain - 1});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->rows.size(), kDomain);
+}
+
+TEST_F(RotationTest, FailedRollbackCountsTheStrandedRows) {
+  auto table = system_.server()->catalog()->GetTable("data");
+  ASSERT_TRUE(table.ok());
+  // Every update from the 50th on is refused: the rotation stops at row
+  // 49, and none of rows 0-48 can be put back.
+  RefusingUpdateHooks hooks(/*fail_at=*/50, /*times=*/~uint64_t{0});
+  (*table)->set_durability_hooks(&hooks);
+  auto rotated = system_.RotateKey("data", "key");
+  (*table)->set_durability_hooks(nullptr);
+  ASSERT_FALSE(rotated.ok());
+  EXPECT_TRUE(rotated.status().IsInternal()) << rotated.status();
+  EXPECT_NE(rotated.status().message().find("49 of 150 rows"),
+            std::string::npos)
+      << rotated.status();
 }
 
 }  // namespace
